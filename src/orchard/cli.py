@@ -25,7 +25,8 @@ from .grouplaw import (WeierstrassCurve, cuspidal_description,
                        parabola_infinity_description,
                        parallel_lines_description,
                        verify_group_description)
-from .projective import ProjPoint, collinear, mk_point, point_from_rationals
+from .projective import (DegenerateError, ProjPoint, collinear, mk_point,
+                         point_from_rationals)
 from .richlines import (InvariantViolation, PointSet, direction_count,
                         green_tao_bound, k_rich_count, spanned_lines,
                         tripartite_count)
@@ -50,21 +51,43 @@ def pointset_to_doc(ps: PointSet) -> dict:
     return doc
 
 
-def pointset_from_doc(doc: dict) -> PointSet:
-    if "points" not in doc or not isinstance(doc["points"], list):
+def _exact(v, parse):
+    """parse(v) for a JSON integer or string coordinate.  JSON floats are
+    refused: they are inexact (0.1 is not 1/10)."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"coordinate {v!r} must be an integer or a string "
+                         f"such as \"-3/4\"")
+    try:
+        return parse(v)
+    except ZeroDivisionError:
+        raise ValueError(f"coordinate {v!r} has a zero denominator") from None
+
+
+def pointset_from_doc(doc) -> PointSet:
+    """Read the points-file schema {"points": [{"x": X, "y": Y} or
+    {"h": [X, Y, Z]}, ...], "labels": [1|2|3, ...]}; a document that
+    breaks it raises ValueError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise ValueError("points file needs a 'points' list")
     pts = []
     for entry in doc["points"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"point entry {entry!r} is not an object")
         if "h" in entry:
-            h = [int(v) for v in entry["h"]]
-            if len(h) != 3:
+            h = entry["h"]
+            if not isinstance(h, list) or len(h) != 3:
                 raise ValueError("homogeneous entry needs three integers")
-            pts.append(ProjPoint(tuple(h)))
+            pts.append(ProjPoint(tuple(_exact(v, int) for v in h)))
+        elif "x" in entry and "y" in entry:
+            pts.append(mk_point(_exact(entry["x"], Fraction),
+                                _exact(entry["y"], Fraction)))
         else:
-            pts.append(mk_point(Fraction(entry["x"]), Fraction(entry["y"])))
+            raise ValueError(f"point entry {entry!r} needs 'x' and 'y', or 'h'")
     labels = doc.get("labels")
-    return PointSet(tuple(pts),
-                    tuple(int(g) for g in labels) if labels else None)
+    if labels is not None and not (isinstance(labels, list) and
+                                   all(type(g) is int for g in labels)):
+        raise ValueError("'labels' must be a list of integers")
+    return PointSet(tuple(pts), tuple(labels) if labels else None)
 
 
 def _load_pointset(path: str) -> PointSet:
@@ -158,7 +181,7 @@ def _check_random_triangle(trials: int, seed: int) -> int:
             line = join(q1, q2)
             try:
                 xs = [meet(line, join(a, b)) for a, b in sides]
-            except Exception:
+            except DegenerateError:
                 continue
             if any(x in (p1, p2, p3) for x in xs):
                 continue

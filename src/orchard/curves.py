@@ -18,7 +18,7 @@ from math import comb, isqrt
 from typing import Callable, Iterable, Optional, Sequence
 
 from .projective import ProjLine, ProjPoint, Rat, mk_point
-from .richlines import (InvariantViolation, PointSet, _pair_counts,
+from .richlines import (InvariantViolation, PointSet, _rich_lines,
                         direction_count)
 
 
@@ -183,11 +183,7 @@ def tripartite_curve_count(e: TripartiteExperiment) -> TripartiteCounts:
             for p in pts:
                 masks[p] = masks.get(p, 0) | (1 << (part - 1))
     points = sorted(masks, key=lambda p: p.h)
-    hs = [p.h for p in points]
-    pair_tab = _pair_counts(hs)
-    rich = {key for key, c in pair_tab.items() if c >= 3}
-    members: dict[tuple, set[int]] = {key: set() for key in rich}
-    _collect_members(hs, members)
+    members, _ = _rich_lines([p.h for p in points])
     triples = 0
     lines = 0
     for key, idxs in members.items():
@@ -201,22 +197,6 @@ def tripartite_curve_count(e: TripartiteExperiment) -> TripartiteCounts:
             triples += t
             lines += 1
     return TripartiteCounts(triples, lines, tuple(failures))
-
-
-def _collect_members(hs, members: dict[tuple, set[int]]):
-    from .projective import canonical_triple
-    n = len(hs)
-    for i in range(n):
-        x1, y1, z1 = hs[i]
-        for j in range(i + 1, n):
-            x2, y2, z2 = hs[j]
-            key = canonical_triple(y1 * z2 - z1 * y2,
-                                   z1 * x2 - x1 * z2,
-                                   x1 * y2 - y1 * x2)
-            s = members.get(key)
-            if s is not None:
-                s.add(i)
-                s.add(j)
 
 
 def _check_degree_bound(curves, line_key, mask_counts):
@@ -277,11 +257,10 @@ def quadruple_experiment(curve: CurveSpec, xs: Iterable[Rat]) -> int:
     pts: set[ProjPoint] = set()
     for x in xs:
         pts.update(curve.lift(x))
-    hs = sorted(p.h for p in pts)
-    pair_tab = _pair_counts(hs)
+    members, _ = _rich_lines(sorted(p.h for p in pts))
     count = 0
-    for key, c in pair_tab.items():
-        m = (1 + isqrt(1 + 8 * c)) // 2
+    for key, idxs in members.items():
+        m = len(idxs)
         if m >= 4:
             if curve.irreducible and m > curve.degree and not _line_is(curve, key):
                 raise InvariantViolation(

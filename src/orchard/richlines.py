@@ -1,20 +1,22 @@
 """Lines spanned by a point set, with exact multiplicities.
 
-The central object is the table mapping each spanned line to the number
-of set points on it.  It is built from the O(n^2) pair space: every
-unordered pair contributes one join, a line carrying m points receives
-C(m,2) pairs, and m is recovered from the pair count.  No O(n^3) pass
-and no floating slope buckets anywhere.
+The central object is the table of the lines through three or more set
+points (triple lines), each with the number of set points on it, plus
+the number of lines through exactly two.  It is built row by row from
+the O(n^2) pair space: row i groups the joins (i, j), j > i, by line, so
+a line through m >= 3 points shows up complete, with its sorted members,
+in the row of its lowest member.  2-point lines are counted, never
+stored.  No O(n^3) pass and no floating slope buckets anywhere.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from math import comb, gcd, isqrt
+from math import comb, gcd
 from typing import Iterable, Optional, Sequence
 
-from .projective import ProjLine, ProjPoint, canonical_triple
+from .projective import ProjPoint, canonical_triple
 
 
 class InvariantViolation(RuntimeError):
@@ -48,125 +50,108 @@ class PointSet:
         return [p.h for p in self.points]
 
 
-# Canonical line triples with all entries below this bound pack
-# injectively into one integer; integer keys hash several times faster
-# than tuples and carry the 2 * 10^6-join workload of big sets.
-_ENC = 1 << 40
-_ENC_HALF = _ENC >> 1
-
-
-def _key_scale(hs: Sequence[tuple[int, int, int]]) -> Optional[int]:
-    bound = max(max(abs(v) for v in h) for h in hs)
-    return _ENC if 2 * bound * bound < _ENC_HALF else None
-
-
-def _decode_key(key, scale) -> tuple[int, int, int]:
-    if scale is None:
-        return key
-    half = scale >> 1
-    key, c = divmod(key + half, scale)
-    key, b = divmod(key + half, scale)
-    return (key, b - half, c - half)
-
-
 @dataclass
 class RichLineTable:
-    """Map canonical line key -> number of incident set points (>= 2).
+    """The lines through >= 3 set points, and how many lines hold exactly 2.
 
-    Keys are canonical line triples, stored packed into single integers
-    when the coordinate range permits (scale is the packing base then).
+    entries maps each canonical line triple through m >= 3 set points
+    to m; two_point counts the lines that carry exactly two.
     """
 
     entries: dict = field(default_factory=dict)
-    scale: Optional[int] = None
-
-    def multiplicity(self, line: ProjLine) -> int:
-        a, b, c = line.l
-        if self.scale is None:
-            return self.entries.get((a, b, c), 0)
-        return self.entries.get((a * self.scale + b) * self.scale + c, 0)
+    two_point: int = 0
 
     def sorted_entries(self) -> list[tuple[tuple[int, int, int], int]]:
-        return sorted((_decode_key(k, self.scale), m)
-                      for k, m in self.entries.items())
-
-    def lines(self, min_multiplicity: int = 2) -> list[ProjLine]:
-        return [ProjLine(k) for k, m in self.sorted_entries()
-                if m >= min_multiplicity]
+        return sorted(self.entries.items())
 
     def pair_total(self) -> int:
-        return sum(comb(m, 2) for m in self.entries.values())
+        return self.two_point + sum(comb(m, 2) for m in self.entries.values())
 
 
-def _pair_counts(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
-                 step: int = 1, scale: Optional[int] = None) -> dict:
-    """Joins of all pairs (i, j), i in the given stripe, keyed canonically
-    (packed into integers when a scale is given)."""
-    tab: dict = {}
-    get = tab.get
+def _row_lines(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
+               step: int = 1) -> tuple[dict, int]:
+    """Row-anchored line enumeration over rows stripe, stripe + step, ...
+
+    Row i groups the canonical joins (i, j), j > i, by line in a dict
+    local to the row.  A line with two or more joins in the row is a
+    line through >= 3 points; it is stored with the sorted members
+    [i, j...] the first time a row holds it.  Returns (rich, row_lines):
+    the stored lines and the number of distinct lines summed over rows.
+    """
+    rich: dict[tuple, list[int]] = {}
+    row_lines = 0
     n = len(hs)
     for i in range(stripe, n, step):
         x1, y1, z1 = hs[i]
+        row: dict[tuple, list[int]] = {}
         for j in range(i + 1, n):
             x2, y2, z2 = hs[j]
-            a = y1 * z2 - z1 * y2
-            b = z1 * x2 - x1 * z2
-            c = x1 * y2 - y1 * x2
-            g = gcd(a, b, c)
-            if a:
-                if a < 0:
-                    g = -g
-            elif b:
-                if b < 0:
-                    g = -g
-            elif c < 0:
-                g = -g
-            if scale is None:
-                key = (a // g, b // g, c // g)
-            else:
-                key = (a // g * scale + b // g) * scale + c // g
-            tab[key] = get(key, 0) + 1
-    return tab
+            row.setdefault(canonical_triple(y1 * z2 - z1 * y2,
+                                            z1 * x2 - x1 * z2,
+                                            x1 * y2 - y1 * x2), []).append(j)
+        row_lines += len(row)
+        for key, js in row.items():
+            if len(js) > 1:
+                _store(rich, key, [i, *js])
+    return rich, row_lines
 
 
-def _stripe_worker(args):
-    hs, stripe, step, scale = args
-    return _pair_counts(hs, stripe, step, scale)
+def _store(rich: dict, key: tuple, members: list[int]) -> None:
+    """Keep the longest member list per line.
 
-
-def spanned_lines(ps: PointSet, workers: int = 1) -> RichLineTable:
-    """All lines spanned by the set, with exact incidence multiplicities.
-
-    With workers > 1 the pair space is partitioned into interleaved row
-    stripes computed in separate processes; the merged table is
-    identical to the single-worker result.
+    Every sighting of a line lists its members from some point on, so a
+    shorter sighting must be a suffix of the longer one.
     """
-    if ps.n < 2:
-        raise ValueError("spanned_lines needs at least 2 points")
-    hs = ps.raw()
-    scale = _key_scale(hs)
+    old = rich.get(key)
+    if old is None:
+        rich[key] = members
+        return
+    short, long = sorted((old, members), key=len)
+    if long[len(long) - len(short):] != short:
+        raise InvariantViolation(
+            f"row enumeration: line {key} sighted with members {short}, "
+            f"not a suffix of {long}")
+    rich[key] = long
+
+
+def _rich_lines(hs: Sequence[tuple[int, int, int]],
+                workers: int = 1) -> tuple[dict[tuple, list[int]], int]:
+    """(sorted member indices per line through >= 3 points, number of
+    lines through exactly 2 points).
+
+    A line through m >= 3 points is complete in the row of its lowest
+    member and is seen in m - 1 rows, so the 2-point lines are the row
+    lines left over.  With workers > 1 the rows are split into
+    interleaved stripes run in separate processes, and the parent keeps
+    the longest member list per line.
+    """
     if workers <= 1:
-        pairs = _pair_counts(hs, scale=scale)
+        parts = [_row_lines(hs)]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
-            parts = pool.map(_stripe_worker,
-                             [(hs, w, workers, scale) for w in range(workers)])
-        pairs = parts[0]
-        for part in parts[1:]:
-            for key, c in part.items():
-                pairs[key] = pairs.get(key, 0) + c
-    for key, c in pairs.items():
-        if c > 1:
-            m = (1 + isqrt(1 + 8 * c)) // 2
-            if m * (m - 1) // 2 != c:
-                raise InvariantViolation(
-                    f"pair-count conservation: line {_decode_key(key, scale)}"
-                    f" carries {c} pairs, not a binomial C(m,2)")
-            pairs[key] = m
-        else:
-            pairs[key] = 2
-    return RichLineTable(pairs, scale)
+            parts = pool.starmap(_row_lines,
+                                 [(hs, w, workers) for w in range(workers)])
+    rich: dict[tuple, list[int]] = {}
+    row_lines = 0
+    for part, count in parts:
+        row_lines += count
+        for key, members in part.items():
+            _store(rich, key, members)
+    return rich, row_lines - sum(len(m) - 1 for m in rich.values())
+
+
+def spanned_lines(ps: PointSet, workers: int = 1) -> RichLineTable:
+    """The lines through >= 3 set points with their exact multiplicities,
+    and the number of lines through exactly 2.
+
+    With workers > 1 the rows are enumerated in separate processes; the
+    table is identical to the single-worker result.
+    """
+    if ps.n < 2:
+        raise ValueError("spanned_lines needs at least 2 points")
+    rich, two_point = _rich_lines(ps.raw(), workers)
+    return RichLineTable({key: len(m) for key, m in rich.items()}, two_point)
 
 
 def k_rich_count(table: RichLineTable, k: int, exactly: bool = False) -> int:
@@ -174,8 +159,10 @@ def k_rich_count(table: RichLineTable, k: int, exactly: bool = False) -> int:
     if k < 2:
         raise ValueError("k_rich_count needs k >= 2")
     if exactly:
-        return sum(1 for m in table.entries.values() if m == k)
-    return sum(1 for m in table.entries.values() if m >= k)
+        rich = sum(1 for m in table.entries.values() if m == k)
+    else:
+        rich = sum(1 for m in table.entries.values() if m >= k)
+    return rich + table.two_point if k == 2 else rich
 
 
 def triple_line_count(table: RichLineTable) -> int:
@@ -183,35 +170,9 @@ def triple_line_count(table: RichLineTable) -> int:
     return k_rich_count(table, 3)
 
 
-def line_members(ps: PointSet, min_points: int = 3) -> dict[tuple, list[int]]:
-    """Point indices per line, for lines with >= min_points set points.
-
-    Two passes over the pair space: multiplicities first, then member
-    lists only for the qualifying lines (keeps memory flat on big sets).
-    """
-    hs = ps.raw()
-    pairs = _pair_counts(hs)
-    want = comb(min_points, 2)
-    candidates = {k for k, c in pairs.items() if c >= want}
-    members: dict[tuple, list[int]] = {k: [] for k in candidates}
-    seen: dict[tuple, set[int]] = {k: set() for k in candidates}
-    n = len(hs)
-    for i in range(n):
-        x1, y1, z1 = hs[i]
-        for j in range(i + 1, n):
-            x2, y2, z2 = hs[j]
-            key = canonical_triple(y1 * z2 - z1 * y2,
-                                   z1 * x2 - x1 * z2,
-                                   x1 * y2 - y1 * x2)
-            s = seen.get(key)
-            if s is not None:
-                if i not in s:
-                    s.add(i)
-                    members[key].append(i)
-                if j not in s:
-                    s.add(j)
-                    members[key].append(j)
-    return members
+def line_members(ps: PointSet) -> dict[tuple, list[int]]:
+    """Sorted point indices per line, for the lines through >= 3 set points."""
+    return _rich_lines(ps.raw())[0]
 
 
 def tripartite_count(ps: PointSet, pattern: Iterable[int]) -> int:

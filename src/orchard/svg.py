@@ -91,10 +91,7 @@ def render_pointset(ps: PointSet, mark_triple_lines: bool = False) -> str:
 
     if mark_triple_lines:
         table = spanned_lines(ps)
-        for key, mult in table.sorted_entries():
-            if mult < 3:
-                continue
-            a, b, c = key
+        for a, b, c in sorted(table.entries):
             if a == 0 and b == 0:
                 continue       # line at infinity: not drawable affinely
             seg = view.clip_line(a, b, c)

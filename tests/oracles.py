@@ -1,7 +1,7 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately O(n^3) triple enumeration over the
-collinearity determinant, with none of the library's pair-table
+collinearity determinant, with none of the library's row-enumeration
 shortcuts, so that agreement is meaningful.
 """
 

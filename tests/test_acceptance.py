@@ -395,7 +395,7 @@ def test_c14_performance():
     assert elapsed < 10.0
     assert serial.pair_total() == comb(2000, 2)
     parallel = spanned_lines(ps, workers=2)
-    assert serial.scale == parallel.scale
     assert serial.entries == parallel.entries
+    assert serial.two_point == parallel.two_point
     report(14, f"2000-point enumeration in {elapsed:.1f}s (< 10s); "
                f"2-worker table identical to serial")

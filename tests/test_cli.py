@@ -184,3 +184,19 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["count", "--in", str(bad)]) == 2
+
+
+TWO_POINTS = [{"x": "1", "y": "2"}, {"x": "3", "y": "4"}]
+
+
+@pytest.mark.parametrize("doc", [
+    {"points": [5, 6]},
+    {"points": [{"x": "1/0", "y": "1"}] + TWO_POINTS},
+    {"points": TWO_POINTS, "labels": "12"},
+    {"points": [{"x": 0.5, "y": "1"}] + TWO_POINTS},
+])
+def test_points_file_schema_rejected(tmp_path, capsys, doc):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps(doc))
+    assert run(["count", "--in", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

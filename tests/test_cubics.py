@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -7,8 +8,8 @@ import hypothesis.strategies as st
 
 from orchard import (CubicForm, ProjLine, ProjPoint, classify_with_candidates,
                      cubic_from_lines, cuspidal_form, fit_cubics,
-                     gen_cubic_power, gen_grid, line_divides, mk_point,
-                     on_common_cubic, spanned_lines, weierstrass_form)
+                     gen_cubic_power, gen_grid, join, line_divides, mk_point,
+                     on_common_cubic, weierstrass_form)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
@@ -133,8 +134,10 @@ def test_classification():
     z_conic = CubicForm((0, 0, 1, 0, 0, 0, 0, 1, 0, -1))
     cls = classify_with_candidates(z_conic, [ProjLine((0, 0, 1))])
     assert cls.kind == "line-plus-conic"
-    grid_lines = [ProjLine(l) for l, _ in
-                  spanned_lines(gen_grid(3)).sorted_entries()]
+    grid = gen_grid(3).points
+    grid_lines = [ProjLine(l) for l in
+                  sorted({join(p, q).l for p, q in combinations(grid, 2)})]
+    assert len(grid_lines) == 20
     cls = classify_with_candidates(cuspidal_form(), grid_lines)
     assert cls.kind == "no-candidate-factor"
 

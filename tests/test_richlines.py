@@ -7,10 +7,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from orchard import (InvariantViolation, PointSet, apply_transform,
-                     direction_count, gen_cubic_power, gen_grid,
-                     gen_parallel_aps, green_tao_bound, k_rich_count,
-                     mk_point, spanned_lines, triple_line_count,
-                     tripartite_count)
+                     direction_count, direction_point, gen_cubic_power,
+                     gen_grid, gen_parallel_aps, green_tao_bound,
+                     k_rich_count, mk_point, spanned_lines,
+                     triple_line_count, tripartite_count)
+from orchard.richlines import _store
 from oracles import brute_multiplicities, brute_tripartite, brute_directions
 
 
@@ -37,22 +38,27 @@ def test_spanned_lines_grid3():
 def test_spanned_lines_collinear_and_generic():
     three = PointSet(tuple(mk_point(i, 2 * i) for i in range(3)))
     t = spanned_lines(three)
-    assert len(t.entries) == 1 and triple_line_count(t) == 1
+    assert k_rich_count(t, 2) == 1 and triple_line_count(t) == 1
     quad = PointSet((mk_point(0, 0), mk_point(1, 0), mk_point(0, 1),
                      mk_point(2, 3)))
     t = spanned_lines(quad)
-    assert len(t.entries) == 6
-    assert all(m == 2 for m in t.entries.values())
+    assert t.entries == {}
+    assert k_rich_count(t, 2, exactly=True) == 6
 
 
 def test_spanned_lines_vs_brute_multiplicities():
     rng = random.Random(11)
-    pts = set()
-    while len(pts) < 25:
+    pts = {direction_point(1)}
+    while len(pts) < 26:
         pts.add(mk_point(rng.randint(-4, 4), rng.randint(-4, 4)))
     ps = PointSet(tuple(sorted(pts, key=lambda p: p.h)))
-    table = spanned_lines(ps)
-    assert dict(table.sorted_entries()) == brute_multiplicities(list(ps.points))
+    brute = brute_multiplicities(list(ps.points))
+    rich = sorted((key, m) for key, m in brute.items() if m >= 3)
+    two_point = sum(1 for m in brute.values() if m == 2)
+    for workers in (1, 3):
+        table = spanned_lines(ps, workers=workers)
+        assert table.sorted_entries() == rich
+        assert k_rich_count(table, 2, exactly=True) == two_point
 
 
 def test_multiworker_identical():
@@ -65,13 +71,25 @@ def test_multiworker_identical():
     serial = spanned_lines(ps, workers=1)
     parallel = spanned_lines(ps, workers=3)
     assert serial.entries == parallel.entries
+    assert serial.two_point == parallel.two_point
     assert serial.sorted_entries() == parallel.sorted_entries()
 
 
+def test_row_sighting_must_be_suffix():
+    rich = {}
+    _store(rich, (0, 1, 0), [3, 5])          # a stripe missing the lowest row
+    _store(rich, (0, 1, 0), [1, 3, 5])
+    _store(rich, (0, 1, 0), [3, 5])
+    assert rich == {(0, 1, 0): [1, 3, 5]}
+    with pytest.raises(InvariantViolation):
+        _store(rich, (0, 1, 0), [2, 5])
+
+
 def test_k_rich_count_modes():
-    table = spanned_lines(gen_cubic_power(2))
+    ps = gen_cubic_power(2)
+    table = spanned_lines(ps)
     assert k_rich_count(table, 3) == 2          # {-2,0,2} and {-1,0,1}
-    assert k_rich_count(table, 2) == len(table.entries)
+    assert k_rich_count(table, 2) == len(brute_multiplicities(list(ps.points)))
     with pytest.raises(ValueError):
         k_rich_count(table, 1)
 
@@ -131,6 +149,7 @@ def test_counts_invariant_under_projective_maps():
     img = PointSet(tuple(apply_transform(m, p) for p in ps.points))
     t0, t1 = spanned_lines(ps), spanned_lines(img)
     assert sorted(t0.entries.values()) == sorted(t1.entries.values())
+    assert t0.two_point == t1.two_point
     assert triple_line_count(t0) == triple_line_count(t1)
 
 
@@ -148,8 +167,8 @@ def test_pair_count_conservation(coords):
     ps = PointSet(tuple(mk_point(x, y) for x, y in coords))
     table = spanned_lines(ps)
     assert table.pair_total() == comb(ps.n, 2)
-    # every multiplicity is at least 2 and at most n
-    assert all(2 <= m <= ps.n for m in table.entries.values())
+    # every stored multiplicity is at least 3 and at most n
+    assert all(3 <= m <= ps.n for m in table.entries.values())
 
 
 @settings(max_examples=30)
