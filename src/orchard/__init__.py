@@ -17,9 +17,10 @@ from .cubics import (CubicForm, classify_with_candidates, cubic_from_lines,
                      cuspidal_form, fit_cubics, line_divides, on_common_cubic,
                      weierstrass_form)
 from .grouplaw import (CuspidalCubic, GroupDescription, GroupElement,
-                       WeierstrassCurve, WEIERSTRASS_IDENTITY,
+                       LawWitness, WeierstrassCurve, WEIERSTRASS_IDENTITY,
                        conic_line_params, cuspidal_description,
-                       cuspidal_third, hyperbola_infinity_description,
+                       cuspidal_third, description_witness,
+                       hyperbola_infinity_description,
                        menelaus_params, parabola_infinity_description,
                        parallel_lines_description, parallel_lines_params,
                        sphere_membership, triangle_description,
@@ -28,7 +29,8 @@ from .grouplaw import (CuspidalCubic, GroupDescription, GroupElement,
 from .tenpoint import (Cantilever, ConvergenceError, SampledArc,
                        TenPointConfig, build_tenpoint_cuspidal,
                        build_tenpoint_weierstrass, extend_cantilever,
-                       halve_parameter_demo, nine_point_check,
+                       halve_parameter_demo, lattice_witness,
+                       nine_point_check,
                        parallel_lines_arcs, standard_system_ok,
                        three_lines_multiplicative_arcs, verify_lattice)
 from .conic import (ExternalPoint, combination_weight, filter_by_image_count,

@@ -21,10 +21,9 @@ from .conic import ExternalPoint, image_count, involution_value, \
     parabola_collinear, reps_collinear
 from .cubics import fit_cubics
 from .grouplaw import (WeierstrassCurve, cuspidal_description,
-                       hyperbola_infinity_description,
+                       description_witness, hyperbola_infinity_description,
                        parabola_infinity_description,
-                       parallel_lines_description,
-                       verify_group_description)
+                       parallel_lines_description)
 from .projective import (DegenerateError, ProjPoint, collinear, mk_point,
                          point_from_rationals)
 from .richlines import (InvariantViolation, PointSet, direction_count,
@@ -32,7 +31,8 @@ from .richlines import (InvariantViolation, PointSet, direction_count,
                         tripartite_count)
 from .svg import render_pointset
 from .tenpoint import (build_tenpoint_cuspidal, build_tenpoint_weierstrass,
-                       extend_cantilever, verify_lattice)
+                       describe_lattice_witness, extend_cantilever,
+                       lattice_witness, verify_lattice)
 
 
 # --- points file -------------------------------------------------------------
@@ -51,16 +51,21 @@ def pointset_to_doc(ps: PointSet) -> dict:
     return doc
 
 
+def _rational(token: str) -> Fraction:
+    """Fraction(token), with a zero denominator refused as ValueError."""
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"{token!r} has a zero denominator") from None
+
+
 def _exact(v, parse):
     """parse(v) for a JSON integer or string coordinate.  JSON floats are
     refused: they are inexact (0.1 is not 1/10)."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ValueError(f"coordinate {v!r} must be an integer or a string "
                          f"such as \"-3/4\"")
-    try:
-        return parse(v)
-    except ZeroDivisionError:
-        raise ValueError(f"coordinate {v!r} has a zero denominator") from None
+    return parse(v)
 
 
 def pointset_from_doc(doc) -> PointSet:
@@ -79,8 +84,8 @@ def pointset_from_doc(doc) -> PointSet:
                 raise ValueError("homogeneous entry needs three integers")
             pts.append(ProjPoint(tuple(_exact(v, int) for v in h)))
         elif "x" in entry and "y" in entry:
-            pts.append(mk_point(_exact(entry["x"], Fraction),
-                                _exact(entry["y"], Fraction)))
+            pts.append(mk_point(_exact(entry["x"], _rational),
+                                _exact(entry["y"], _rational)))
         else:
             raise ValueError(f"point entry {entry!r} needs 'x' and 'y', or 'h'")
     labels = doc.get("labels")
@@ -203,14 +208,15 @@ def _nonzero(rng: random.Random) -> Fraction:
 
 def cmd_group_check(args) -> int:
     name = args.config
-    if name == "example1":
-        ps = gen.gen_parallel_aps(args.n)
-        ok = verify_group_description(ps, parallel_lines_description())
-        print(f"example1 n={args.n} exhaustive: {'PASS' if ok else 'FAIL'}")
-    elif name == "example4":
-        ps = gen.gen_cubic_power(args.n)
-        ok = verify_group_description(ps, cuspidal_description())
-        print(f"example4 n={args.n} exhaustive: {'PASS' if ok else 'FAIL'}")
+    witness = None
+    if name in ("example1", "example4"):
+        if name == "example1":
+            ps, desc = gen.gen_parallel_aps(args.n), parallel_lines_description()
+        else:
+            ps, desc = gen.gen_cubic_power(args.n), cuspidal_description()
+        witness = description_witness(ps, desc)
+        ok = witness is None
+        print(f"{name} n={args.n} exhaustive: {'PASS' if ok else 'FAIL'}")
     elif name == "triangle":
         failures = _check_random_triangle(args.trials, args.seed)
         ok = failures == 0
@@ -248,7 +254,8 @@ def cmd_group_check(args) -> int:
     else:
         raise ValueError(f"unknown group-check config {name!r}")
     if not ok:
-        raise InvariantViolation(f"group description {name} failed")
+        raise InvariantViolation(f"group description {name} failed"
+                                 + (f": {witness}" if witness else ""))
     return 0
 
 
@@ -256,27 +263,35 @@ def _parse_curve(spec: str):
     if spec == "cuspidal":
         return ("cuspidal", None)
     if spec.startswith("weierstrass:"):
-        a, b = (Fraction(v) for v in spec.split(":", 1)[1].split(","))
+        a, b = map(_rational, _split(spec.split(":", 1)[1], ",", 2,
+                                     "curve coefficients"))
         return ("weierstrass", WeierstrassCurve(a, b))
     raise ValueError(f"unknown curve {spec!r}")
 
 
+def _split(token: str, sep: str, count: int, what: str) -> list[str]:
+    parts = token.split(sep)
+    if len(parts) != count:
+        raise ValueError(f"{what} {token!r} needs exactly {count} "
+                         f"{sep!r}-separated entries")
+    return parts
+
+
 def _parse_point(token: str) -> ProjPoint:
-    x, y = (Fraction(v) for v in token.split(":"))
-    return mk_point(x, y)
+    return mk_point(*map(_rational, _split(token, ":", 2, "point")))
 
 
 def _tenpoint_common(args) -> int:
     kind, curve = _parse_curve(args.curve)
+    base = _split(args.base, ",", 3, "--base")
     if kind == "cuspidal":
-        base = [Fraction(v) for v in args.base.split(",")]
-        cfg = build_tenpoint_cuspidal(*base, Fraction(args.delta))
+        cfg = build_tenpoint_cuspidal(*map(_rational, base),
+                                      _rational(args.delta))
 
         def on_curve(p):
             return p.h[0] ** 3 == p.h[1] * p.h[2] ** 2
     else:
-        pts = [_parse_point(tok) for tok in args.base.split(",")]
-        cfg = build_tenpoint_weierstrass(curve, *pts,
+        cfg = build_tenpoint_weierstrass(curve, *map(_parse_point, base),
                                          _parse_point(args.delta))
         on_curve = curve.contains
     obj = cfg
@@ -289,7 +304,8 @@ def _tenpoint_common(args) -> int:
             x, y, z = mp[i].h
             print(f"{fam}{i},{x},{y},{z}")
     if not verify_lattice(obj):
-        raise InvariantViolation("ten-point lattice: collinear iff i+k=j")
+        witness = describe_lattice_witness(lattice_witness(obj))
+        raise InvariantViolation(f"ten-point lattice: {witness}")
     for p in obj.points():
         if not on_curve(p):
             raise InvariantViolation(f"curve membership: {p} left the curve")
@@ -309,14 +325,14 @@ def cmd_cantilever(args) -> int:
 def cmd_conic(args) -> int:
     if args.mode == "collinear":
         e = _parse_external(args.external)
-        print(str(parabola_collinear(Fraction(args.x), Fraction(args.y),
+        print(str(parabola_collinear(_rational(args.x), _rational(args.y),
                                      e)).lower())
     elif args.mode == "involution":
         e = _parse_external(args.external)
-        print(involution_value(e, Fraction(args.x)))
+        print(involution_value(e, _rational(args.x)))
     elif args.mode == "image-count":
         e = _parse_external(args.external)
-        xs = [Fraction(v) for v in args.xs.split(",")]
+        xs = [_rational(v) for v in args.xs.split(",")]
         print(image_count(e, xs))
     elif args.mode == "reps":
         es = [_parse_external(tok) for tok in args.externals.split(";")]
@@ -329,7 +345,7 @@ def cmd_conic(args) -> int:
 
 
 def _parse_external(token: str) -> ExternalPoint:
-    a, b = (Fraction(v) for v in token.split(","))
+    a, b = (_rational(v) for v in token.split(","))
     return ExternalPoint(a, b)
 
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import product
+from typing import Callable, Optional, Sequence
 
 from .projective import (DegenerateError, ProjPoint, Rat, collinear, incident,
                          join, mk_point, signed_ratio)
-from .richlines import PointSet
+from .richlines import PointSet, _rich_lines
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -360,28 +361,110 @@ def hyperbola_infinity_description() -> GroupDescription:
                             assign, value)
 
 
-def verify_group_description(ps: PointSet, desc: GroupDescription) -> bool:
-    """Exhaustive check: distinct cross-piece triples are collinear
-    exactly when their group values combine to the identity."""
-    parts: dict[int, list[tuple[ProjPoint, Fraction]]] = {1: [], 2: [], 3: []}
-    for p in ps.points:
-        for i in desc.assign(p):
-            parts[i].append((p, desc.value(i, p)))
-    additive = desc.operation == ADDITIVE
-    for pt1, v1 in parts[1]:
-        for pt2, v2 in parts[2]:
-            if pt2 == pt1:
+@dataclass(frozen=True)
+class LawWitness:
+    """Three distinct points, one on each of pieces 1, 2, 3, on which
+    collinearity and the group law disagree.
+
+    Each tuple is ordered by piece: indices are positions in the point
+    list that was checked, values the points' group values on pieces
+    1, 2, 3.  collinear is the determinant's verdict; the law's verdict
+    is its negation.
+    """
+
+    indices: tuple[int, int, int]
+    points: tuple[ProjPoint, ProjPoint, ProjPoint]
+    values: tuple[Fraction, Fraction, Fraction]
+    operation: str
+    collinear: bool
+
+    def __str__(self) -> str:
+        op, identity = ((" + ", 0) if self.operation == ADDITIVE
+                        else (" * ", 1))
+        where = ", ".join(f"point {i} {p.h} on piece {piece}"
+                          for piece, (i, p)
+                          in enumerate(zip(self.indices, self.points), 1))
+        combined = op.join(f"({v})" for v in self.values)
+        if self.collinear:
+            return f"{where} collinear but {combined} != {identity}"
+        return f"{where} not collinear but {combined} == {identity}"
+
+
+def _law_witness(points: Sequence[ProjPoint],
+                 roles: Sequence[Sequence[tuple[int, Fraction]]],
+                 operation: str) -> Optional[LawWitness]:
+    """The first triple of distinct points, one role per piece, that
+    breaks "collinear iff the values combine to the identity", or None.
+
+    points are distinct; roles[i] lists the (piece, value) pairs of
+    points[i].  Collinear => law: a collinear triple of distinct points
+    lies on a line through >= 3 points, which the row enumeration stores
+    with all its members, so only the actually collinear role triples
+    are visited.  Law => collinear: each (piece 1, piece 2) role pair
+    looks up the piece-3 value the law requires and tests each candidate
+    with one determinant.  O(n^2) joins plus one determinant per
+    predicted triple, all in exact integers.
+    """
+    additive = operation == ADDITIVE
+
+    def split(idxs):
+        parts: dict[int, list[tuple[int, Fraction]]] = {1: [], 2: [], 3: []}
+        for i in idxs:
+            for piece, v in roles[i]:
+                parts[piece].append((i, v))
+        return parts
+
+    def witness(r1, r2, r3, on_line):
+        idx = (r1[0], r2[0], r3[0])
+        return LawWitness(idx, tuple(points[i] for i in idx),
+                          (r1[1], r2[1], r3[1]), operation, on_line)
+
+    for members in _rich_lines([p.h for p in points])[0].values():
+        on = split(members)
+        for r1, r2, r3 in product(on[1], on[2], on[3]):
+            if len({r1[0], r2[0], r3[0]}) < 3:
                 continue
-            for pt3, v3 in parts[3]:
-                if pt3 == pt1 or pt3 == pt2:
-                    continue
-                if additive:
-                    alg = (v1 + v2 + v3) == 0
-                else:
-                    alg = (v1 * v2 * v3) == 1
-                if alg != collinear(pt1, pt2, pt3):
-                    return False
-    return True
+            v1, v2, v3 = r1[1], r2[1], r3[1]
+            if not (v1 + v2 + v3 == 0 if additive else v1 * v2 * v3 == 1):
+                return witness(r1, r2, r3, True)
+
+    parts = split(range(len(points)))
+    third: dict[Fraction, list[int]] = {}
+    for i, v in parts[3]:
+        third.setdefault(v, []).append(i)
+    for r1, r2 in product(parts[1], parts[2]):
+        (i1, v1), (i2, v2) = r1, r2
+        if i1 == i2:
+            continue
+        if additive:
+            need = -(v1 + v2)
+        elif v1 * v2 == 0:
+            continue
+        else:
+            need = 1 / Fraction(v1 * v2)
+        for i3 in third.get(need, ()):
+            if i3 not in (i1, i2) and not collinear(points[i1], points[i2],
+                                                    points[i3]):
+                return witness(r1, r2, (i3, need), False)
+    return None
+
+
+def description_witness(ps: PointSet,
+                        desc: GroupDescription) -> Optional[LawWitness]:
+    """The first cross-piece triple of distinct points of ps on which
+    collinearity and the description's group law disagree, or None."""
+    roles = [[(i, desc.value(i, p)) for i in desc.assign(p)]
+             for p in ps.points]
+    return _law_witness(ps.points, roles, desc.operation)
+
+
+def verify_group_description(ps: PointSet, desc: GroupDescription) -> bool:
+    """Distinct cross-piece triples are collinear exactly when their
+    group values combine to the identity.
+
+    Exhaustive, O(n^2) joins + one determinant per predicted triple.
+    """
+    return description_witness(ps, desc) is None
 
 
 def sphere_membership(x: Rat, y: Rat, z: Rat) -> tuple[bool, Fraction]:

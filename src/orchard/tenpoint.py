@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .cubics import fit_cubics
-from .grouplaw import CuspidalCubic, WeierstrassCurve, WEIERSTRASS_IDENTITY
+from .grouplaw import (ADDITIVE, CuspidalCubic, LawWitness, WeierstrassCurve,
+                       WEIERSTRASS_IDENTITY, _law_witness)
 from .projective import (DegenerateError, ProjPoint, Rat, collinear, join,
                          meet)
 
@@ -145,23 +146,39 @@ def build_tenpoint_weierstrass(curve: WeierstrassCurve,
     return _config_from(pts, b0)
 
 
+def lattice_witness(obj) -> Optional[LawWitness]:
+    """The first A_i, B_j, C_k of three distinct points that breaks
+    "collinear iff i + k = j", or None.
+
+    A_i, B_j and C_k carry the additive values i, -j and k on pieces
+    1, 2, 3.  A point that the sequences revisit (A_i = C_k whenever
+    the parameter difference is an exact multiple of the step) is one
+    point with several roles, and triples in which two of the points
+    coincide are skipped: the index law speaks about three distinct
+    points.
+    """
+    roles: dict[ProjPoint, list[tuple[int, int]]] = {}
+    for piece, sign, mp in zip((1, 2, 3), (1, -1, 1), obj.lattice_points()):
+        for idx, p in mp.items():
+            roles.setdefault(p, []).append((piece, sign * idx))
+    return _law_witness(list(roles), list(roles.values()), ADDITIVE)
+
+
 def verify_lattice(obj) -> bool:
     """A_i, B_j, C_k collinear iff i + k = j, over all stored indices.
 
-    Triples in which two of the points coincide are skipped: the index
-    law speaks about three distinct points, and long cantilevers do
-    revisit curve points (A_i = C_k whenever the parameter difference
-    is an exact multiple of the step).
+    Exhaustive, O(n^2) joins + one determinant per predicted triple.
     """
-    amap, bmap, cmap = obj.lattice_points()
-    for i, ai in amap.items():
-        for j, bj in bmap.items():
-            for k, ck in cmap.items():
-                if ai == bj or ai == ck or bj == ck:
-                    continue
-                if collinear(ai, bj, ck) != (i + k == j):
-                    return False
-    return True
+    return lattice_witness(obj) is None
+
+
+def describe_lattice_witness(w: LawWitness) -> str:
+    """The witness in lattice terms, e.g. "A3, B7, C4 collinear but
+    3 + 4 != 7"."""
+    i, j, k = w.values[0], -w.values[1], w.values[2]
+    if w.collinear:
+        return f"A{i}, B{j}, C{k} collinear but {i} + {k} != {j}"
+    return f"A{i}, B{j}, C{k} not collinear but {i} + {k} == {j}"
 
 
 def _incidence_meet(anchor_pairs, what: str) -> ProjPoint:

@@ -2,7 +2,15 @@
 
 Everything here is deliberately O(n^3) triple enumeration over the
 collinearity determinant, with none of the library's row-enumeration
-shortcuts, so that agreement is meaningful.
+shortcuts, so that agreement is meaningful:
+
+- brute_triple_lines, brute_multiplicities, brute_tripartite and
+  brute_directions check the rich-line counts;
+- brute_lattice checks the index law "A_i, B_j, C_k collinear iff
+  i + k = j" of a ten point configuration or cantilever;
+- brute_group_description checks a group description: distinct
+  cross-piece triples are collinear iff their values combine to the
+  identity.
 """
 
 from itertools import combinations
@@ -54,3 +62,41 @@ def brute_directions(points):
     for a, b in combinations(points, 2):
         dirs.add(meet(join(a, b), LINE_AT_INFINITY).h)
     return len(dirs)
+
+
+def brute_lattice(obj):
+    """A_i, B_j, C_k collinear iff i + k = j, over all stored indices;
+    triples in which two of the points coincide are skipped."""
+    amap, bmap, cmap = obj.lattice_points()
+    for i, ai in amap.items():
+        for j, bj in bmap.items():
+            for k, ck in cmap.items():
+                if ai == bj or ai == ck or bj == ck:
+                    continue
+                if collinear(ai, bj, ck) != (i + k == j):
+                    return False
+    return True
+
+
+def brute_group_description(ps, desc):
+    """Distinct cross-piece triples are collinear exactly when their
+    group values combine to the identity."""
+    parts = {1: [], 2: [], 3: []}
+    for p in ps.points:
+        for i in desc.assign(p):
+            parts[i].append((p, desc.value(i, p)))
+    additive = desc.operation == "additive"
+    for pt1, v1 in parts[1]:
+        for pt2, v2 in parts[2]:
+            if pt2 == pt1:
+                continue
+            for pt3, v3 in parts[3]:
+                if pt3 == pt1 or pt3 == pt2:
+                    continue
+                if additive:
+                    alg = (v1 + v2 + v3) == 0
+                else:
+                    alg = (v1 * v2 * v3) == 1
+                if alg != collinear(pt1, pt2, pt3):
+                    return False
+    return True

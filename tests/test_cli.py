@@ -1,11 +1,16 @@
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from orchard import (PointSet, ProjPoint, gen_triangle_ratios, mk_point,
-                     spanned_lines, triple_line_count, tripartite_count)
+import orchard.cli as cli
+from orchard import (GroupDescription, PointSet, ProjPoint,
+                     gen_triangle_ratios, mk_point, spanned_lines,
+                     triple_line_count, tripartite_count)
 from orchard.cli import pointset_from_doc, pointset_to_doc, run
 
 
@@ -200,3 +205,79 @@ def test_points_file_schema_rejected(tmp_path, capsys, doc):
     f.write_text(json.dumps(doc))
     assert run(["count", "--in", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tenpoint", "--curve", "cuspidal", "--base", "1,2", "--delta", "1"],
+    ["tenpoint", "--curve", "cuspidal", "--base=1,-1,0", "--delta", "1/0"],
+    ["cantilever", "--curve", "weierstrass:0,17", "--base=-2:3,-1:4",
+     "--delta", "8:23", "--extend", "2"],
+    ["conic", "--mode", "involution", "--external", "0,-1", "--x", "1/0"],
+])
+def test_cli_arguments_rejected(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+TENPOINT = ["tenpoint", "--curve", "cuspidal", "--base=-1,0,1",
+            "--delta", "1/10"]
+
+
+def test_lattice_failure_names_witness(monkeypatch, capsys):
+    build = cli.build_tenpoint_cuspidal
+
+    def b3_replaced_by_b4(*args):
+        cfg = build(*args)
+        return replace(cfg, b3=cfg.b4)
+
+    monkeypatch.setattr(cli, "build_tenpoint_cuspidal", b3_replaced_by_b4)
+    assert run(TENPOINT) == 3
+    out, err = capsys.readouterr()
+    assert err == ("invariant violation: ten-point lattice: "
+                   "A2, B3, C2 collinear but 2 + 2 != 3\n")
+    lines = out.splitlines()
+    assert lines[0] == "name,X,Y,Z" and len(lines) == 11
+
+
+def test_group_check_failure_names_witness(monkeypatch, capsys):
+    desc = cli.cuspidal_description()
+
+    def shifted_at_one(i, p):
+        return desc.value(i, p) + (1 if p == mk_point(1, 1) else 0)
+
+    monkeypatch.setattr(cli, "cuspidal_description", lambda: GroupDescription(
+        desc.kind, desc.operation, desc.assign, shifted_at_one))
+    assert run(["group-check", "--config", "example4", "--n", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "example4 n=4 exhaustive: FAIL\n"
+    assert err.startswith("invariant violation: group description example4 "
+                          "failed: point ")
+    assert " collinear but " in err
+
+
+TOKENS = ["0", "1", "-1", "3", "1/2", "-1/2", "1/10", "1/0", "-2:3",
+          "-1:4", "4:9", "8:23", "1/0:2", "x"]
+# curve -> (valid bases, valid steps), so that some draws succeed
+VALID = {"cuspidal": (["-1,0,1", "1,2,-3"], ["1/10", "3", "1/7"]),
+         "weierstrass:0,17": (["-2:3,-1:4,4:9", "4:9,-1:4,-2:3"],
+                              ["8:23", "2:5"])}
+
+
+@st.composite
+def tenpoint_argv(draw):
+    curve = draw(st.sampled_from(list(VALID)) | st.sampled_from(
+        ["weierstrass:1/0,1", "weierstrass:0", "bogus"]))
+    bases, steps = VALID.get(curve, VALID["cuspidal"])
+    base = draw(st.sampled_from(bases)
+                | st.lists(st.sampled_from(TOKENS), max_size=4).map(",".join))
+    delta = draw(st.sampled_from(steps) | st.sampled_from(TOKENS))
+    argv = [draw(st.sampled_from(["tenpoint", "cantilever"])),
+            "--curve", curve, f"--base={base}", f"--delta={delta}"]
+    extend = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    return argv if extend is None else argv + ["--extend", str(extend)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tenpoint_argv())
+def test_tenpoint_exit_code_contract(argv):
+    assert run(argv) in (0, 2, 3)

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, assume
 import hypothesis.strategies as st
 
-from orchard import (CuspidalCubic, DegenerateError, GroupElement,
-                     WeierstrassCurve, WEIERSTRASS_IDENTITY, collinear,
-                     conic_line_params, cuspidal_description, cuspidal_third,
-                     direction_point, gen_cubic_power, gen_parallel_aps,
-                     gen_triangle_ratios, menelaus_params, mk_point,
-                     parallel_lines_description, parallel_lines_params,
-                     PointSet, ratio_point, sphere_membership,
-                     triangle_description, verify_group_description,
-                     weierstrass_add, weierstrass_third)
+from orchard import (CuspidalCubic, DegenerateError, GroupDescription,
+                     GroupElement, WeierstrassCurve, WEIERSTRASS_IDENTITY,
+                     collinear, conic_line_params, cuspidal_description,
+                     cuspidal_third, description_witness, direction_point,
+                     gen_cubic_power, gen_parallel_aps, gen_triangle_ratios,
+                     menelaus_params, mk_point, parallel_lines_description,
+                     parallel_lines_params, PointSet, ratio_point,
+                     sphere_membership, triangle_description,
+                     verify_group_description, weierstrass_add,
+                     weierstrass_third)
+
+from oracles import brute_group_description
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 
@@ -204,7 +207,6 @@ def test_verify_descriptions_on_examples():
 
 def test_verify_detects_perturbation():
     # perturbing the parametrization at a single point breaks the iff
-    from orchard import GroupDescription
     base = parallel_lines_description()
     target = mk_point(1, 1)
 
@@ -217,6 +219,69 @@ def test_verify_detects_perturbation():
     ps = gen_parallel_aps(4)
     assert verify_group_description(ps, base)
     assert not verify_group_description(ps, broken)
+
+
+TRIANGLE = (mk_point(0, 0), mk_point(1, 0), mk_point(0, 1))
+
+
+def _perturbed(desc, target, delta):
+    """desc with delta added to the value of one point on every piece."""
+    def value(i, p):
+        v = desc.value(i, p)
+        return v + delta if p == target else v
+    return GroupDescription(desc.kind, desc.operation, desc.assign, value)
+
+
+def _assert_description_witness_fails(ps, desc, w):
+    assert len(set(w.indices)) == 3
+    assert w.points == tuple(ps.points[i] for i in w.indices)
+    for piece, p, v in zip((1, 2, 3), w.points, w.values):
+        assert piece in desc.assign(p) and desc.value(piece, p) == v
+    v1, v2, v3 = w.values
+    law = (v1 + v2 + v3 == 0 if desc.operation == "additive"
+           else v1 * v2 * v3 == 1)
+    assert w.collinear == collinear(*w.points) != law
+
+
+MIDPOINTS = PointSet((mk_point(F(1, 2), F(1, 2)), mk_point(0, F(1, 2)),
+                      mk_point(F(1, 2), 0)))     # values -1, -1, -1
+
+
+@pytest.mark.parametrize("ps, desc", [
+    (gen_cubic_power(6), cuspidal_description()),
+    (gen_parallel_aps(8), parallel_lines_description()),
+    (gen_triangle_ratios(3), triangle_description(*TRIANGLE)),
+    # a piece-1 value of 0 has no multiplicative partner
+    (MIDPOINTS, _perturbed(triangle_description(*TRIANGLE),
+                           MIDPOINTS.points[0], 1)),
+])
+def test_verify_description_matches_brute(ps, desc):
+    assert description_witness(ps, desc) is None
+    assert verify_group_description(ps, desc) is True
+    assert brute_group_description(ps, desc) is True
+
+
+@pytest.mark.parametrize("ps, desc, on_line", [
+    (gen_parallel_aps(5),
+     _perturbed(parallel_lines_description(), mk_point(2, 1), 1), True),
+    (gen_cubic_power(4),
+     _perturbed(cuspidal_description(), mk_point(1, 1), F(1, 2)), True),
+    (gen_triangle_ratios(3),
+     _perturbed(triangle_description(*TRIANGLE),
+                gen_triangle_ratios(3).points[4], F(1, 3)), True),
+    # values 0, -2, 5 -> 0, -2, 2: the law now holds off any line
+    (PointSet((mk_point(0, 0), mk_point(1, 1), mk_point(5, 2))),
+     _perturbed(parallel_lines_description(), mk_point(5, 2), -3), False),
+    # product -1 -> 1 on the three side midpoints
+    (MIDPOINTS, _perturbed(triangle_description(*TRIANGLE),
+                           MIDPOINTS.points[0], 2), False),
+])
+def test_perturbed_description_names_a_failing_witness(ps, desc, on_line):
+    assert brute_group_description(ps, desc) is False
+    assert verify_group_description(ps, desc) is False
+    w = description_witness(ps, desc)
+    _assert_description_witness_fails(ps, desc, w)
+    assert w.collinear is on_line
 
 
 def test_verify_rejects_off_piece_points():

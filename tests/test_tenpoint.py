@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,9 @@ from orchard import (ConvergenceError, CuspidalCubic, DegenerateError,
                      parallel_lines_arcs, standard_system_ok,
                      three_lines_multiplicative_arcs, verify_lattice,
                      weierstrass_form)
-from orchard.tenpoint import middle_offset_multiplicative
+from orchard.tenpoint import (describe_lattice_witness, lattice_witness,
+                              middle_offset_multiplicative)
+from oracles import brute_lattice
 
 CURVE = WeierstrassCurve(0, 17)
 W_BASE = (mk_point(-2, 3), mk_point(-1, 4), mk_point(4, 9))
@@ -60,7 +63,6 @@ def test_build_rejects_bad_bases():
 def test_verify_lattice_and_breakage():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
     assert verify_lattice(cfg)
-    from dataclasses import replace
     broken = replace(cfg, b3=cfg.b4)
     # B4 in the B3 slot: the non-defining line A2 B3 C1 now fails
     assert not verify_lattice(broken)
@@ -101,7 +103,6 @@ def test_nine_point_check_cuspidal():
 
 def test_nine_point_check_detects_perturbation():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
-    from dataclasses import replace
     broken = replace(cfg, b3=mk_point(F(3, 10), F(28, 1000)))
     assert not nine_point_check(broken)
 
@@ -119,6 +120,65 @@ def test_weierstrass_cantilever_membership():
     cant = extend_cantilever(cfg, 10)
     assert all(CURVE.contains(p) for p in cant.points())
     assert verify_lattice(cant)
+
+
+def _cuspidal_cantilever():
+    cant = extend_cantilever(build_tenpoint_cuspidal(-1, 0, 1, F(1, 10)), 20)
+    assert cant.b_seq[8] == cant.c_seq[1]      # revisits curve points
+    return cant
+
+
+def _swap_b(cant, j1, j2):
+    b = list(cant.b_seq)
+    b[j1 - 1], b[j2 - 1] = b[j2 - 1], b[j1 - 1]
+    return replace(cant, b_seq=tuple(b))
+
+
+def _b3_replaced_by_b4():
+    cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
+    return replace(cfg, b3=cfg.b4)
+
+
+def _assert_lattice_witness_fails(obj, w):
+    amap, bmap, cmap = obj.lattice_points()
+    i, j, k = w.values[0], -w.values[1], w.values[2]
+    assert w.points == (amap[i], bmap[j], cmap[k])
+    assert len(set(w.points)) == 3
+    assert w.collinear == collinear(*w.points) != (i + k == j)
+
+
+@pytest.mark.parametrize("make", [
+    _cuspidal_cantilever,
+    lambda: extend_cantilever(w_config(), 10),
+    lambda: build_tenpoint_cuspidal(-1, 0, 1, F(1, 10)),
+])
+def test_verify_lattice_matches_brute(make):
+    obj = make()
+    assert lattice_witness(obj) is None
+    assert verify_lattice(obj) is True
+    assert brute_lattice(obj) is True
+
+
+def _b4_moved_off_every_line():
+    cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
+    return replace(cfg, b4=mk_point(F(1, 3), 7))
+
+
+@pytest.mark.parametrize("make, on_line", [
+    (lambda: _swap_b(_cuspidal_cantilever(), 3, 6), True),
+    (lambda: _swap_b(extend_cantilever(w_config(), 10), 2, 9), True),
+    (_b3_replaced_by_b4, True),
+    (_b4_moved_off_every_line, False),
+])
+def test_broken_lattice_names_a_failing_witness(make, on_line):
+    obj = make()
+    assert brute_lattice(obj) is False
+    assert verify_lattice(obj) is False
+    w = lattice_witness(obj)
+    _assert_lattice_witness_fails(obj, w)
+    assert w.collinear is on_line
+    i, j, k = w.values[0], -w.values[1], w.values[2]
+    assert describe_lattice_witness(w).startswith(f"A{i}, B{j}, C{k} ")
 
 
 def test_weierstrass_rejects_special_step():
