@@ -45,8 +45,8 @@ def main() -> int:
           f"{green_tao_bound(big_n)}")
 
     ps = gen_cubic_power(n)
-    c = triple_line_count(spanned_lines(ps))
     t = spanned_lines(ps)
+    c = triple_line_count(t)
     print(f"cubic-power,{ps.n},{c},{float(F(c) / F(ps.n ** 2)):.5f},"
           f"{k_rich_count(t, 3, exactly=True)},{green_tao_bound(ps.n)}")
 

@@ -2,9 +2,10 @@
 group checks and SVG plots.
 
 Exit codes: 0 success, 2 parse/usage error, 3 internal invariant
-violation (the message names the violated invariant).  Counts print as
-exact integers, tables as CSV on stdout; rationals serialize as
-reduced "p/q" strings since JSON numbers cannot carry big integers.
+violation (the message names the violated invariant) or internal
+error.  Counts print as exact integers, tables as CSV on stdout;
+rationals serialize as reduced "p/q" strings since JSON numbers cannot
+carry big integers.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from . import curves as curvemod
 from . import generators as gen
 from .conic import ExternalPoint, image_count, involution_value, \
     parabola_collinear, reps_collinear
-from .cubics import fit_cubics
+from .cubics import cuspidal_form, fit_cubics
 from .grouplaw import (WeierstrassCurve, cuspidal_description,
                        description_witness, hyperbola_infinity_description,
                        parabola_infinity_description,
-                       parallel_lines_description)
-from .projective import (DegenerateError, ProjPoint, collinear, mk_point,
+                       parallel_lines_description, triangle_description)
+from .projective import (DegenerateError, ProjPoint, join, meet, mk_point,
                          point_from_rationals)
 from .richlines import (InvariantViolation, PointSet, direction_count,
                         green_tao_bound, k_rich_count, spanned_lines,
@@ -156,6 +157,8 @@ def cmd_fit_cubic(args) -> int:
     pts = list(ps.points)
     if args.indices:
         idx = [int(i) for i in args.indices.split(",")]
+        if not all(0 <= i < len(pts) for i in idx):
+            raise ValueError(f"--indices must lie in 0..{len(pts) - 1}")
         pts = [pts[i] for i in idx]
     basis = fit_cubics(pts)
     print("coefficients(X^3,X^2Y,X^2Z,XY^2,XYZ,XZ^2,Y^3,Y^2Z,YZ^2,Z^3)")
@@ -170,35 +173,6 @@ def _random_fraction(rng: random.Random, span: int = 12) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, 6))
 
 
-def _check_random_triangle(trials: int, seed: int) -> int:
-    from .grouplaw import menelaus_params
-    rng = random.Random(seed)
-    p1, p2, p3 = mk_point(0, 0), mk_point(4, 0), mk_point(1, 3)
-    sides = [(p3, p2), (p1, p3), (p2, p1)]
-    failures = 0
-    for t in range(trials):
-        if t % 2 == 0:
-            xs = [gen.ratio_point(a, b, _nonzero(rng)) for a, b in sides]
-        else:
-            q1 = mk_point(_random_fraction(rng), _random_fraction(rng))
-            q2 = mk_point(_random_fraction(rng) + 20, _random_fraction(rng))
-            from .projective import join, meet
-            line = join(q1, q2)
-            try:
-                xs = [meet(line, join(a, b)) for a, b in sides]
-            except DegenerateError:
-                continue
-            if any(x in (p1, p2, p3) for x in xs):
-                continue
-        try:
-            _, verdict = menelaus_params(p1, p2, p3, *xs)
-        except ValueError:
-            continue
-        if verdict != collinear(*xs):
-            failures += 1
-    return failures
-
-
 def _nonzero(rng: random.Random) -> Fraction:
     while True:
         f = _random_fraction(rng)
@@ -206,56 +180,84 @@ def _nonzero(rng: random.Random) -> Fraction:
             return f
 
 
+_TRIANGLE = (mk_point(0, 0), mk_point(4, 0), mk_point(1, 3))
+
+
+def _triangle_cases(trials: int, rng: random.Random):
+    """One point per side of _TRIANGLE, for each trial that is not
+    degenerate: at random ratios on even trials, cut by a random line
+    (so collinear) on odd ones."""
+    p1, p2, p3 = _TRIANGLE
+    sides = [(p3, p2), (p1, p3), (p2, p1)]
+    for t in range(trials):
+        if t % 2 == 0:
+            xs = [gen.ratio_point(a, b, _nonzero(rng)) for a, b in sides]
+        else:
+            q1 = mk_point(_random_fraction(rng), _random_fraction(rng))
+            q2 = mk_point(_random_fraction(rng) + 20, _random_fraction(rng))
+            line = join(q1, q2)
+            try:
+                xs = [meet(line, join(a, b)) for a, b in sides]
+            except DegenerateError:
+                continue
+            if any(x in _TRIANGLE for x in xs):
+                continue
+        yield PointSet(xs)
+
+
+def _conic_cases(parabola: bool, trials: int, rng: random.Random):
+    """Two points of y = x^2 (or xy = 1) and a direction, for each trial
+    that is not degenerate: the chord's direction on even trials, a
+    perturbed one on odd trials."""
+    for t in range(trials):
+        p = _nonzero(rng)
+        q = _nonzero(rng)
+        if p == q:
+            continue
+        if parabola:
+            pt1, pt2 = mk_point(p, p * p), mk_point(q, q * q)
+            s = p + q if t % 2 == 0 else p + q + _nonzero(rng)
+        else:
+            pt1, pt2 = mk_point(p, 1 / p), mk_point(q, 1 / q)
+            s = -1 / (p * q) if t % 2 == 0 else -1 / (p * q) * _nonzero(rng)
+        if s != 0:
+            yield PointSet((pt1, pt2, point_from_rationals(1, s, 0)))
+
+
 def cmd_group_check(args) -> int:
     name = args.config
-    witness = None
-    if name in ("example1", "example4"):
-        if name == "example1":
-            ps, desc = gen.gen_parallel_aps(args.n), parallel_lines_description()
-        else:
-            ps, desc = gen.gen_cubic_power(args.n), cuspidal_description()
-        witness = description_witness(ps, desc)
-        ok = witness is None
-        print(f"{name} n={args.n} exhaustive: {'PASS' if ok else 'FAIL'}")
+    exhaustive = name in ("example1", "example4")
+    if not exhaustive and args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, not {args.trials}")
+    rng = random.Random(args.seed)
+    if name == "example1":
+        desc = parallel_lines_description()
+        cases = [gen.gen_parallel_aps(args.n)]
+    elif name == "example4":
+        desc = cuspidal_description()
+        cases = [gen.gen_cubic_power(args.n)]
     elif name == "triangle":
-        failures = _check_random_triangle(args.trials, args.seed)
-        ok = failures == 0
-        print(f"triangle {args.trials} trials: "
-              f"{'PASS' if ok else f'FAIL ({failures} failures)'}")
-    elif name in ("parabola-inf", "hyperbola-inf"):
-        desc = (parabola_infinity_description() if name == "parabola-inf"
-                else hyperbola_infinity_description())
-        rng = random.Random(args.seed)
-        failures = 0
-        for t in range(args.trials):
-            p = _nonzero(rng)
-            q = _nonzero(rng)
-            if p == q:
-                continue
-            if name == "parabola-inf":
-                pt1, pt2 = mk_point(p, p * p), mk_point(q, q * q)
-                s = p + q if t % 2 == 0 else p + q + _nonzero(rng)
-            else:
-                pt1, pt2 = mk_point(p, 1 / p), mk_point(q, 1 / q)
-                s = -1 / (p * q) if t % 2 == 0 else -1 / (p * q) * _nonzero(rng)
-            if s == 0:
-                continue
-            d = point_from_rationals(1, s, 0)
-            vals = [desc.value(1, pt1), desc.value(2, pt2), desc.value(3, d)]
-            if desc.operation == "additive":
-                alg = sum(vals) == 0
-            else:
-                alg = vals[0] * vals[1] * vals[2] == 1
-            if alg != collinear(pt1, pt2, d):
-                failures += 1
-        ok = failures == 0
-        print(f"{name} {args.trials} trials: "
-              f"{'PASS' if ok else f'FAIL ({failures} failures)'}")
+        desc = triangle_description(*_TRIANGLE)
+        cases = _triangle_cases(args.trials, rng)
+    elif name == "parabola-inf":
+        desc = parabola_infinity_description()
+        cases = _conic_cases(True, args.trials, rng)
+    elif name == "hyperbola-inf":
+        desc = hyperbola_infinity_description()
+        cases = _conic_cases(False, args.trials, rng)
     else:
         raise ValueError(f"unknown group-check config {name!r}")
-    if not ok:
-        raise InvariantViolation(f"group description {name} failed"
-                                 + (f": {witness}" if witness else ""))
+    witnesses = [w for w in (description_witness(ps, desc) for ps in cases)
+                 if w is not None]
+    if exhaustive:
+        label, fail = f"{name} n={args.n} exhaustive", "FAIL"
+    else:
+        label = f"{name} {args.trials} trials"
+        fail = f"FAIL ({len(witnesses)} failures)"
+    print(f"{label}: {fail if witnesses else 'PASS'}")
+    if witnesses:
+        raise InvariantViolation(f"group description {name} failed: "
+                                 f"{witnesses[0]}")
     return 0
 
 
@@ -287,9 +289,7 @@ def _tenpoint_common(args) -> int:
     if kind == "cuspidal":
         cfg = build_tenpoint_cuspidal(*map(_rational, base),
                                       _rational(args.delta))
-
-        def on_curve(p):
-            return p.h[0] ** 3 == p.h[1] * p.h[2] ** 2
+        on_curve = cuspidal_form().contains
     else:
         cfg = build_tenpoint_weierstrass(curve, *map(_parse_point, base),
                                          _parse_point(args.delta))
@@ -322,7 +322,18 @@ def cmd_cantilever(args) -> int:
     return _tenpoint_common(args)
 
 
+_CONIC_NEEDS = {"collinear": ("external", "x", "y"),
+               "involution": ("external", "x"),
+               "image-count": ("external", "xs"),
+               "reps": ("externals",)}
+
+
 def cmd_conic(args) -> int:
+    missing = [f"--{name}" for name in _CONIC_NEEDS[args.mode]
+               if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"conic --mode {args.mode} needs "
+                         f"{', '.join(missing)}")
     if args.mode == "collinear":
         e = _parse_external(args.external)
         print(str(parabola_collinear(_rational(args.x), _rational(args.y),
@@ -334,19 +345,16 @@ def cmd_conic(args) -> int:
         e = _parse_external(args.external)
         xs = [_rational(v) for v in args.xs.split(",")]
         print(image_count(e, xs))
-    elif args.mode == "reps":
-        es = [_parse_external(tok) for tok in args.externals.split(";")]
-        if len(es) != 3:
-            raise ValueError("reps mode needs three a,b pairs")
-        print(str(reps_collinear(*es)).lower())
     else:
-        raise ValueError(f"unknown conic mode {args.mode!r}")
+        es = map(_parse_external, _split(args.externals, ";", 3,
+                                         "--externals"))
+        print(str(reps_collinear(*es)).lower())
     return 0
 
 
 def _parse_external(token: str) -> ExternalPoint:
-    a, b = (_rational(v) for v in token.split(","))
-    return ExternalPoint(a, b)
+    return ExternalPoint(*map(_rational,
+                              _split(token, ",", 2, "external point")))
 
 
 def cmd_experiment(args) -> int:
@@ -478,12 +486,14 @@ def run(argv: list[str]) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, IndexError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return 3
+    except (KeyError, IndexError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

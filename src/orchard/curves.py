@@ -243,6 +243,8 @@ def dichotomy_experiment(degrees: Iterable[int],
     rows = []
     for d in degrees:
         for n in sizes:
+            if n < 1:
+                raise ValueError(f"dichotomy_experiment needs n >= 1, not {n}")
             xs = tuple(Fraction(i) for i in range(-n, n + 1))
             curve = graph_power(d)
             counts = tripartite_curve_count(

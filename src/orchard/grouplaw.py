@@ -7,6 +7,9 @@ families: the cuspidal cubic y = x^3, Weierstrass curves, three
 parallel lines, triangle sides (signed-ratio products), and a conic
 plus the line at infinity (parabola and hyperbola variants).
 
+Each description is the only definition of its law:
+menelaus_params, parallel_lines_params and conic_line_params look one
+triple up through it, and description_witness is the one judge of it.
 All values are exact rationals; verification always runs against the
 integer collinearity determinant, never against itself.
 """
@@ -167,47 +170,7 @@ def weierstrass_add(a: Rat, b: Rat, p: ProjPoint, q: ProjPoint) -> ProjPoint:
     return WeierstrassCurve(Fraction(a), Fraction(b)).add(p, q)
 
 
-# --- triangle sides: signed-ratio products ----------------------------------
-
-def menelaus_params(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
-                    x1: ProjPoint, x2: ProjPoint, x3: ProjPoint
-                    ) -> tuple[tuple[GroupElement, GroupElement, GroupElement], bool]:
-    """Multiplicative side parameters of three points on a triangle's sides.
-
-    u_i is the signed ratio of distances from X_i to the two vertices
-    on its side, oriented so that X_1, X_2, X_3 are collinear exactly
-    when u_1 u_2 u_3 = 1 (a convention locked by the determinant
-    oracle in the test suite).
-    """
-    if collinear(p1, p2, p3):
-        raise DegenerateError("menelaus_params: degenerate triangle")
-    verts = {1: p1, 2: p2, 3: p3}
-    xs = {1: x1, 2: x2, 3: x3}
-    us = []
-    for i in (1, 2, 3):
-        a = verts[(i - 2) % 3 + 1]   # P_{i-1}
-        b = verts[i % 3 + 1]         # P_{i+1}
-        x = xs[i]
-        if x in (p1, p2, p3):
-            raise ValueError(f"menelaus_params: X_{i} is a vertex")
-        if not incident(x, join(a, b)):
-            raise ValueError(f"menelaus_params: X_{i} not on side {i}")
-        us.append(GroupElement(-signed_ratio(x, a, b), MULTIPLICATIVE))
-    prod = combine_all(us)
-    return (us[0], us[1], us[2]), prod.is_identity
-
-
-# --- three parallel lines ----------------------------------------------------
-
-def parallel_lines_params(x1: Rat, x2: Rat, x3: Rat
-                          ) -> tuple[GroupElement, GroupElement, GroupElement]:
-    """Additive parameters of (x1,0), (x2,1), (x3,2); sum 0 iff collinear."""
-    return (GroupElement(Fraction(x1), ADDITIVE),
-            GroupElement(-2 * Fraction(x2), ADDITIVE),
-            GroupElement(Fraction(x3), ADDITIVE))
-
-
-# --- conic plus the line at infinity -----------------------------------------
+# --- descriptions ----------------------------------------------------------
 
 def _slope_of_direction(d: ProjPoint) -> Fraction:
     dx, dy, dz = d.h
@@ -218,41 +181,10 @@ def _slope_of_direction(d: ProjPoint) -> Fraction:
     return Fraction(dy, dx)
 
 
-def conic_line_params(variant: str, p: ProjPoint, q: ProjPoint, d: ProjPoint
-                      ) -> tuple[GroupElement, GroupElement, GroupElement]:
-    """Parameters for two conic points plus a direction.
+def _conic_value(i: int, p: ProjPoint) -> Fraction:
+    """x on the conic (pieces 1, 2); minus the slope at infinity (piece 3)."""
+    return -_slope_of_direction(p) if i == 3 else p.affine()[0]
 
-    parabola: points (p, p^2), (q, q^2) and slope s map to p, q, -s in
-    the additive group (chord slope is p + q).
-    hyperbola: points (p, 1/p), (q, 1/q) and slope s map to p, q, -s in
-    the multiplicative group (chord slope is -1/(pq)).
-    """
-    s = _slope_of_direction(d)
-    if variant == "parabola":
-        xp, yp = p.affine()
-        xq, yq = q.affine()
-        if yp != xp * xp or yq != xq * xq:
-            raise ValueError("points must lie on y = x^2")
-        if xp == xq:
-            raise DegenerateError("conic_line_params: equal conic points")
-        return (GroupElement(xp, ADDITIVE), GroupElement(xq, ADDITIVE),
-                GroupElement(-s, ADDITIVE))
-    if variant == "hyperbola":
-        xp, yp = p.affine()
-        xq, yq = q.affine()
-        if xp * yp != 1 or xq * yq != 1:
-            raise ValueError("points must lie on xy = 1")
-        if xp == xq:
-            raise DegenerateError("conic_line_params: equal conic points")
-        if s == 0:
-            raise ValueError("slope 0 has no multiplicative parameter")
-        return (GroupElement(xp, MULTIPLICATIVE),
-                GroupElement(xq, MULTIPLICATIVE),
-                GroupElement(-s, MULTIPLICATIVE))
-    raise ValueError(f"unknown conic variant {variant!r}")
-
-
-# --- descriptions and their exhaustive verification ---------------------------
 
 @dataclass(frozen=True)
 class GroupDescription:
@@ -303,8 +235,9 @@ def triangle_description(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint
     if collinear(p1, p2, p3):
         raise DegenerateError("triangle_description: collinear vertices")
     verts = {1: p1, 2: p2, 3: p3}
-    sides = {i: join(verts[(i - 2) % 3 + 1], verts[i % 3 + 1])
-             for i in (1, 2, 3)}
+    # side i runs from P_{i-1} to P_{i+1}
+    ends = {i: (verts[(i - 2) % 3 + 1], verts[i % 3 + 1]) for i in (1, 2, 3)}
+    sides = {i: join(*ends[i]) for i in (1, 2, 3)}
 
     def assign(p):
         if p in (p1, p2, p3):
@@ -315,9 +248,7 @@ def triangle_description(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint
         return on
 
     def value(i, p):
-        a = verts[(i - 2) % 3 + 1]
-        b = verts[i % 3 + 1]
-        return -signed_ratio(p, a, b)
+        return -signed_ratio(p, *ends[i])
 
     return GroupDescription("triangle-menelaus", MULTIPLICATIVE, assign, value)
 
@@ -332,12 +263,8 @@ def parabola_infinity_description() -> GroupDescription:
             return (1, 2)
         raise ValueError(f"{p} not on y = x^2 or the line at infinity")
 
-    def value(i, p):
-        if i == 3:
-            return -_slope_of_direction(p)
-        return p.affine()[0]
-
-    return GroupDescription("parabola-plus-infinity", ADDITIVE, assign, value)
+    return GroupDescription("parabola-plus-infinity", ADDITIVE, assign,
+                            _conic_value)
 
 
 def hyperbola_infinity_description() -> GroupDescription:
@@ -352,14 +279,64 @@ def hyperbola_infinity_description() -> GroupDescription:
             return (1, 2)
         raise ValueError(f"{p} not on xy = 1 or the line at infinity")
 
-    def value(i, p):
-        if i == 3:
-            return -_slope_of_direction(p)
-        return p.affine()[0]
-
     return GroupDescription("hyperbola-plus-infinity", MULTIPLICATIVE,
-                            assign, value)
+                            assign, _conic_value)
 
+
+# --- one triple's parameters, looked up through its description --------------
+
+def _piece_element(desc: GroupDescription, k: int,
+                   p: ProjPoint) -> GroupElement:
+    if k not in desc.assign(p):
+        raise ValueError(f"{p} is not on piece {k} of {desc.kind}")
+    return desc.element(k, p)
+
+
+def menelaus_params(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
+                    x1: ProjPoint, x2: ProjPoint, x3: ProjPoint
+                    ) -> tuple[tuple[GroupElement, GroupElement, GroupElement], bool]:
+    """Multiplicative side parameters of three points on a triangle's sides.
+
+    u_i is the signed ratio of distances from X_i to the two vertices
+    on its side, oriented so that X_1, X_2, X_3 are collinear exactly
+    when u_1 u_2 u_3 = 1 (a convention locked by the determinant
+    oracle in the test suite).
+    """
+    desc = triangle_description(p1, p2, p3)
+    us = tuple(_piece_element(desc, k, x)
+               for k, x in enumerate((x1, x2, x3), 1))
+    return us, combine_all(us).is_identity
+
+
+def parallel_lines_params(x1: Rat, x2: Rat, x3: Rat
+                          ) -> tuple[GroupElement, GroupElement, GroupElement]:
+    """Additive parameters of (x1,0), (x2,1), (x3,2); sum 0 iff collinear."""
+    desc = parallel_lines_description()
+    return tuple(_piece_element(desc, k, mk_point(x, k - 1))
+                 for k, x in enumerate((x1, x2, x3), 1))
+
+
+def conic_line_params(variant: str, p: ProjPoint, q: ProjPoint, d: ProjPoint
+                      ) -> tuple[GroupElement, GroupElement, GroupElement]:
+    """Parameters for two conic points plus a direction.
+
+    parabola: points (p, p^2), (q, q^2) and slope s map to p, q, -s in
+    the additive group (chord slope is p + q).
+    hyperbola: points (p, 1/p), (q, 1/q) and slope s map to p, q, -s in
+    the multiplicative group (chord slope is -1/(pq)).
+    """
+    descs = {"parabola": parabola_infinity_description,
+             "hyperbola": hyperbola_infinity_description}
+    if variant not in descs:
+        raise ValueError(f"unknown conic variant {variant!r}")
+    desc = descs[variant]()
+    e1, e2 = _piece_element(desc, 1, p), _piece_element(desc, 2, q)
+    if p == q:
+        raise DegenerateError("conic_line_params: equal conic points")
+    return e1, e2, _piece_element(desc, 3, d)
+
+
+# --- exhaustive verification -----------------------------------------------
 
 @dataclass(frozen=True)
 class LawWitness:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .projective import ProjPoint, canonical_triple
@@ -217,15 +217,8 @@ def direction_count(ps: PointSet) -> int:
         x1, y1, z1 = hs[i]
         for j in range(i + 1, n):
             x2, y2, z2 = hs[j]
-            dx = x2 * z1 - x1 * z2
-            dy = y2 * z1 - y1 * z2
-            g = gcd(dx, dy)
-            if dx:
-                if dx < 0:
-                    g = -g
-            elif dy < 0:
-                g = -g
-            dirs.add((dx // g, dy // g))
+            dirs.add(canonical_triple(x2 * z1 - x1 * z2,
+                                      y2 * z1 - y1 * z2, 0))
     return len(dirs)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import orchard.cli as cli
-from orchard import (GroupDescription, PointSet, ProjPoint,
+from orchard import (GroupDescription, PointSet, ProjPoint, collinear,
                      gen_triangle_ratios, mk_point, spanned_lines,
                      triple_line_count, tripartite_count)
 from orchard.cli import pointset_from_doc, pointset_to_doc, run
@@ -213,10 +213,39 @@ def test_points_file_schema_rejected(tmp_path, capsys, doc):
     ["cantilever", "--curve", "weierstrass:0,17", "--base=-2:3,-1:4",
      "--delta", "8:23", "--extend", "2"],
     ["conic", "--mode", "involution", "--external", "0,-1", "--x", "1/0"],
+    ["conic", "--mode", "collinear", "--x", "1", "--y", "2"],
+    ["conic", "--mode", "collinear", "--external", "0,-1"],
+    ["conic", "--mode", "image-count", "--external", "0,-1"],
+    ["conic", "--mode", "involution", "--external", "0,-1,2", "--x", "1"],
+    ["conic", "--mode", "reps", "--externals", "0,1;1,2"],
+    ["experiment", "--kind", "dichotomy", "--degree", "3", "--n", "0"],
+    ["experiment", "--kind", "dichotomy", "--degree", "3", "--n", "-2"],
+    ["group-check", "--config", "triangle", "--trials", "-1"],
+    ["group-check", "--config", "parabola-inf", "--trials", "0"],
+    ["group-check", "--config", "hyperbola-inf", "--trials", "0"],
 ])
 def test_cli_arguments_rejected(capsys, argv):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("indices", ["-1,-2,-3", "0,1,5", "3"])
+def test_fit_cubic_indices_out_of_range(tmp_path, capsys, indices):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"points": TWO_POINTS + [{"x": "5", "y": "7"}]}))
+    assert run(["fit-cubic", "--in", str(f), f"--indices={indices}"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("error", [KeyError, IndexError])
+def test_lookup_errors_are_internal(monkeypatch, capsys, error):
+    def broken(n):
+        raise error("lost")
+
+    monkeypatch.setattr(cli, "green_tao_bound", broken)
+    assert run(["bound", "--n", "12"]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"internal error: {error.__name__}: ")
 
 
 TENPOINT = ["tenpoint", "--curve", "cuspidal", "--base=-1,0,1",
@@ -255,6 +284,50 @@ def test_group_check_failure_names_witness(monkeypatch, capsys):
     assert " collinear but " in err
 
 
+def _scaled_on_piece(desc, piece, factor):
+    """desc with its piece values multiplied by factor (additive:
+    shifted by it) on one piece."""
+    def value(i, p):
+        v = desc.value(i, p)
+        if i != piece:
+            return v
+        return v + factor if desc.operation == "additive" else v * factor
+
+    return GroupDescription(desc.kind, desc.operation, desc.assign, value)
+
+
+@pytest.mark.parametrize("config, factory", [
+    ("triangle", "triangle_description"),
+    ("parabola-inf", "parabola_infinity_description"),
+    ("hyperbola-inf", "hyperbola_infinity_description"),
+])
+def test_sampled_group_check_failure_names_witness(monkeypatch, capsys,
+                                                   config, factory):
+    build = getattr(cli, factory)
+    monkeypatch.setattr(cli, factory,
+                        lambda *a: _scaled_on_piece(build(*a), 3, 2))
+    found = []
+    judge = cli.description_witness
+
+    def recording(ps, desc):
+        w = judge(ps, desc)
+        if w is not None:
+            found.append(w)
+        return w
+
+    monkeypatch.setattr(cli, "description_witness", recording)
+    assert run(["group-check", "--config", config, "--trials", "40"]) == 3
+    out, err = capsys.readouterr()
+    assert out == f"{config} 40 trials: FAIL ({len(found)} failures)\n"
+    assert err == (f"invariant violation: group description {config} "
+                   f"failed: {found[0]}\n")
+    for w in found:
+        v1, v2, v3 = w.values
+        law = (v1 + v2 + v3 == 0 if w.operation == "additive"
+               else v1 * v2 * v3 == 1)
+        assert w.collinear == collinear(*w.points) != law
+
+
 TOKENS = ["0", "1", "-1", "3", "1/2", "-1/2", "1/10", "1/0", "-2:3",
           "-1:4", "4:9", "8:23", "1/0:2", "x"]
 # curve -> (valid bases, valid steps), so that some draws succeed
@@ -281,3 +354,46 @@ def tenpoint_argv(draw):
 @given(tenpoint_argv())
 def test_tenpoint_exit_code_contract(argv):
     assert run(argv) in (0, 2, 3)
+
+
+SCALARS = (st.integers(-3, 3) | st.booleans() | st.none()
+           | st.floats(-2, 2, width=16)
+           | st.sampled_from(["1/2", "-3", "0", "1/0", "x", "", "4/6"]))
+COORDS = SCALARS | st.lists(SCALARS, max_size=3)
+RATIONALS = st.integers(-9, 9) | st.sampled_from(["1/2", "-3", "4/6", "7"])
+GOOD_ENTRIES = (st.fixed_dictionaries({"x": RATIONALS, "y": RATIONALS})
+                | st.fixed_dictionaries({"h": st.lists(st.integers(-2, 2),
+                                                       min_size=3,
+                                                       max_size=3)}))
+BAD_ENTRIES = (st.fixed_dictionaries({"x": COORDS, "y": COORDS})
+               | st.fixed_dictionaries({"h": COORDS}) | COORDS)
+BAD_LABELS = (st.lists(st.integers(0, 4) | st.booleans() | st.just("1"),
+                       max_size=6) | st.just("12") | st.just(3))
+
+
+@st.composite
+def points_docs(draw):
+    """Mostly well-formed points documents; some have one bad entry or
+    bad labels, and a few are not an object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(COORDS)
+    points = draw(st.lists(GOOD_ENTRIES, min_size=2, max_size=6))
+    flaw = draw(st.sampled_from(["none", "entry", "labels"]))
+    if flaw == "entry":
+        points.insert(draw(st.integers(0, len(points))), draw(BAD_ENTRIES))
+    doc = {"points": points}
+    if flaw == "labels":
+        doc["labels"] = draw(BAD_LABELS)
+    elif draw(st.booleans()):
+        doc["labels"] = draw(st.lists(st.integers(1, 3), min_size=len(points),
+                                      max_size=len(points)))
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(points_docs(), st.sampled_from([["count"], ["directions"],
+                                     ["count", "--tripartite", "1,2,3"]]))
+def test_points_file_exit_code_contract(tmp_path_factory, doc, command):
+    f = tmp_path_factory.getbasetemp() / "fuzz_points.json"
+    f.write_text(json.dumps(doc))
+    assert run(command + ["--in", str(f)]) in (0, 2, 3)

@@ -170,6 +170,37 @@ def test_menelaus_vertex_rejected():
                         mk_point(F(1, 2), 0))
 
 
+V1, V2, V3 = mk_point(0, 0), mk_point(1, 0), mk_point(0, 1)
+ON_SIDES = (mk_point(F(1, 2), F(1, 2)), mk_point(0, F(1, 4)),
+            mk_point(F(-1, 2), 0))
+
+
+@pytest.mark.parametrize("call, error", [
+    # a vertex, and a point on side 2 offered as X_1
+    (lambda: menelaus_params(V1, V2, V3, V2, *ON_SIDES[1:]), ValueError),
+    (lambda: menelaus_params(V1, V2, V3, ON_SIDES[1], *ON_SIDES[1:]),
+     ValueError),
+    (lambda: menelaus_params(V1, V2, mk_point(2, 0), *ON_SIDES),
+     DegenerateError),
+    (lambda: conic_line_params("parabola", mk_point(1, 2), mk_point(2, 4),
+                               direction_point(3)), ValueError),
+    (lambda: conic_line_params("hyperbola", mk_point(2, F(1, 2)),
+                               mk_point(2, F(1, 2)), direction_point(3)),
+     DegenerateError),
+    (lambda: conic_line_params("hyperbola", mk_point(1, 1),
+                               mk_point(2, F(1, 2)), direction_point(0)),
+     ValueError),
+    (lambda: conic_line_params("parabola", mk_point(1, 1), mk_point(2, 4),
+                               direction_point(None)), ValueError),
+    (lambda: conic_line_params("parabola", mk_point(1, 1), mk_point(2, 4),
+                               mk_point(3, 9)), ValueError),
+])
+def test_params_reject_points_off_their_piece(call, error):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is error
+
+
 def test_parallel_lines_params():
     vals = parallel_lines_params(0, 1, 2)
     assert sum(e.value for e in vals) == 0
