@@ -366,14 +366,15 @@ def cmd_experiment(args) -> int:
             print(f"{r.degree},{r.n},{r.count},{r.ratio_n2}")
         print("# evidence at desk scale, not a verification", file=sys.stderr)
     elif args.kind == "quadruple":
-        xs = range(-n, n + 1)
+        count = curvemod.quadruple_experiment(curvemod.graph_power(d),
+                                              range(-n, n + 1))
         print("degree,n,count")
-        print(f"{d},{n},{curvemod.quadruple_experiment(curvemod.graph_power(d), xs)}")
+        print(f"{d},{n},{count}")
     elif args.kind == "directions":
-        xs = range(1, n + 1)
+        count = curvemod.few_directions_experiment(curvemod.graph_power(d),
+                                                   range(1, n + 1))
         print("degree,n,count")
-        print(f"{d},{n},"
-              f"{curvemod.few_directions_experiment(curvemod.graph_power(d), xs)}")
+        print(f"{d},{n},{count}")
     else:
         raise ValueError(f"unknown experiment kind {args.kind!r}")
     return 0

@@ -259,6 +259,7 @@ def quadruple_experiment(curve: CurveSpec, xs: Iterable[Rat]) -> int:
     pts: set[ProjPoint] = set()
     for x in xs:
         pts.update(curve.lift(x))
+    _check_sample("quadruple_experiment", pts)
     members, _ = _rich_lines(sorted(p.h for p in pts))
     count = 0
     for key, idxs in members.items():
@@ -281,4 +282,12 @@ def few_directions_experiment(curve: CurveSpec, xs: Iterable[Rat]) -> int:
             if p not in seen:
                 seen.add(p)
                 pts.append(p)
+    _check_sample("few_directions_experiment", pts)
     return direction_count(PointSet(tuple(pts)))
+
+
+def _check_sample(name: str, pts) -> None:
+    """A sample must lift to two or more points to span a line."""
+    if len(pts) < 2:
+        raise ValueError(f"{name} needs a sample that lifts to >= 2 points, "
+                         f"not {len(pts)}")

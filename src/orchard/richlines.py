@@ -68,31 +68,104 @@ class RichLineTable:
         return self.two_point + sum(comb(m, 2) for m in self.entries.values())
 
 
+# 2**61 - 1 is prime.  Big-coordinate rows key their joins by line mod _P.
+_P = 2 ** 61 - 1
+# An input with a coordinate of more bits than this takes the mod-_P
+# keys; set from the measured crossover of the two kernels (CHANGES.md).
+_BIG_BITS = 256
+
+
+def _exact_joins(hs: Sequence[tuple[int, int, int]], i: int,
+                 js: Iterable[int]) -> dict[tuple, list[int]]:
+    """The joins (i, j), j in js, grouped by their canonical line, in
+    order of first j."""
+    x1, y1, z1 = hs[i]
+    row: dict[tuple, list[int]] = {}
+    for j in js:
+        x2, y2, z2 = hs[j]
+        row.setdefault(canonical_triple(y1 * z2 - z1 * y2,
+                                        z1 * x2 - x1 * z2,
+                                        x1 * y2 - y1 * x2), []).append(j)
+    return row
+
+
+def _mod_classes(hp: Sequence[tuple[int, int, int]],
+                 i: int) -> Optional[Iterable[list[int]]]:
+    """The joins (i, j), j > i, grouped by their line mod _P, or None if
+    one of them is (0, 0, 0) mod _P.
+
+    hp holds the points reduced mod _P.  Each line is scaled by the
+    inverse of its first nonzero entry; the row's inverses share one
+    pow (Montgomery's batch inversion).
+    """
+    p = _P
+    x1, y1, z1 = hp[i]
+    lines, prefix, acc = [], [], 1
+    for x2, y2, z2 in hp[i + 1:]:
+        line = ((y1 * z2 - z1 * y2) % p, (z1 * x2 - x1 * z2) % p,
+                (x1 * y2 - y1 * x2) % p)
+        lead = line[0] or line[1] or line[2]
+        if not lead:
+            return None
+        prefix.append(acc)
+        acc = acc * lead % p
+        lines.append(line)
+    inv = pow(acc, -1, p)              # 1 / (product of the leads)
+    keys = [None] * len(lines)
+    for k in range(len(lines) - 1, -1, -1):
+        a, b, c = lines[k]
+        s = inv * prefix[k] % p        # 1 / lead k
+        inv = inv * (a or b or c) % p
+        keys[k] = (a * s % p, b * s % p, c * s % p)
+    classes: dict[tuple, list[int]] = {}
+    for j, key in enumerate(keys, i + 1):
+        classes.setdefault(key, []).append(j)
+    return classes.values()
+
+
 def _row_lines(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
-               step: int = 1) -> tuple[dict, int]:
+               step: int = 1,
+               hp: Optional[Sequence[tuple[int, int, int]]] = None
+               ) -> tuple[dict, int]:
     """Row-anchored line enumeration over rows stripe, stripe + step, ...
 
-    Row i groups the canonical joins (i, j), j > i, by line in a dict
-    local to the row.  A line with two or more joins in the row is a
-    line through >= 3 points; it is stored with the sorted members
-    [i, j...] the first time a row holds it.  Returns (rich, row_lines):
-    the stored lines and the number of distinct lines summed over rows.
+    Row i groups the canonical joins (i, j), j > i, by line.  A line with
+    two or more joins in the row is a line through >= 3 points; it is
+    stored with the sorted members [i, j...] the first time a row holds
+    it, and a row stores its lines in order of their first j.  Returns
+    (rich, row_lines): the stored lines and the number of distinct lines
+    summed over rows.
+
+    With hp (the points of hs mod _P) a row first groups its joins by
+    line mod _P.  Two joins of the row on one exact line are nonzero
+    multiples of it, so they share a class unless one is 0 mod _P.  A
+    class of one join is therefore one exact line, counted without its
+    big cross product; only the joins of a larger class are joined
+    exactly, which also splits a mod-_P collision of distinct lines.  A
+    row with a join that is 0 mod _P is joined exactly throughout.
     """
     rich: dict[tuple, list[int]] = {}
     row_lines = 0
     n = len(hs)
     for i in range(stripe, n, step):
-        x1, y1, z1 = hs[i]
-        row: dict[tuple, list[int]] = {}
-        for j in range(i + 1, n):
-            x2, y2, z2 = hs[j]
-            row.setdefault(canonical_triple(y1 * z2 - z1 * y2,
-                                            z1 * x2 - x1 * z2,
-                                            x1 * y2 - y1 * x2), []).append(j)
+        classes = None if hp is None else _mod_classes(hp, i)
+        if classes is None:
+            row = _exact_joins(hs, i, range(i + 1, n))
+        else:
+            row = {}
+            for js in classes:
+                if len(js) == 1:
+                    row_lines += 1
+                else:
+                    row.update(_exact_joins(hs, i, js))
+            row = dict(sorted(row.items(), key=lambda line: line[1][0]))
         row_lines += len(row)
         for key, js in row.items():
             if len(js) > 1:
                 _store(rich, key, [i, *js])
+        # free this row before the next is built: two live rows of 2,000
+        # points cost 0.4 MB of peak RSS and measurable time
+        del row, classes
     return rich, row_lines
 
 
@@ -121,17 +194,30 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
 
     A line through m >= 3 points is complete in the row of its lowest
     member and is seen in m - 1 rows, so the 2-point lines are the row
-    lines left over.  With workers > 1 the rows are split into
-    interleaved stripes run in separate processes, and the parent keeps
-    the longest member list per line.
+    lines left over.  The regime is fixed for the whole call by the
+    largest coordinate: up to _BIG_BITS bits every join is made
+    canonical; above it the points are reduced mod _P once and the rows
+    key their joins mod _P (see _row_lines), which skips the gcds of
+    multi-thousand-bit joins.  Both give the same dict, in the same
+    order.  With workers > 1 the rows are split into interleaved stripes
+    run in separate processes, and the parent keeps the longest member
+    list per line.  The pool forks: spawned workers start a fresh
+    interpreter and import orchard (a two-worker pool took 0.15 s to
+    spawn against 0.02 s to fork), and orchard starts no threads that a
+    fork could leave in a broken state.
     """
-    if workers <= 1:
-        parts = [_row_lines(hs)]
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
+    hp = None
+    if max((abs(c) for h in hs for c in h), default=0).bit_length() > _BIG_BITS:
+        hp = [(x % _P, y % _P, z % _P) for x, y, z in hs]
+    if workers == 1:
+        parts = [_row_lines(hs, 0, 1, hp)]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
-            parts = pool.starmap(_row_lines,
-                                 [(hs, w, workers) for w in range(workers)])
+            parts = pool.starmap(_row_lines, [(hs, w, workers, hp)
+                                              for w in range(workers)])
     rich: dict[tuple, list[int]] = {}
     row_lines = 0
     for part, count in parts:

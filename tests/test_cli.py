@@ -9,8 +9,8 @@ from hypothesis import given, settings
 
 import orchard.cli as cli
 from orchard import (GroupDescription, PointSet, ProjPoint, collinear,
-                     gen_triangle_ratios, mk_point, spanned_lines,
-                     triple_line_count, tripartite_count)
+                     gen_grid, gen_triangle_ratios, mk_point, richlines,
+                     spanned_lines, triple_line_count, tripartite_count)
 from orchard.cli import pointset_from_doc, pointset_to_doc, run
 
 
@@ -229,6 +229,21 @@ def test_cli_arguments_rejected(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--in", "{grid}", "--workers", "0"],
+    ["count", "--in", "{grid}", "--workers", "-3"],
+    ["experiment", "--kind", "quadruple", "--degree", "3", "--n", "-1"],
+    ["experiment", "--kind", "quadruple", "--degree", "3", "--n", "0"],
+    ["experiment", "--kind", "directions", "--degree", "3", "--n", "0"],
+])
+def test_usage_error_leaves_stdout_empty(tmp_path, capsys, argv):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(pointset_to_doc(gen_grid(3))))
+    assert run([str(grid) if a == "{grid}" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("indices", ["-1,-2,-3", "0,1,5", "3"])
 def test_fit_cubic_indices_out_of_range(tmp_path, capsys, indices):
     f = tmp_path / "pts.json"
@@ -266,6 +281,30 @@ def test_lattice_failure_names_witness(monkeypatch, capsys):
                    "A2, B3, C2 collinear but 2 + 2 != 3\n")
     lines = out.splitlines()
     assert lines[0] == "name,X,Y,Z" and len(lines) == 11
+
+
+CANTILEVER = ["cantilever", "--curve", "weierstrass:0,17",
+              "--base=-2:3,-1:4,4:9", "--delta", "8:23", "--extend", "6"]
+
+
+def test_weierstrass_lattice_failure_names_witness(monkeypatch, capsys):
+    extend = cli.extend_cantilever
+    big = []
+
+    def b6_b7_swapped(cfg, m):
+        can = extend(cfg, m)
+        big.append(max(abs(c) for p in can.points() for c in p.h))
+        b = list(can.b_seq)
+        b[5], b[6] = b[6], b[5]
+        return replace(can, b_seq=tuple(b))
+
+    monkeypatch.setattr(cli, "extend_cantilever", b6_b7_swapped)
+    assert run(CANTILEVER) == 3
+    assert big[0].bit_length() > richlines._BIG_BITS      # mod-p keys
+    out, err = capsys.readouterr()
+    assert err == ("invariant violation: ten-point lattice: "
+                   "A0, B6, C7 collinear but 0 + 7 != 6\n")
+    assert len(out.splitlines()) == 1 + 9 + 10 + 9
 
 
 def test_group_check_failure_names_witness(monkeypatch, capsys):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orchard import (InvariantViolation, PointSet, apply_transform,
+from orchard import (InvariantViolation, PointSet, ProjPoint, apply_transform,
                      direction_count, direction_point, gen_cubic_power,
                      gen_grid, gen_parallel_aps, green_tao_bound,
-                     k_rich_count, mk_point, spanned_lines,
+                     k_rich_count, mk_point, richlines, spanned_lines,
                      triple_line_count, tripartite_count)
 from orchard.richlines import _store
 from oracles import brute_multiplicities, brute_tripartite, brute_directions
@@ -178,3 +178,124 @@ def test_triple_lines_upper_bound(coords):
     ps = PointSet(tuple(mk_point(x, y) for x, y in coords))
     count = triple_line_count(spanned_lines(ps))
     assert 6 * count <= ps.n * (ps.n - 1)
+
+
+# --- the mod-p keyed row kernel -------------------------------------------
+
+def _kernels(hs, workers=1):
+    """_rich_lines with every join made canonical, and with mod-_P keys."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(richlines, "_BIG_BITS", 10 ** 9)
+        exact = richlines._rich_lines(hs, workers)
+        mp.setattr(richlines, "_BIG_BITS", 0)
+        modp = richlines._rich_lines(hs, workers)
+    return exact, modp
+
+
+def _assert_kernels_agree(points, workers=1):
+    """Same table, member lists and key order from both kernels, and the
+    oracle's lines, members and 2-point count."""
+    exact, modp = _kernels([p.h for p in points], workers)
+    assert list(modp[0].items()) == list(exact[0].items())
+    assert modp[1] == exact[1]
+    brute = brute_multiplicities(points)
+    assert sorted(modp[0]) == sorted(k for k, m in brute.items() if m >= 3)
+    for (a, b, c), members in modp[0].items():
+        assert members == [i for i, p in enumerate(points)
+                           if a * p.h[0] + b * p.h[1] + c * p.h[2] == 0]
+    assert modp[1] == sum(1 for m in brute.values() if m == 2)
+
+
+def _with_infinity():
+    rng = random.Random(3)
+    pts = {direction_point(s) for s in (None, 0, 1, -1, F(1, 2))}
+    while len(pts) < 24:
+        pts.add(mk_point(rng.randint(-3, 3), rng.randint(-3, 3)))
+    return tuple(sorted(pts, key=lambda p: p.h))
+
+
+MOD_FIXTURES = {
+    "grid": lambda: gen_grid(4).points,
+    "parallel-aps": lambda: gen_parallel_aps(6).points,
+    "cubic-power": lambda: gen_cubic_power(6).points,
+    "infinity": _with_infinity,
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, richlines._P])
+@pytest.mark.parametrize("fixture", sorted(MOD_FIXTURES))
+def test_mod_kernel_matches_exact(monkeypatch, p, fixture):
+    monkeypatch.setattr(richlines, "_P", p)
+    _assert_kernels_agree(list(MOD_FIXTURES[fixture]()))
+
+
+def test_small_prime_makes_zero_rows_and_collisions(monkeypatch):
+    # the comparison above is only a test of the fallbacks if tiny
+    # primes really produce joins that vanish mod p and mod-p classes
+    # that hold more than one exact line
+    seen = {"zero rows": 0, "collisions": 0}
+    classes, joins = richlines._mod_classes, richlines._exact_joins
+
+    def counted_classes(hp, i):
+        out = classes(hp, i)
+        seen["zero rows"] += out is None
+        return out
+
+    def counted_joins(hs, i, js):
+        out = joins(hs, i, js)
+        seen["collisions"] += isinstance(js, list) and len(out) > 1
+        return out
+
+    monkeypatch.setattr(richlines, "_mod_classes", counted_classes)
+    monkeypatch.setattr(richlines, "_exact_joins", counted_joins)
+    for p in (3, 7):
+        monkeypatch.setattr(richlines, "_P", p)
+        _assert_kernels_agree(list(MOD_FIXTURES["cubic-power"]()))
+    assert seen["zero rows"] > 0 and seen["collisions"] > 0
+
+
+@st.composite
+def big_point_sets(draw):
+    """Affine points with 500- to 600-bit integer coordinates: random
+    ones, plus runs s*P + t*Q planted on the lines through two of them."""
+    big = st.integers(2 ** 500, 2 ** 600)
+    signed = st.builds(lambda v, s: v * s, big, st.sampled_from((1, -1)))
+    affine = st.tuples(signed, signed, st.just(1))
+    points = {ProjPoint(h) for h in draw(st.lists(affine, min_size=2,
+                                                  max_size=10))}
+    for _ in range(draw(st.integers(1, 3))):
+        (px, py, pz), (qx, qy, qz) = draw(st.lists(affine, min_size=2,
+                                                   max_size=2))
+        for s, t in draw(st.lists(st.tuples(st.integers(1, 9),
+                                            st.integers(-9, 9)),
+                                  min_size=2, max_size=6, unique=True)):
+            h = (s * px + t * qx, s * py + t * qy, s * pz + t * qz)
+            if any(h):
+                points.add(ProjPoint(h))
+    return sorted(points, key=lambda p: p.h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_point_sets())
+def test_mod_kernel_on_big_coordinates(points):
+    assert max(abs(c) for p in points for c in p.h).bit_length() >= 500
+    _assert_kernels_agree(points)
+
+
+def test_mod_kernel_workers_match_serial():
+    rng = random.Random(9)
+    line = [(rng.getrandbits(700), rng.getrandbits(700), 1 + rng.getrandbits(700))
+            for _ in range(2)]
+    pts = {ProjPoint(tuple(rng.getrandbits(700) + 1 for _ in range(3)))
+           for _ in range(30)}
+    pts |= {ProjPoint(tuple(s * u + v for u, v in zip(*line)))
+            for s in range(1, 8)}
+    ps = PointSet(tuple(sorted(pts, key=lambda p: p.h)))
+    assert max(abs(c) for h in ps.raw() for c in h).bit_length() > \
+        richlines._BIG_BITS
+    serial = spanned_lines(ps, workers=1)
+    parallel = spanned_lines(ps, workers=2)
+    assert serial.entries == parallel.entries
+    assert serial.two_point == parallel.two_point
+    assert triple_line_count(serial) >= 1
+    _assert_kernels_agree(list(ps.points), workers=2)
