@@ -123,7 +123,8 @@ def main() -> int:
         encoding="utf-8"))
     record = {"pr": args.pr, "seconds": args.seconds, "seeds": seeds,
               "workloads": workloads,
-              "checkouts": {n: {"commit": commit(p)} for n, p in sides.items()},
+              "checkouts": {n: {"commit": commit(p)}
+                            for n, p in sides.items()},
               "nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu_model(),
               "python": platform.python_version(),
               "summary": summarize(runs, names, spec["end_to_end"]),

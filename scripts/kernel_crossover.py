@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the exact and the mod-p row kernels of richlines on b-bit inputs.
 
-    PYTHONPATH=src python3 scripts/kernel_crossover.py --seed 1 --bits 128,256,512
+    PYTHONPATH=src python3 scripts/kernel_crossover.py --seed 1 --bits 128,256
 
 Two inputs per bit size: 400 random points, and a rich one, three
 parallel rows of 133 points (a third of all pairs lie on rich lines)
@@ -67,8 +67,9 @@ def main() -> None:
                 for kernel in ((EXACT, MOD_P) if rep % 2 else (MOD_P, EXACT)):
                     t, outs[kernel] = timed(hs, kernel)
                     times[kernel].append(t)
-                if list(outs[EXACT][0].items()) != list(outs[MOD_P][0].items()) \
-                        or outs[EXACT][1] != outs[MOD_P][1]:
+                exact, mod_p = outs[EXACT], outs[MOD_P]
+                if (list(exact[0].items()) != list(mod_p[0].items())
+                        or exact[1] != mod_p[1]):
                     raise SystemExit(f"kernels disagree at {bits} bits, {name}")
             ex, md = (statistics.median(times[k]) for k in (EXACT, MOD_P))
             print(f"{bits},{name},{ex:.3f},{md:.3f},{ex / md:.2f}", flush=True)

@@ -284,7 +284,7 @@ def test_mod_kernel_on_big_coordinates(points):
 
 def test_mod_kernel_workers_match_serial():
     rng = random.Random(9)
-    line = [(rng.getrandbits(700), rng.getrandbits(700), 1 + rng.getrandbits(700))
+    line = [tuple(rng.getrandbits(700) + 1 for _ in range(3))
             for _ in range(2)]
     pts = {ProjPoint(tuple(rng.getrandbits(700) + 1 for _ in range(3)))
            for _ in range(30)}
