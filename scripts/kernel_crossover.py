@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the exact and the mod-p row kernels of richlines on b-bit inputs.
+"""Time the slope-code and the mod-p row kernels of richlines on b-bit inputs.
 
     PYTHONPATH=src python3 scripts/kernel_crossover.py --seed 1 --bits 128,256
 
@@ -19,7 +19,7 @@ import time
 from orchard import richlines
 from orchard.projective import canonical_triple
 
-EXACT, MOD_P = 10 ** 9, -1      # _BIG_BITS values that force each kernel
+SLOPE, MOD_P = 10 ** 9, -1      # _BIG_BITS values that force each kernel
 
 
 def random_points(rng: random.Random, bits: int, n: int = 400) -> list:
@@ -57,22 +57,22 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=5)
     args = ap.parse_args()
     rng = random.Random(args.seed)
-    print("bits,input,exact_s,mod_p_s,exact_over_mod_p")
+    print("bits,input,slope_s,mod_p_s,slope_over_mod_p")
     for bits in map(int, args.bits.split(",")):
         for name, make in (("random", random_points), ("rich", rich_points)):
             hs = make(rng, bits)
-            times: dict[int, list[float]] = {EXACT: [], MOD_P: []}
+            times: dict[int, list[float]] = {SLOPE: [], MOD_P: []}
             for rep in range(args.reps):
                 outs = {}
-                for kernel in ((EXACT, MOD_P) if rep % 2 else (MOD_P, EXACT)):
+                for kernel in ((SLOPE, MOD_P) if rep % 2 else (MOD_P, SLOPE)):
                     t, outs[kernel] = timed(hs, kernel)
                     times[kernel].append(t)
-                exact, mod_p = outs[EXACT], outs[MOD_P]
-                if (list(exact[0].items()) != list(mod_p[0].items())
-                        or exact[1] != mod_p[1]):
+                slope, mod_p = outs[SLOPE], outs[MOD_P]
+                if (list(slope[0].items()) != list(mod_p[0].items())
+                        or slope[1] != mod_p[1]):
                     raise SystemExit(f"kernels disagree at {bits} bits, {name}")
-            ex, md = (statistics.median(times[k]) for k in (EXACT, MOD_P))
-            print(f"{bits},{name},{ex:.3f},{md:.3f},{ex / md:.2f}", flush=True)
+            sl, md = (statistics.median(times[k]) for k in (SLOPE, MOD_P))
+            print(f"{bits},{name},{sl:.3f},{md:.3f},{sl / md:.2f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -215,13 +215,15 @@ def _check_degree_bound(curves, line_key, mask_counts):
 
 
 def _line_is(curve: CurveSpec, line_key) -> bool:
-    if curve.kind != "line":
+    """Is the curve the line line_key?  True for a degree-1 curve whose
+    points lifted at x = 0, 1, 2 are two or more, all on the line; so a
+    graph y = x^1 counts as well as a line_curve."""
+    if curve.degree != 1:
         return False
-    pts = [p for x in (0, 1, 2) for p in curve.lift(Fraction(x))]
-    if len(pts) < 2:
-        return False
-    from .projective import join
-    return join(pts[0], pts[1]).l == line_key
+    pts = {p.h for x in (0, 1, 2) for p in curve.lift(Fraction(x))}
+    a, b, c = line_key
+    return len(pts) >= 2 and all(a * x + b * y + c * z == 0
+                                 for x, y, z in pts)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ the number of lines through exactly two.  It is built row by row from
 the O(n^2) pair space: row i groups the joins (i, j), j > i, by line, so
 a line through m >= 3 points shows up complete, with its sorted members,
 in the row of its lowest member.  2-point lines are counted, never
-stored.  No O(n^3) pass and no floating slope buckets anywhere.
+stored.  No O(n^3) pass and no floating slope buckets anywhere: a row
+keys its joins by exact integer slope codes, by lines mod a prime, or
+by canonical lines (see _row_lines), and every stored line is keyed
+by its canonical_triple.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .projective import ProjPoint, canonical_triple
+from .projective import ProjPoint, _cross, canonical_triple
 
 
 class InvariantViolation(RuntimeError):
@@ -75,18 +78,77 @@ _P = 2 ** 61 - 1
 _BIG_BITS = 256
 
 
-def _exact_joins(hs: Sequence[tuple[int, int, int]], i: int,
-                 js: Iterable[int]) -> dict[tuple, list[int]]:
-    """The joins (i, j), j in js, grouped by their canonical line, in
-    order of first j."""
+def _line(hs: Sequence[tuple[int, int, int]], i: int, j: int
+          ) -> tuple[int, int, int]:
+    """The canonical line through the points i and j of hs."""
+    return canonical_triple(*_cross(hs[i], hs[j]))
+
+
+def _coord_bits(hs: Sequence[tuple[int, int, int]]) -> int:
+    """The bit length of the largest coordinate in absolute value."""
+    return max((abs(c) for h in hs for c in h), default=0).bit_length()
+
+
+def _slope_shift(bits: int) -> int:
+    """The shift that makes _slopes exact on coordinates below 2**bits."""
+    return 4 * bits + 2
+
+
+def _slopes(hs: Sequence[tuple[int, int, int]], i: int,
+            shift: int) -> list[Optional[int]]:
+    """The slope codes of the joins (i, j), j > i, for an affine point i.
+
+    The code of (i, j) is floor(dy * 2**shift / dx) for the direction
+    dx = x2*z1 - x1*z2, dy = y2*z1 - y1*z2 of i -> j, and None when
+    dx = 0 (the vertical line through i).  With every coordinate below
+    2**bits in absolute value and shift = 4 * bits + 2 (_slope_shift),
+    equal codes mean equal slopes: each of dx, dy is a difference of two
+    products below 2**(2*bits), so |dx|, |dy| < D = 2**(2*bits + 1), and
+    two different slopes dy/dx != dy'/dx' differ by
+    |dy*dx' - dy'*dx| / |dx*dx'| > 1/D**2; scaled by 2**shift = D**2
+    they differ by more than 1, and so do their floors.  Equal slopes
+    have equal floors, and negating (dx, dy) leaves the code alone.  A
+    line through i is fixed by its slope, so within a row a code is a
+    line; across rows it is a direction.
+    """
     x1, y1, z1 = hs[i]
+    return [((y2 * z1 - y1 * z2) << shift) // dx
+            if (dx := x2 * z1 - x1 * z2) else None
+            for x2, y2, z2 in hs[i + 1:]]
+
+
+RowLines = tuple[int, list[tuple[tuple, list[int]]]]
+
+
+def _slope_row(hs: Sequence[tuple[int, int, int]], i: int,
+               shift: int) -> RowLines:
+    """Row i, for an affine point i, grouped by slope code (_slopes).
+
+    The row dict maps a code to its first j; only a repeated code builds
+    a member list, and only such a line is made canonical, from i and
+    its second member.
+    """
+    first: dict[Optional[int], int] = {}
+    repeated: dict[Optional[int], list[int]] = {}
+    for j, code in enumerate(_slopes(hs, i, shift), i + 1):
+        f = first.setdefault(code, j)
+        if f != j:
+            members = repeated.get(code)
+            if members is None:
+                repeated[code] = [i, f, j]
+            else:
+                members.append(j)
+    rich = sorted(repeated.values(), key=lambda members: members[1])
+    return len(first), [(_line(hs, i, m[1]), m) for m in rich]
+
+
+def _exact_row(hs: Sequence[tuple[int, int, int]], i: int) -> RowLines:
+    """Row i with every join (i, j) made canonical."""
     row: dict[tuple, list[int]] = {}
-    for j in js:
-        x2, y2, z2 = hs[j]
-        row.setdefault(canonical_triple(y1 * z2 - z1 * y2,
-                                        z1 * x2 - x1 * z2,
-                                        x1 * y2 - y1 * x2), []).append(j)
-    return row
+    for j in range(i + 1, len(hs)):
+        row.setdefault(_line(hs, i, j), []).append(j)
+    return len(row), [(key, [i, *js]) for key, js in row.items()
+                      if len(js) > 1]
 
 
 def _mod_classes(hp: Sequence[tuple[int, int, int]],
@@ -123,49 +185,88 @@ def _mod_classes(hp: Sequence[tuple[int, int, int]],
     return classes.values()
 
 
+def _class_lines(hs: Sequence[tuple[int, int, int]], i: int,
+                 js: list[int]) -> list[tuple[tuple, list[int]]]:
+    """The joins (i, j), j in js (ascending), split by exact line, in
+    order of first j.
+
+    js is one class of _mod_classes, almost always one line: its first
+    join is made canonical and every other j is tested against that
+    line with one dot product.  The j off it (a mod-_P collision of
+    distinct lines) go round again.
+    """
+    lines = []
+    while js:
+        a, b, c = key = _line(hs, i, js[0])
+        on, off = [js[0]], []
+        for j in js[1:]:
+            x, y, z = hs[j]
+            (on if a * x + b * y + c * z == 0 else off).append(j)
+        lines.append((key, on))
+        js = off
+    return lines
+
+
+def _mod_row(hs: Sequence[tuple[int, int, int]],
+             hp: Sequence[tuple[int, int, int]], i: int) -> Optional[RowLines]:
+    """Row i from its mod-_P classes (_mod_classes), or None if a join of
+    the row is 0 mod _P.
+
+    Two joins of the row on one exact line are nonzero multiples of it
+    mod _P, so they share a class.  A class of one join is therefore one
+    exact line, counted without its big cross product; a larger class is
+    split exactly by _class_lines.
+    """
+    classes = _mod_classes(hp, i)
+    if classes is None:
+        return None
+    count, rich = 0, []
+    for js in classes:
+        if len(js) == 1:
+            count += 1
+            continue
+        for key, on in _class_lines(hs, i, js):
+            count += 1
+            if len(on) > 1:
+                rich.append((key, [i, *on]))
+    rich.sort(key=lambda line: line[1][1])
+    return count, rich
+
+
 def _row_lines(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
                step: int = 1,
-               hp: Optional[Sequence[tuple[int, int, int]]] = None
-               ) -> tuple[dict, int]:
+               hp: Optional[Sequence[tuple[int, int, int]]] = None,
+               shift: Optional[int] = None) -> tuple[dict, int]:
     """Row-anchored line enumeration over rows stripe, stripe + step, ...
 
-    Row i groups the canonical joins (i, j), j > i, by line.  A line with
-    two or more joins in the row is a line through >= 3 points; it is
-    stored with the sorted members [i, j...] the first time a row holds
-    it, and a row stores its lines in order of their first j.  Returns
-    (rich, row_lines): the stored lines and the number of distinct lines
-    summed over rows.
+    Row i groups the joins (i, j), j > i, by line.  A line with two or
+    more joins in the row is a line through >= 3 points; it is stored
+    with the sorted members [i, j...] the first time a row holds it,
+    keyed by its canonical_triple, and a row stores its lines in order
+    of their first j.  Returns (rich, row_lines): the stored lines and
+    the number of distinct lines summed over rows.
 
-    With hp (the points of hs mod _P) a row first groups its joins by
-    line mod _P.  Two joins of the row on one exact line are nonzero
-    multiples of it, so they share a class unless one is 0 mod _P.  A
-    class of one join is therefore one exact line, counted without its
-    big cross product; only the joins of a larger class are joined
-    exactly, which also splits a mod-_P collision of distinct lines.  A
-    row with a join that is 0 mod _P is joined exactly throughout.
+    A row takes one of three paths, each giving the same lines:
+    - slope: with shift (see _slopes), an affine anchor i keys its joins
+      by an exact integer slope code, with no gcd;
+    - mod-_P: with hp (the points of hs mod _P), the joins are grouped
+      by line mod _P and only a repeated class is joined exactly
+      (_mod_row), unless a join is 0 mod _P;
+    - exact: otherwise (no shift and no hp, an anchor at infinity, or
+      a join 0 mod _P) every join is made canonical.
     """
     rich: dict[tuple, list[int]] = {}
     row_lines = 0
-    n = len(hs)
-    for i in range(stripe, n, step):
-        classes = None if hp is None else _mod_classes(hp, i)
-        if classes is None:
-            row = _exact_joins(hs, i, range(i + 1, n))
-        else:
-            row = {}
-            for js in classes:
-                if len(js) == 1:
-                    row_lines += 1
-                else:
-                    row.update(_exact_joins(hs, i, js))
-            row = dict(sorted(row.items(), key=lambda line: line[1][0]))
-        row_lines += len(row)
-        for key, js in row.items():
-            if len(js) > 1:
-                _store(rich, key, [i, *js])
-        # free this row before the next is built: two live rows of 2,000
-        # points cost 0.4 MB of peak RSS and measurable time
-        del row, classes
+    for i in range(stripe, len(hs), step):
+        row = None
+        if shift is not None and hs[i][2]:
+            row = _slope_row(hs, i, shift)
+        elif hp is not None:
+            row = _mod_row(hs, hp, i)
+        count, lines = row or _exact_row(hs, i)
+        row_lines += count
+        for key, members in lines:
+            _store(rich, key, members)
     return rich, row_lines
 
 
@@ -195,28 +296,34 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
     A line through m >= 3 points is complete in the row of its lowest
     member and is seen in m - 1 rows, so the 2-point lines are the row
     lines left over.  The regime is fixed for the whole call by the
-    largest coordinate: up to _BIG_BITS bits every join is made
-    canonical; above it the points are reduced mod _P once and the rows
-    key their joins mod _P (see _row_lines), which skips the gcds of
-    multi-thousand-bit joins.  Both give the same dict, in the same
-    order.  With workers > 1 the rows are split into interleaved stripes
-    run in separate processes, and the parent keeps the longest member
-    list per line.  The pool forks: spawned workers start a fresh
-    interpreter and import orchard (a two-worker pool took 0.15 s to
-    spawn against 0.02 s to fork), and orchard starts no threads that a
-    fork could leave in a broken state.
+    largest coordinate (see _row_lines for the paths): up to _BIG_BITS
+    bits an affine anchor keys its row by exact integer slope codes,
+    which need no gcd (_slopes states the bound that makes them exact),
+    and an anchor at infinity makes every join canonical; above
+    _BIG_BITS the points are reduced mod _P once and the rows key their
+    joins mod _P, which skips the gcds of multi-thousand-bit joins.
+    Every path gives the same dict, in the same order, as the all-exact
+    _row_lines(hs).  With workers > 1 the rows are split into
+    interleaved stripes run in separate processes, and the parent keeps
+    the longest member list per line.  The pool forks: spawned workers
+    start a fresh interpreter and import orchard (a two-worker pool
+    took 0.15 s to spawn against 0.02 s to fork), and orchard starts no
+    threads that a fork could leave in a broken state.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
-    hp = None
-    if max((abs(c) for h in hs for c in h), default=0).bit_length() > _BIG_BITS:
+    bits = _coord_bits(hs)
+    hp = shift = None
+    if bits > _BIG_BITS:
         hp = [(x % _P, y % _P, z % _P) for x, y, z in hs]
+    else:
+        shift = _slope_shift(bits)
     if workers == 1:
-        parts = [_row_lines(hs, 0, 1, hp)]
+        parts = [_row_lines(hs, 0, 1, hp, shift)]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
-            parts = pool.starmap(_row_lines, [(hs, w, workers, hp)
+            parts = pool.starmap(_row_lines, [(hs, w, workers, hp, shift)
                                               for w in range(workers)])
     rich: dict[tuple, list[int]] = {}
     row_lines = 0
@@ -297,15 +404,10 @@ def direction_count(ps: PointSet) -> int:
     hs = ps.raw()
     if any(h[2] == 0 for h in hs):
         raise ValueError("direction_count: point at infinity present")
-    dirs = set()
-    n = len(hs)
-    for i in range(n):
-        x1, y1, z1 = hs[i]
-        for j in range(i + 1, n):
-            x2, y2, z2 = hs[j]
-            dirs.add(canonical_triple(x2 * z1 - x1 * z2,
-                                      y2 * z1 - y1 * z2, 0))
-    return len(dirs)
+    shift = _slope_shift(_coord_bits(hs))
+    # a direction is a slope, and a slope code is exact across rows
+    return len({code for i in range(len(hs))
+                for code in _slopes(hs, i, shift)})
 
 
 def green_tao_bound(n: int) -> int:

@@ -12,6 +12,7 @@ from orchard import (GroupDescription, PointSet, ProjPoint, collinear,
                      gen_grid, gen_triangle_ratios, mk_point, richlines,
                      spanned_lines, triple_line_count, tripartite_count)
 from orchard.cli import pointset_from_doc, pointset_to_doc, run
+from oracles import brute_multiplicities
 
 
 def run_capture(capsys, argv):
@@ -154,6 +155,21 @@ def test_experiment_subcommand(capsys):
     code, out = run_capture(capsys, ["experiment", "--kind", "dichotomy",
                                      "--degree", "3", "--n", "30"])
     assert code == 0 and out.splitlines()[1] == "3,30,450,1/2"
+
+
+@pytest.mark.parametrize("kind, least", [("dichotomy", 3), ("quadruple", 4)])
+def test_experiment_degree_one_is_a_line(capsys, kind, least):
+    # y = x^1 is a line: its 11 sample points all lie on one line, which
+    # the degree bound must accept, as it does for a line_curve
+    n = 5
+    brute = brute_multiplicities([mk_point(x, x) for x in range(-n, n + 1)])
+    count = sum(1 for m in brute.values() if m >= least)
+    code, out = run_capture(capsys, ["experiment", "--kind", kind,
+                                     "--degree", "1", "--n", str(n)])
+    row = f"1,{n},{count}"
+    if kind == "dichotomy":
+        row += f",{F(count, n * n)}"
+    assert code == 0 and out.splitlines()[1] == row
 
 
 def test_plot_svg(tmp_path, capsys):

@@ -121,6 +121,17 @@ def test_degree_bound_guard():
         quadruple_experiment(fake, range(6))
 
 
+def test_degree_bound_guard_on_degree_one():
+    # a degree-1 curve is exempt only on the line through its lifted
+    # points; this rule puts x < 3 on y = 0 and five more on y = 1
+    from orchard.curves import custom_curve
+    from orchard import mk_point
+    step = custom_curve(lambda x: [mk_point(x, 0 if x < 3 else 1)],
+                        degree=1, irreducible=True, label="step")
+    with pytest.raises(InvariantViolation):
+        quadruple_experiment(step, range(8))
+
+
 def test_few_directions():
     assert few_directions_experiment(parabola(), range(1, 11)) == 17
     assert few_directions_experiment(line_curve(ProjLine((0, 1, -2))),

@@ -180,30 +180,48 @@ def test_triple_lines_upper_bound(coords):
     assert 6 * count <= ps.n * (ps.n - 1)
 
 
-# --- the mod-p keyed row kernel -------------------------------------------
+# --- the slope-code and mod-p keyed row kernels ----------------------------
+
+def _exact(hs, workers=1):
+    """The all-exact kernel: _row_lines with neither slope codes nor
+    mod-_P keys, striped and finished as _rich_lines does it."""
+    rich, row_lines = {}, 0
+    for stripe in range(workers):
+        part, count = richlines._row_lines(hs, stripe, workers)
+        row_lines += count
+        for key, members in part.items():
+            _store(rich, key, members)
+    return rich, row_lines - sum(len(m) - 1 for m in rich.values())
+
 
 def _kernels(hs, workers=1):
-    """_rich_lines with every join made canonical, and with mod-_P keys."""
+    """_rich_lines forced onto the slope codes, and onto mod-_P keys."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(richlines, "_BIG_BITS", 10 ** 9)
-        exact = richlines._rich_lines(hs, workers)
+        slope = richlines._rich_lines(hs, workers)
         mp.setattr(richlines, "_BIG_BITS", 0)
         modp = richlines._rich_lines(hs, workers)
-    return exact, modp
+    return slope, modp
+
+
+def _assert_matches_exact(points, out, workers=1):
+    """out has the all-exact kernel's table, member lists, key order and
+    2-point count, and the oracle's lines, members and 2-point count."""
+    exact = _exact([p.h for p in points], workers)
+    assert list(out[0].items()) == list(exact[0].items())
+    assert out[1] == exact[1]
+    brute = brute_multiplicities(points)
+    assert sorted(out[0]) == sorted(k for k, m in brute.items() if m >= 3)
+    for (a, b, c), members in out[0].items():
+        assert members == [i for i, p in enumerate(points)
+                           if a * p.h[0] + b * p.h[1] + c * p.h[2] == 0]
+    assert out[1] == sum(1 for m in brute.values() if m == 2)
 
 
 def _assert_kernels_agree(points, workers=1):
-    """Same table, member lists and key order from both kernels, and the
-    oracle's lines, members and 2-point count."""
-    exact, modp = _kernels([p.h for p in points], workers)
-    assert list(modp[0].items()) == list(exact[0].items())
-    assert modp[1] == exact[1]
-    brute = brute_multiplicities(points)
-    assert sorted(modp[0]) == sorted(k for k, m in brute.items() if m >= 3)
-    for (a, b, c), members in modp[0].items():
-        assert members == [i for i, p in enumerate(points)
-                           if a * p.h[0] + b * p.h[1] + c * p.h[2] == 0]
-    assert modp[1] == sum(1 for m in brute.values() if m == 2)
+    """Both keyed kernels match the all-exact one and the oracle."""
+    for out in _kernels([p.h for p in points], workers):
+        _assert_matches_exact(points, out, workers)
 
 
 def _with_infinity():
@@ -234,20 +252,20 @@ def test_small_prime_makes_zero_rows_and_collisions(monkeypatch):
     # primes really produce joins that vanish mod p and mod-p classes
     # that hold more than one exact line
     seen = {"zero rows": 0, "collisions": 0}
-    classes, joins = richlines._mod_classes, richlines._exact_joins
+    classes, split = richlines._mod_classes, richlines._class_lines
 
     def counted_classes(hp, i):
         out = classes(hp, i)
         seen["zero rows"] += out is None
         return out
 
-    def counted_joins(hs, i, js):
-        out = joins(hs, i, js)
-        seen["collisions"] += isinstance(js, list) and len(out) > 1
+    def counted_split(hs, i, js):
+        out = split(hs, i, js)
+        seen["collisions"] += len(out) > 1
         return out
 
     monkeypatch.setattr(richlines, "_mod_classes", counted_classes)
-    monkeypatch.setattr(richlines, "_exact_joins", counted_joins)
+    monkeypatch.setattr(richlines, "_class_lines", counted_split)
     for p in (3, 7):
         monkeypatch.setattr(richlines, "_P", p)
         _assert_kernels_agree(list(MOD_FIXTURES["cubic-power"]()))
@@ -299,3 +317,126 @@ def test_mod_kernel_workers_match_serial():
     assert serial.two_point == parallel.two_point
     assert triple_line_count(serial) >= 1
     _assert_kernels_agree(list(ps.points), workers=2)
+
+
+def test_anchors_at_infinity_take_the_exact_row(monkeypatch):
+    rows = {"slope": [], "exact": []}
+    slope_row, exact_row = richlines._slope_row, richlines._exact_row
+
+    def spy(name, row):
+        def counted(hs, i, *rest):
+            rows[name].append(i)
+            return row(hs, i, *rest)
+        return counted
+
+    monkeypatch.setattr(richlines, "_slope_row", spy("slope", slope_row))
+    monkeypatch.setattr(richlines, "_exact_row", spy("exact", exact_row))
+    points = _with_infinity()
+    out = richlines._rich_lines([p.h for p in points])
+    assert rows["exact"] == [i for i, p in enumerate(points) if p.at_infinity]
+    assert sorted(rows["slope"] + rows["exact"]) == list(range(len(points)))
+    _assert_matches_exact(points, out)
+
+
+def _egcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _unimodular_third(u, v):
+    """A point k with det(u, v, k) = 1 and coordinates about as big as
+    those of u and v, or None when the minors of u, v share a factor."""
+    line = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+    g1, s, t = _egcd(line[0], line[1])
+    g, p, q = _egcd(g1, line[2])
+    if g != 1:
+        return None
+    k = (p * s, p * t, q)                  # line . k = 1
+    # Babai rounding against the lattice spanned by u and v
+    uu, uv, vv = (sum(a * b for a, b in zip(x, y))
+                  for x, y in ((u, u), (u, v), (v, v)))
+    ku, kv = (sum(a * b for a, b in zip(k, y)) for y in (u, v))
+    det = uu * vv - uv * uv
+    alpha = round(F(ku * vv - kv * uv, det))
+    beta = round(F(kv * uu - ku * uv, det))
+    return tuple(c - alpha * a - beta * b for c, a, b in zip(k, u, v))
+
+
+@st.composite
+def farey_sets(draw):
+    """Rows whose anchor i = (x, y, 1) has joins to j and k with
+    det(i, j, k) = 1: the slopes of i -> j and i -> k differ by exactly
+    1/(dx*dx'), with |dx| near 2**(2*bits), the bound of the slope
+    code.  Points s*i + t*j are planted on some lines i j, so repeated
+    codes occur too.  The anchors come first, so each row holds its
+    Farey pair."""
+    bits = draw(st.integers(3, 40))
+    big = st.integers(2 ** (bits - 1), 2 ** bits - 1)
+    signed = st.builds(lambda v, s: v * s, big, st.sampled_from((1, -1)))
+    anchors, others = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        i = (draw(signed), draw(signed), 1)
+        j = (draw(signed), draw(signed), draw(big))
+        k = _unimodular_third(i, j)
+        if k is None or not any(k):
+            continue
+        anchors.append(i)
+        others += [j, k]
+        for s, t in draw(st.lists(st.tuples(st.integers(1, 3),
+                                            st.integers(1, 3)),
+                                  max_size=3, unique=True)):
+            others.append(tuple(s * a + t * b for a, b in zip(i, j)))
+    points = {ProjPoint(h): None for h in anchors + others}
+    return list(points), bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(farey_sets())
+def test_slope_kernel_on_farey_directions(data):
+    points, bits = data
+    hs = [p.h for p in points]
+    assert richlines._coord_bits(hs) <= richlines._BIG_BITS
+    if len(hs) >= 2:
+        _assert_matches_exact(points, richlines._rich_lines(hs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(farey_sets())
+def test_direction_count_on_farey_directions(data):
+    points = [p for p in data[0] if not p.at_infinity]
+    if len(points) >= 2:
+        assert direction_count(PointSet(tuple(points))) == \
+            brute_directions(points)
+
+
+def _planted(rng, bits):
+    """Ten random points with coordinates below 2**bits, and five more
+    on a line, spaced evenly from (2**bits - 1, y) to a random point."""
+    def coord():
+        return rng.randrange(-2 ** bits + 1, 2 ** bits)
+    u = (2 ** bits - 1, coord(), 1)
+    step = [(c - a) // 4 for a, c in zip(u, (coord(), coord(), 1))]
+    hs = [(coord(), coord(), coord() or 1) for _ in range(10)]
+    hs += [tuple(a + t * d for a, d in zip(u, step)) for t in range(5)]
+    return sorted({ProjPoint(h) for h in hs}, key=lambda p: p.h)
+
+
+@pytest.mark.parametrize("extra, path", [(0, "_slope_row"), (1, "_mod_row")])
+def test_regime_boundary_at_big_bits(monkeypatch, extra, path):
+    bits = richlines._BIG_BITS + extra
+    points = _planted(random.Random(bits), bits)
+    hs = [p.h for p in points]
+    assert richlines._coord_bits(hs) == bits
+    calls = []
+    row = getattr(richlines, path)
+    monkeypatch.setattr(richlines, path,
+                        lambda *args: calls.append(1) or row(*args))
+    out = richlines._rich_lines(hs)
+    assert len(calls) == len(hs) and out[0]      # the planted line
+    _assert_matches_exact(points, out)
+
