@@ -7,15 +7,16 @@ from hypothesis import given, assume
 import hypothesis.strategies as st
 
 from orchard import (CuspidalCubic, DegenerateError, GroupDescription,
-                     GroupElement, WeierstrassCurve, WEIERSTRASS_IDENTITY,
-                     collinear, conic_line_params, cuspidal_description,
-                     cuspidal_third, description_witness, direction_point,
+                     GroupElement, ProjPoint, WeierstrassCurve,
+                     WEIERSTRASS_IDENTITY, collinear, conic_line_params,
+                     cuspidal_description, cuspidal_form, cuspidal_third,
+                     description_witness, direction_point,
                      gen_cubic_power, gen_parallel_aps, gen_triangle_ratios,
                      menelaus_params, mk_point, parallel_lines_description,
                      parallel_lines_params, PointSet, ratio_point,
                      sphere_membership, triangle_description,
                      verify_group_description, weierstrass_add,
-                     weierstrass_third)
+                     weierstrass_form, weierstrass_third)
 
 from oracles import brute_group_description
 
@@ -72,6 +73,25 @@ def test_weierstrass_identity_and_inverse():
     for p in GENS:
         assert CURVE.add(p, WEIERSTRASS_IDENTITY) == p
         assert CURVE.add(p, CURVE.neg(p)) == WEIERSTRASS_IDENTITY
+
+
+def test_point_at_infinity_membership_per_caller():
+    # (0:1:0) is the one point at infinity of y = x^3 and of
+    # y^2 = x^3 + ax + b.  The cuspidal group law parametrises affine
+    # points only; the forms and the Weierstrass group accept it.
+    inf = ProjPoint((0, 1, 0))
+    assert not CuspidalCubic().contains(inf)
+    with pytest.raises(ValueError):
+        cuspidal_description().assign(inf)
+    assert cuspidal_form().contains(inf)
+    assert WeierstrassCurve(0, 17).contains(inf)
+    assert weierstrass_form(0, 17).contains(inf)
+    for h in ((1, 0, 0), (1, 1, 0), (1, -2, 0), (3, 5, 0)):
+        other = ProjPoint(h)
+        assert not CuspidalCubic().contains(other)
+        assert not cuspidal_form().contains(other)
+        assert not WeierstrassCurve(0, 17).contains(other)
+        assert not weierstrass_form(0, 17).contains(other)
 
 
 def _word_values(max_len):
