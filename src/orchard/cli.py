@@ -20,8 +20,8 @@ from . import curves as curvemod
 from . import generators as gen
 from .conic import ExternalPoint, image_count, involution_value, \
     parabola_collinear, reps_collinear
-from .cubics import cuspidal_form, fit_cubics
-from .grouplaw import (WeierstrassCurve, cuspidal_description,
+from .cubics import fit_cubics
+from .grouplaw import (CuspidalCubic, WeierstrassCurve, cuspidal_description,
                        description_witness, hyperbola_infinity_description,
                        parabola_infinity_description,
                        parallel_lines_description, triangle_description)
@@ -263,7 +263,7 @@ def cmd_group_check(args) -> int:
 
 def _parse_curve(spec: str):
     if spec == "cuspidal":
-        return ("cuspidal", None)
+        return ("cuspidal", CuspidalCubic())
     if spec.startswith("weierstrass:"):
         a, b = map(_rational, _split(spec.split(":", 1)[1], ",", 2,
                                      "curve coefficients"))
@@ -289,11 +289,9 @@ def _tenpoint_common(args) -> int:
     if kind == "cuspidal":
         cfg = build_tenpoint_cuspidal(*map(_rational, base),
                                       _rational(args.delta))
-        on_curve = cuspidal_form().contains
     else:
         cfg = build_tenpoint_weierstrass(curve, *map(_parse_point, base),
                                          _parse_point(args.delta))
-        on_curve = curve.contains
     obj = cfg
     if args.extend is not None:
         obj = extend_cantilever(cfg, args.extend)
@@ -307,13 +305,9 @@ def _tenpoint_common(args) -> int:
         witness = describe_lattice_witness(lattice_witness(obj))
         raise InvariantViolation(f"ten-point lattice: {witness}")
     for p in obj.points():
-        if not on_curve(p):
+        if not curve.form.contains(p):
             raise InvariantViolation(f"curve membership: {p} left the curve")
     return 0
-
-
-def cmd_tenpoint(args) -> int:
-    return _tenpoint_common(args)
 
 
 def cmd_cantilever(args) -> int:
@@ -438,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_group_check)
 
-    for name, fn in (("tenpoint", cmd_tenpoint), ("cantilever", cmd_cantilever)):
+    for name, fn in (("tenpoint", _tenpoint_common),
+                     ("cantilever", cmd_cantilever)):
         p = sub.add_parser(name, help="build and verify a ten point "
                                       "configuration (optionally extended)")
         p.add_argument("--curve", required=True,

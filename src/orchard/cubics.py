@@ -75,10 +75,6 @@ class CubicForm:
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
-def contains(f: CubicForm, p: ProjPoint) -> bool:
-    return f.contains(p)
-
-
 def monomial_row(p: ProjPoint) -> list[int]:
     x, y, z = p.h
     return [x ** i * y ** j * z ** k for (i, j, k) in MONOMIALS]
@@ -264,11 +260,6 @@ def cuspidal_form() -> CubicForm:
 
 
 def weierstrass_form(a: Rat, b: Rat) -> CubicForm:
-    """y^2 = x^3 + ax + b homogenized (canonical integer coefficients)."""
-    fa, fb = Fraction(a), Fraction(b)
-    cs = [Fraction(0)] * 10
-    cs[0] = Fraction(-1)          # -X^3
-    cs[7] = Fraction(1)           # +Y^2 Z
-    cs[5] = -fa                   # -a X Z^2
-    cs[9] = -fb                   # -b Z^3
-    return CubicForm.from_rationals(cs)
+    """y^2 = x^3 + ax + b homogenized: -X^3 - aXZ^2 + Y^2Z - bZ^3."""
+    a, b = Fraction(a), Fraction(b)
+    return CubicForm.from_rationals((-1, 0, 0, 0, 0, -a, 0, 1, 0, -b))

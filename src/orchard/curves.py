@@ -14,46 +14,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, isqrt
+from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
+from .grouplaw import WeierstrassCurve
 from .projective import ProjLine, ProjPoint, Rat, mk_point
 from .richlines import (InvariantViolation, PointSet, _rich_lines,
                         direction_count)
-
-
-def _rational_sqrt(f: Fraction) -> Optional[Fraction]:
-    if f < 0:
-        return None
-    np_, dp = f.numerator, f.denominator
-    rn, rd = isqrt(np_), isqrt(dp)
-    if rn * rn == np_ and rd * rd == dp:
-        return Fraction(rn, rd)
-    return None
 
 
 @dataclass(frozen=True)
 class CurveSpec:
     """A plane curve with an exact point-lifting rule for sample x-values."""
 
-    kind: str                 # graph-power | weierstrass | line | custom
     degree: int
     lift_fn: Callable[[Fraction], list[ProjPoint]]
     irreducible: bool
     label: str = ""
 
     def lift(self, x: Rat) -> list[ProjPoint]:
-        pts = self.lift_fn(Fraction(x))
-        return pts
+        return self.lift_fn(Fraction(x))
 
 
 def graph_power(d: int) -> CurveSpec:
     """y = x^d (the parabola for d = 2, the cuspidal cubic for d = 3)."""
     if d < 1:
         raise ValueError("graph_power needs degree >= 1")
-    return CurveSpec("graph-power", d,
-                     lambda x: [mk_point(x, x ** d)],
-                     irreducible=True, label=f"y=x^{d}")
+    return CurveSpec(d, lambda x: [mk_point(x, x ** d)], irreducible=True,
+                     label=f"y=x^{d}")
 
 
 def parabola() -> CurveSpec:
@@ -68,24 +56,14 @@ def line_curve(l: ProjLine) -> CurveSpec:
             return []          # vertical line: no graph over x
         return [mk_point(x, Fraction(-(a * x + c), b))]
 
-    return CurveSpec("line", 1, lift, irreducible=True,
-                     label=f"line{l.l}")
+    return CurveSpec(1, lift, irreducible=True, label=f"line{l.l}")
 
 
 def weierstrass_spec(a: Rat, b: Rat) -> CurveSpec:
-    fa, fb = Fraction(a), Fraction(b)
-
-    def lift(x: Fraction) -> list[ProjPoint]:
-        y2 = x ** 3 + fa * x + fb
-        y = _rational_sqrt(y2)
-        if y is None:
-            return []
-        if y == 0:
-            return [mk_point(x, 0)]
-        return [mk_point(x, y), mk_point(x, -y)]
-
-    return CurveSpec("weierstrass", 3, lift, irreducible=True,
-                     label=f"y^2=x^3+{fa}x+{fb}")
+    """y^2 = x^3 + ax + b, lifted by WeierstrassCurve.lift."""
+    curve = WeierstrassCurve(a, b)
+    return CurveSpec(3, curve.lift, irreducible=True,
+                     label=f"y^2=x^3+{curve.a}x+{curve.b}")
 
 
 def custom_curve(lift_fn: Callable[[Fraction], list[ProjPoint]],
@@ -104,7 +82,7 @@ def custom_curve(lift_fn: Callable[[Fraction], list[ProjPoint]],
                         f"lifting rule: {p} is not on the {label} curve")
         return pts
 
-    return CurveSpec("custom", degree, lift, irreducible, label)
+    return CurveSpec(degree, lift, irreducible, label)
 
 
 def lines_product_curve(lines: Sequence[ProjLine]) -> CurveSpec:
@@ -117,7 +95,7 @@ def lines_product_curve(lines: Sequence[ProjLine]) -> CurveSpec:
             out.extend(s.lift(x))
         return out
 
-    return CurveSpec("custom", len(lines), lift, irreducible=False,
+    return CurveSpec(len(lines), lift, irreducible=False,
                      label=f"{len(lines)}-lines")
 
 

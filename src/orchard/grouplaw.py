@@ -16,11 +16,13 @@ integer collinearity determinant, never against itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from typing import Callable, Optional, Sequence
 
+from .cubics import CubicForm, cuspidal_form, weierstrass_form
 from .projective import (DegenerateError, ProjPoint, Rat, collinear, incident,
                          join, mk_point, signed_ratio)
 from .richlines import PointSet, _rich_lines
@@ -77,15 +79,18 @@ def cuspidal_third(p: Rat, q: Rat) -> Fraction:
 
 
 class CuspidalCubic:
-    """y = x^3 with its additive parametrization by x."""
+    """y = x^3 with its additive parametrization by x.  form is its one
+    equation; the parametrization covers the affine points only, so
+    contains leaves out (0:1:0), the form's one point at infinity."""
+
+    form = cuspidal_form()
 
     def lift(self, t: Rat) -> ProjPoint:
         ft = Fraction(t)
         return mk_point(ft, ft ** 3)
 
     def contains(self, p: ProjPoint) -> bool:
-        x, y, z = p.h
-        return z != 0 and x ** 3 == y * z * z
+        return p.h[2] != 0 and self.form.contains(p)
 
     def param(self, p: ProjPoint) -> Fraction:
         if not self.contains(p):
@@ -103,20 +108,32 @@ WEIERSTRASS_IDENTITY = ProjPoint((0, 1, 0))
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
+    """y^2 = x^3 + ax + b; form is its one equation, whose only point at
+    infinity, (0:1:0), is the group's identity."""
+
     a: Fraction
     b: Fraction
+    form: CubicForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "form", weierstrass_form(self.a, self.b))
 
     def contains(self, p: ProjPoint) -> bool:
-        if p == WEIERSTRASS_IDENTITY:
-            return True
-        if p.at_infinity:
-            return False
-        x, y = p.affine()
-        return y * y == x ** 3 + self.a * x + self.b
+        return self.form.contains(p)
+
+    def lift(self, x: Rat) -> list[ProjPoint]:
+        """The 0, 1 or 2 rational points of the curve above x: (x, y)
+        then (x, -y) for the exact rational square root y of the right
+        side, if it has one."""
+        fx = Fraction(x)
+        y2 = fx ** 3 + self.a * fx + self.b
+        n, d = isqrt(max(y2.numerator, 0)), isqrt(y2.denominator)
+        if n * n != y2.numerator or d * d != y2.denominator:
+            return []
+        y = Fraction(n, d)
+        return [mk_point(fx, y)] + ([mk_point(fx, -y)] if y else [])
 
     def _require(self, p: ProjPoint):
         if not self.contains(p):
@@ -163,11 +180,11 @@ class WeierstrassCurve:
 
 
 def weierstrass_third(a: Rat, b: Rat, p: ProjPoint, q: ProjPoint) -> ProjPoint:
-    return WeierstrassCurve(Fraction(a), Fraction(b)).third(p, q)
+    return WeierstrassCurve(a, b).third(p, q)
 
 
 def weierstrass_add(a: Rat, b: Rat, p: ProjPoint, q: ProjPoint) -> ProjPoint:
-    return WeierstrassCurve(Fraction(a), Fraction(b)).add(p, q)
+    return WeierstrassCurve(a, b).add(p, q)
 
 
 # --- descriptions ----------------------------------------------------------

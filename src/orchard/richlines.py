@@ -306,8 +306,9 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
     joins mod _P, which skips the gcds of multi-thousand-bit joins.
     Every path gives the same dict, in the same order, as the all-exact
     _row_lines(hs).  With workers > 1 the rows are split into
-    interleaved stripes run in separate processes, and the parent keeps
-    the longest member list per line.  The pool forks: spawned workers
+    interleaved stripes run in separate processes; the parent keeps
+    the longest member list per line and restores the serial order, by
+    (first member, second member).  The pool forks: spawned workers
     start a fresh interpreter and import orchard (a two-worker pool
     took 0.15 s to spawn against 0.02 s to fork), and orchard starts no
     threads that a fork could leave in a broken state.
@@ -333,6 +334,9 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
         row_lines += count
         for key, members in part.items():
             _store(rich, key, members)
+    if workers > 1:
+        # the serial order: rows in order, each by its lines' first j
+        rich = dict(sorted(rich.items(), key=lambda kv: kv[1][:2]))
     return rich, row_lines - sum(len(m) - 1 for m in rich.values())
 
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from orchard import (InvariantViolation, PointSet, ProjPoint, apply_transform,
-                     direction_count, direction_point, gen_cubic_power,
+from orchard import (InvariantViolation, PointSet, ProjPoint,
+                     WeierstrassCurve, apply_transform,
+                     build_tenpoint_weierstrass, direction_count,
+                     direction_point, extend_cantilever, gen_cubic_power,
                      gen_grid, gen_parallel_aps, green_tao_bound,
                      k_rich_count, mk_point, richlines, spanned_lines,
                      triple_line_count, tripartite_count)
@@ -182,15 +184,10 @@ def test_triple_lines_upper_bound(coords):
 
 # --- the slope-code and mod-p keyed row kernels ----------------------------
 
-def _exact(hs, workers=1):
-    """The all-exact kernel: _row_lines with neither slope codes nor
-    mod-_P keys, striped and finished as _rich_lines does it."""
-    rich, row_lines = {}, 0
-    for stripe in range(workers):
-        part, count = richlines._row_lines(hs, stripe, workers)
-        row_lines += count
-        for key, members in part.items():
-            _store(rich, key, members)
+def _exact(hs):
+    """The serial all-exact kernel: _row_lines with neither slope codes
+    nor mod-_P keys, finished as _rich_lines does it."""
+    rich, row_lines = richlines._row_lines(hs)
     return rich, row_lines - sum(len(m) - 1 for m in rich.values())
 
 
@@ -204,10 +201,11 @@ def _kernels(hs, workers=1):
     return slope, modp
 
 
-def _assert_matches_exact(points, out, workers=1):
-    """out has the all-exact kernel's table, member lists, key order and
-    2-point count, and the oracle's lines, members and 2-point count."""
-    exact = _exact([p.h for p in points], workers)
+def _assert_matches_exact(points, out):
+    """out has the serial all-exact kernel's table, member lists, key
+    order and 2-point count, and the oracle's lines, members and 2-point
+    count."""
+    exact = _exact([p.h for p in points])
     assert list(out[0].items()) == list(exact[0].items())
     assert out[1] == exact[1]
     brute = brute_multiplicities(points)
@@ -219,9 +217,10 @@ def _assert_matches_exact(points, out, workers=1):
 
 
 def _assert_kernels_agree(points, workers=1):
-    """Both keyed kernels match the all-exact one and the oracle."""
+    """Both keyed kernels, on any number of workers, match the serial
+    all-exact one and the oracle."""
     for out in _kernels([p.h for p in points], workers):
-        _assert_matches_exact(points, out, workers)
+        _assert_matches_exact(points, out)
 
 
 def _with_infinity():
@@ -317,6 +316,31 @@ def test_mod_kernel_workers_match_serial():
     assert serial.two_point == parallel.two_point
     assert triple_line_count(serial) >= 1
     _assert_kernels_agree(list(ps.points), workers=2)
+
+
+def _cantilever_points():
+    """The distinct points of a Weierstrass cantilever, M = 6: 28
+    points of up to 444 bits on 59 rich lines."""
+    curve = WeierstrassCurve(0, 17)
+    cfg = build_tenpoint_weierstrass(curve, mk_point(-2, 3), mk_point(-1, 4),
+                                     mk_point(4, 9), mk_point(8, 23))
+    pts = set(extend_cantilever(cfg, 6).points())
+    assert max(abs(c) for p in pts for c in p.h).bit_length() > \
+        richlines._BIG_BITS
+    return PointSet(tuple(sorted(pts, key=lambda p: p.h)))
+
+
+@pytest.mark.parametrize("make", [lambda: gen_grid(4),
+                                  lambda: gen_cubic_power(5),
+                                  _cantilever_points],
+                         ids=["grid", "slope", "mod-p"])
+def test_workers_keep_the_serial_key_order(make):
+    hs = make().raw()
+    serial = richlines._rich_lines(hs)
+    parallel = richlines._rich_lines(hs, workers=2)
+    assert len(serial[0]) >= 3
+    assert list(parallel[0].items()) == list(serial[0].items())
+    assert parallel[1] == serial[1]
 
 
 def test_anchors_at_infinity_take_the_exact_row(monkeypatch):
