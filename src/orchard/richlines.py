@@ -335,7 +335,6 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
         for key, members in part.items():
             _store(rich, key, members)
     if workers > 1:
-        # the serial order: rows in order, each by its lines' first j
         rich = dict(sorted(rich.items(), key=lambda kv: kv[1][:2]))
     return rich, row_lines - sum(len(m) - 1 for m in rich.values())
 
