@@ -8,7 +8,9 @@ Each NAME=DIR is a checkout whose own perfbench/run.py is run once per
 seed and workload.  The order of the checkouts rotates from seed to
 seed, so that core-speed drift hits each alike.  The final JSON line
 of every run is kept as printed.  The file also holds each checkout's
-commit, the seeds, the core count, the CPU model, the Python version
+commit, the seeds, the core count, the CPU model, the Python version,
+the PYTHONDONTWRITEBYTECODE that the runs inherit (when it is set, no
+bytecode cache is written, so every call compiles orchard from source)
 and, per workload and end-to-end metric, each checkout's median and
 quartiles and how many seeds it beat the first checkout on.
 """
@@ -127,6 +129,8 @@ def main() -> int:
                             for n, p in sides.items()},
               "nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu_model(),
               "python": platform.python_version(),
+              "PYTHONDONTWRITEBYTECODE":
+                  os.environ.get("PYTHONDONTWRITEBYTECODE"),
               "summary": summarize(runs, names, spec["end_to_end"]),
               "runs": runs}
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"

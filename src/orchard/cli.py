@@ -11,29 +11,51 @@ carry big integers.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import random
 import sys
 from fractions import Fraction
 
-from . import curves as curvemod
-from . import generators as gen
-from .conic import ExternalPoint, image_count, involution_value, \
-    parabola_collinear, reps_collinear
-from .cubics import fit_cubics
-from .grouplaw import (CuspidalCubic, WeierstrassCurve, cuspidal_description,
-                       description_witness, hyperbola_infinity_description,
-                       parabola_infinity_description,
-                       parallel_lines_description, triangle_description)
 from .projective import (DegenerateError, ProjPoint, join, meet, mk_point,
                          point_from_rationals)
 from .richlines import (InvariantViolation, PointSet, direction_count,
                         green_tao_bound, k_rich_count, spanned_lines,
                         tripartite_count)
-from .svg import render_pointset
-from .tenpoint import (build_tenpoint_cuspidal, build_tenpoint_weierstrass,
-                       describe_lattice_witness, extend_cantilever,
-                       lattice_witness, verify_lattice)
+
+# The names below are imported from their module on first use, by
+# __getattr__, so that a call loads only the modules its subcommand
+# runs.  Code here reaches them as _cli.<name>: a bare name would not
+# reach __getattr__, and a name replaced on this module (by a test or a
+# tracer) is then the one called.
+_LAZY = {name: module for module, names in (
+    ("conic", "ExternalPoint image_count involution_value "
+              "parabola_collinear reps_collinear"),
+    ("cubics", "fit_cubics"),
+    ("curves", "dichotomy_experiment few_directions_experiment graph_power "
+               "quadruple_experiment"),
+    ("generators", "gen_cubic_power gen_grid gen_ngon_directions "
+                   "gen_parabola_ap gen_parallel_aps gen_triangle_ratios "
+                   "ratio_point"),
+    ("grouplaw", "CuspidalCubic WeierstrassCurve cuspidal_description "
+                 "description_witness hyperbola_infinity_description "
+                 "parabola_infinity_description parallel_lines_description "
+                 "triangle_description"),
+    ("svg", "render_pointset"),
+    ("tenpoint", "build_tenpoint_cuspidal build_tenpoint_weierstrass "
+                 "describe_lattice_witness extend_cantilever "
+                 "lattice_witness verify_lattice"),
+) for name in names.split()}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 # --- points file -------------------------------------------------------------
@@ -113,18 +135,19 @@ def _emit(text: str, out: str | None):
 
 def cmd_generate(args) -> int:
     if args.example == "ngon":
-        cfg = gen.gen_ngon_directions(args.n)
+        cfg = _cli.gen_ngon_directions(args.n)
         doc = {"kind": "ngon", "n": cfg.n,
                "direction_classes": cfg.direction_class_count,
                "chords": cfg.chord_count}
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
         return 0
     builders = {
-        "parallel-aps": lambda n: gen.gen_parallel_aps(n, args.dense_middle),
-        "triangle-ratios": gen.gen_triangle_ratios,
-        "cubic-power": gen.gen_cubic_power,
-        "parabola-ap": gen.gen_parabola_ap,
-        "grid": gen.gen_grid,
+        "parallel-aps": lambda n: _cli.gen_parallel_aps(n,
+                                                        args.dense_middle),
+        "triangle-ratios": _cli.gen_triangle_ratios,
+        "cubic-power": _cli.gen_cubic_power,
+        "parabola-ap": _cli.gen_parabola_ap,
+        "grid": _cli.gen_grid,
     }
     ps = builders[args.example](args.n)
     _emit(json.dumps(pointset_to_doc(ps), indent=2) + "\n", args.out)
@@ -160,7 +183,7 @@ def cmd_fit_cubic(args) -> int:
         if not all(0 <= i < len(pts) for i in idx):
             raise ValueError(f"--indices must lie in 0..{len(pts) - 1}")
         pts = [pts[i] for i in idx]
-    basis = fit_cubics(pts)
+    basis = _cli.fit_cubics(pts)
     print("coefficients(X^3,X^2Y,X^2Z,XY^2,XYZ,XZ^2,Y^3,Y^2Z,YZ^2,Z^3)")
     for f in basis:
         print(",".join(str(c) for c in f.coefficients))
@@ -191,7 +214,7 @@ def _triangle_cases(trials: int, rng: random.Random):
     sides = [(p3, p2), (p1, p3), (p2, p1)]
     for t in range(trials):
         if t % 2 == 0:
-            xs = [gen.ratio_point(a, b, _nonzero(rng)) for a, b in sides]
+            xs = [_cli.ratio_point(a, b, _nonzero(rng)) for a, b in sides]
         else:
             q1 = mk_point(_random_fraction(rng), _random_fraction(rng))
             q2 = mk_point(_random_fraction(rng) + 20, _random_fraction(rng))
@@ -231,24 +254,24 @@ def cmd_group_check(args) -> int:
         raise ValueError(f"--trials must be at least 1, not {args.trials}")
     rng = random.Random(args.seed)
     if name == "example1":
-        desc = parallel_lines_description()
-        cases = [gen.gen_parallel_aps(args.n)]
+        desc = _cli.parallel_lines_description()
+        cases = [_cli.gen_parallel_aps(args.n)]
     elif name == "example4":
-        desc = cuspidal_description()
-        cases = [gen.gen_cubic_power(args.n)]
+        desc = _cli.cuspidal_description()
+        cases = [_cli.gen_cubic_power(args.n)]
     elif name == "triangle":
-        desc = triangle_description(*_TRIANGLE)
+        desc = _cli.triangle_description(*_TRIANGLE)
         cases = _triangle_cases(args.trials, rng)
     elif name == "parabola-inf":
-        desc = parabola_infinity_description()
+        desc = _cli.parabola_infinity_description()
         cases = _conic_cases(True, args.trials, rng)
     elif name == "hyperbola-inf":
-        desc = hyperbola_infinity_description()
+        desc = _cli.hyperbola_infinity_description()
         cases = _conic_cases(False, args.trials, rng)
     else:
         raise ValueError(f"unknown group-check config {name!r}")
-    witnesses = [w for w in (description_witness(ps, desc) for ps in cases)
-                 if w is not None]
+    witnesses = [w for w in (_cli.description_witness(ps, desc)
+                             for ps in cases) if w is not None]
     if exhaustive:
         label, fail = f"{name} n={args.n} exhaustive", "FAIL"
     else:
@@ -263,11 +286,11 @@ def cmd_group_check(args) -> int:
 
 def _parse_curve(spec: str):
     if spec == "cuspidal":
-        return ("cuspidal", CuspidalCubic())
+        return ("cuspidal", _cli.CuspidalCubic())
     if spec.startswith("weierstrass:"):
         a, b = map(_rational, _split(spec.split(":", 1)[1], ",", 2,
                                      "curve coefficients"))
-        return ("weierstrass", WeierstrassCurve(a, b))
+        return ("weierstrass", _cli.WeierstrassCurve(a, b))
     raise ValueError(f"unknown curve {spec!r}")
 
 
@@ -287,22 +310,23 @@ def _tenpoint_common(args) -> int:
     kind, curve = _parse_curve(args.curve)
     base = _split(args.base, ",", 3, "--base")
     if kind == "cuspidal":
-        cfg = build_tenpoint_cuspidal(*map(_rational, base),
-                                      _rational(args.delta))
+        cfg = _cli.build_tenpoint_cuspidal(*map(_rational, base),
+                                           _rational(args.delta))
     else:
-        cfg = build_tenpoint_weierstrass(curve, *map(_parse_point, base),
-                                         _parse_point(args.delta))
+        cfg = _cli.build_tenpoint_weierstrass(curve,
+                                              *map(_parse_point, base),
+                                              _parse_point(args.delta))
     obj = cfg
     if args.extend is not None:
-        obj = extend_cantilever(cfg, args.extend)
+        obj = _cli.extend_cantilever(cfg, args.extend)
     print("name,X,Y,Z")
     amap, bmap, cmap = obj.lattice_points()
     for fam, mp in (("A", amap), ("B", bmap), ("C", cmap)):
         for i in sorted(mp):
             x, y, z = mp[i].h
             print(f"{fam}{i},{x},{y},{z}")
-    if not verify_lattice(obj):
-        witness = describe_lattice_witness(lattice_witness(obj))
+    if not _cli.verify_lattice(obj):
+        witness = _cli.describe_lattice_witness(_cli.lattice_witness(obj))
         raise InvariantViolation(f"ten-point lattice: {witness}")
     for p in obj.points():
         if not curve.form.contains(p):
@@ -330,43 +354,43 @@ def cmd_conic(args) -> int:
                          f"{', '.join(missing)}")
     if args.mode == "collinear":
         e = _parse_external(args.external)
-        print(str(parabola_collinear(_rational(args.x), _rational(args.y),
-                                     e)).lower())
+        print(str(_cli.parabola_collinear(_rational(args.x),
+                                          _rational(args.y), e)).lower())
     elif args.mode == "involution":
         e = _parse_external(args.external)
-        print(involution_value(e, _rational(args.x)))
+        print(_cli.involution_value(e, _rational(args.x)))
     elif args.mode == "image-count":
         e = _parse_external(args.external)
         xs = [_rational(v) for v in args.xs.split(",")]
-        print(image_count(e, xs))
+        print(_cli.image_count(e, xs))
     else:
         es = map(_parse_external, _split(args.externals, ";", 3,
                                          "--externals"))
-        print(str(reps_collinear(*es)).lower())
+        print(str(_cli.reps_collinear(*es)).lower())
     return 0
 
 
 def _parse_external(token: str) -> ExternalPoint:
-    return ExternalPoint(*map(_rational,
-                              _split(token, ",", 2, "external point")))
+    return _cli.ExternalPoint(*map(_rational,
+                                   _split(token, ",", 2, "external point")))
 
 
 def cmd_experiment(args) -> int:
     d, n = args.degree, args.n
     if args.kind == "dichotomy":
-        rows = curvemod.dichotomy_experiment([d], [n])
+        rows = _cli.dichotomy_experiment([d], [n])
         print("degree,n,count,count_per_n2")
         for r in rows:
             print(f"{r.degree},{r.n},{r.count},{r.ratio_n2}")
         print("# evidence at desk scale, not a verification", file=sys.stderr)
     elif args.kind == "quadruple":
-        count = curvemod.quadruple_experiment(curvemod.graph_power(d),
-                                              range(-n, n + 1))
+        count = _cli.quadruple_experiment(_cli.graph_power(d),
+                                          range(-n, n + 1))
         print("degree,n,count")
         print(f"{d},{n},{count}")
     elif args.kind == "directions":
-        count = curvemod.few_directions_experiment(curvemod.graph_power(d),
-                                                   range(1, n + 1))
+        count = _cli.few_directions_experiment(_cli.graph_power(d),
+                                               range(1, n + 1))
         print("degree,n,count")
         print(f"{d},{n},{count}")
     else:
@@ -376,7 +400,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_plot(args) -> int:
     ps = _load_pointset(args.infile)
-    svg = render_pointset(ps, mark_triple_lines=args.mark_triple_lines)
+    svg = _cli.render_pointset(ps, mark_triple_lines=args.mark_triple_lines)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0

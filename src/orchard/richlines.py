@@ -14,7 +14,6 @@ by its canonical_triple.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Optional, Sequence
@@ -322,19 +321,19 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
     else:
         shift = _slope_shift(bits)
     if workers == 1:
-        parts = [_row_lines(hs, 0, 1, hp, shift)]
+        rich, row_lines = _row_lines(hs, 0, 1, hp, shift)
     else:
+        import multiprocessing   # here: a serial call need not load it
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
             parts = pool.starmap(_row_lines, [(hs, w, workers, hp, shift)
                                               for w in range(workers)])
-    rich: dict[tuple, list[int]] = {}
-    row_lines = 0
-    for part, count in parts:
-        row_lines += count
-        for key, members in part.items():
-            _store(rich, key, members)
-    if workers > 1:
+        rich = {}
+        row_lines = 0
+        for part, count in parts:
+            row_lines += count
+            for key, members in part.items():
+                _store(rich, key, members)
         rich = dict(sorted(rich.items(), key=lambda kv: kv[1][:2]))
     return rich, row_lines - sum(len(m) - 1 for m in rich.values())
 

@@ -1,0 +1,156 @@
+"""What an import of orchard loads, and what the package exports.
+
+The CLI imports each submodule on first use, so a subcommand runs in a
+fresh interpreter here: under pytest every module is already loaded,
+which would hide a name missing from the CLI's table of lazy names.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import orchard
+import orchard.cli as cli
+from orchard import gen_parallel_aps
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs `python -m orchard.cli <argv>` and then prints, as the last line
+# of stderr, the orchard modules and multiprocessing that the call
+# loaded (orchard.cli itself runs as __main__).
+CHILD = """
+import runpy, sys
+try:
+    runpy.run_module("orchard.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(*sorted(m for m in sys.modules
+                  if m == "multiprocessing" or m.startswith("orchard")),
+          file=sys.stderr)
+"""
+
+# (argv, modules loaded besides orchard, orchard.projective and
+# orchard.richlines, which the CLI imports at its top); {in} and {out}
+# are a tiny labelled points file and an output path
+SUBCOMMANDS = {
+    "generate": (["generate", "--example", "grid", "--n", "3"],
+                 {"generators"}),
+    "count": (["count", "--in", "{in}", "--k", "3"], set()),
+    "count-tripartite": (["count", "--in", "{in}", "--tripartite", "1,2,3"],
+                         set()),
+    "count-workers": (["count", "--in", "{in}", "--workers", "2"],
+                      {"multiprocessing"}),
+    "directions": (["directions", "--in", "{in}"], set()),
+    "bound": (["bound", "--n", "10"], set()),
+    "fit-cubic": (["fit-cubic", "--in", "{in}"], {"cubics"}),
+    "group-check": (["group-check", "--config", "example1", "--n", "3"],
+                    {"cubics", "generators", "grouplaw"}),
+    "tenpoint": (["tenpoint", "--curve", "cuspidal", "--base=-1,0,1",
+                  "--delta", "1/10"], {"cubics", "grouplaw", "tenpoint"}),
+    "cantilever": (["cantilever", "--curve", "weierstrass:0,17",
+                    "--base=-2:3,-1:4,4:9", "--delta", "8:23",
+                    "--extend", "3"], {"cubics", "grouplaw", "tenpoint"}),
+    "conic": (["conic", "--mode", "involution", "--external", "1,2",
+               "--x", "3"], {"conic"}),
+    "experiment": (["experiment", "--kind", "quadruple", "--degree", "3",
+                    "--n", "3"], {"cubics", "curves", "grouplaw"}),
+    "plot": (["plot", "--in", "{in}", "--out", "{out}",
+              "--mark-triple-lines"], {"svg"}),
+}
+
+
+@pytest.fixture(scope="module")
+def points_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("points") / "in.json"
+    path.write_text(json.dumps(cli.pointset_to_doc(gen_parallel_aps(3))),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", list(SUBCOMMANDS))
+def test_subcommand_in_fresh_interpreter(case, points_file, tmp_path,
+                                         capsys):
+    template, extra = SUBCOMMANDS[case]
+
+    def argv(out):
+        return [a.format(**{"in": points_file, "out": out})
+                for a in template]
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", CHILD]
+                           + argv(tmp_path / "child.svg"),
+                           env=env, capture_output=True, text=True,
+                           timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert "Traceback" not in child.stderr
+    loaded = set(child.stderr.splitlines()[-1].split())
+    assert loaded == ({"orchard", "orchard.projective", "orchard.richlines"}
+                      | {m if m == "multiprocessing" else f"orchard.{m}"
+                         for m in extra})
+
+    assert cli.run(argv(tmp_path / "run.svg")) == 0
+    assert child.stdout == capsys.readouterr().out
+    if case == "plot":
+        assert ((tmp_path / "child.svg").read_bytes()
+                == (tmp_path / "run.svg").read_bytes())
+
+
+# every name the package exported when it imported its submodules eagerly
+EXPORTS = {
+    "projective": "DegenerateError LINE_AT_INFINITY ProjLine ProjPoint "
+                  "apply_transform collinear direction_point incident join "
+                  "meet mk_point point_from_rationals signed_ratio",
+    "richlines": "InvariantViolation PointSet RichLineTable direction_count "
+                 "green_tao_advisory green_tao_bound k_rich_count "
+                 "spanned_lines triple_line_count tripartite_count",
+    "generators": "NgonConfig gen_cubic_power gen_grid gen_ngon_directions "
+                  "gen_parabola_ap gen_parallel_aps gen_triangle_ratios "
+                  "parallel_aps_closed_form ratio_point triangle_ratio_set",
+    "cubics": "CubicForm classify_with_candidates cubic_from_lines "
+              "cuspidal_form fit_cubics line_divides on_common_cubic "
+              "weierstrass_form",
+    "grouplaw": "CuspidalCubic GroupDescription GroupElement LawWitness "
+                "WeierstrassCurve WEIERSTRASS_IDENTITY conic_line_params "
+                "cuspidal_description cuspidal_third description_witness "
+                "hyperbola_infinity_description menelaus_params "
+                "parabola_infinity_description parallel_lines_description "
+                "parallel_lines_params sphere_membership "
+                "triangle_description verify_group_description "
+                "weierstrass_add weierstrass_third",
+    "tenpoint": "Cantilever ConvergenceError SampledArc TenPointConfig "
+                "build_tenpoint_cuspidal build_tenpoint_weierstrass "
+                "extend_cantilever halve_parameter_demo lattice_witness "
+                "nine_point_check parallel_lines_arcs standard_system_ok "
+                "three_lines_multiplicative_arcs verify_lattice",
+    "conic": "ExternalPoint combination_weight filter_by_image_count "
+             "image_count involution_value parabola_collinear "
+             "reps_collinear",
+    "curves": "CurveSpec TripartiteCounts TripartiteExperiment "
+              "dichotomy_experiment few_directions_experiment graph_power "
+              "line_curve lines_product_curve parabola quadruple_experiment "
+              "tripartite_curve_count weierstrass_spec",
+}
+
+
+def test_package_exports():
+    names = []
+    for module, exported in EXPORTS.items():
+        owner = importlib.import_module(f"orchard.{module}")
+        for name in exported.split():
+            names.append(name)
+            scope: dict = {}
+            exec(f"from orchard import {name}", scope)
+            assert getattr(orchard, name) is getattr(owner, name), name
+            assert scope[name] is getattr(owner, name), name
+    assert sorted(orchard.__all__) == sorted(names)
+    assert set(names) <= set(dir(orchard))
+    assert orchard.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        orchard.no_such_name
+    with pytest.raises(ImportError):
+        exec("from orchard import no_such_name", {})
