@@ -323,7 +323,7 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
     if workers == 1:
         rich, row_lines = _row_lines(hs, 0, 1, hp, shift)
     else:
-        import multiprocessing   # here: a serial call need not load it
+        import multiprocessing   # only a multi-worker call loads it
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
             parts = pool.starmap(_row_lines, [(hs, w, workers, hp, shift)
