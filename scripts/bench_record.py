@@ -13,6 +13,11 @@ the PYTHONDONTWRITEBYTECODE that the runs inherit (when it is set, no
 bytecode cache is written, so every call compiles orchard from source)
 and, per workload and end-to-end metric, each checkout's median and
 quartiles and how many seeds it beat the first checkout on.
+
+A checkout that holds a __pycache__ under src/ is refused: Python reads
+a cache that matches its source even under PYTHONDONTWRITEBYTECODE=1,
+so that checkout's setup_s would be measured with orchard precompiled.
+Record from clean clones.
 """
 
 from __future__ import annotations
@@ -53,6 +58,17 @@ def commit(checkout: Path) -> str:
     out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                          capture_output=True, text=True)
     return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def refuse_bytecode_cache(checkout: Path) -> None:
+    """Exit, naming them, if the checkout holds __pycache__ under src/."""
+    caches = sorted(checkout.glob("src/**/__pycache__"))
+    if caches:
+        raise SystemExit(
+            f"checkout {checkout} holds a bytecode cache: "
+            f"{', '.join(map(str, caches))}; Python reads a valid cache even "
+            "under PYTHONDONTWRITEBYTECODE=1, which would lower setup_s. "
+            "Remove it or record from a clean clone.")
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -109,6 +125,7 @@ def main() -> int:
         if not sep or not name or name in sides:
             raise SystemExit(f"checkout {item!r}: expected a new NAME=DIR")
         sides[name] = Path(path).resolve()
+        refuse_bytecode_cache(sides[name])
     names = list(sides)
     seeds = seed_list(args.seeds)
     workloads = args.workloads.split(",")

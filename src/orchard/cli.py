@@ -319,18 +319,18 @@ def _tenpoint_common(args) -> int:
     obj = cfg
     if args.extend is not None:
         obj = _cli.extend_cantilever(cfg, args.extend)
-    print("name,X,Y,Z")
-    amap, bmap, cmap = obj.lattice_points()
-    for fam, mp in (("A", amap), ("B", bmap), ("C", cmap)):
-        for i in sorted(mp):
-            x, y, z = mp[i].h
-            print(f"{fam}{i},{x},{y},{z}")
     if not _cli.verify_lattice(obj):
         witness = _cli.describe_lattice_witness(_cli.lattice_witness(obj))
         raise InvariantViolation(f"ten-point lattice: {witness}")
     for p in obj.points():
         if not curve.form.contains(p):
             raise InvariantViolation(f"curve membership: {p} left the curve")
+    print("name,X,Y,Z")
+    amap, bmap, cmap = obj.lattice_points()
+    for fam, mp in (("A", amap), ("B", bmap), ("C", cmap)):
+        for i in sorted(mp):
+            x, y, z = mp[i].h
+            print(f"{fam}{i},{x},{y},{z}")
     return 0
 
 

@@ -1,7 +1,8 @@
 """Collinear triples across three algebraic curves, counted directly.
 
 Sample x-values are lifted to exact rational points of each curve and
-every cross-curve triple is tested with the collinearity determinant.
+the cross-curve collinear triples are read off the member lists of the
+lines through three or more of them (richlines' row enumeration).
 This computes the same count a resultant elimination would, without
 ever forming the eliminated surface.  The dichotomy, quadruple-line
 and direction experiments for the degree-3-vs-other gap live here too;
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .grouplaw import WeierstrassCurve
 from .projective import ProjLine, ProjPoint, Rat, mk_point
-from .richlines import (InvariantViolation, PointSet, _rich_lines,
+from .richlines import (InvariantViolation, PointSet, _line, _rich_lines,
                         direction_count)
 
 
@@ -161,15 +162,17 @@ def tripartite_curve_count(e: TripartiteExperiment) -> TripartiteCounts:
             for p in pts:
                 masks[p] = masks.get(p, 0) | (1 << (part - 1))
     points = sorted(masks, key=lambda p: p.h)
-    members, _ = _rich_lines([p.h for p in points])
+    hs = [p.h for p in points]
     triples = 0
     lines = 0
-    for key, idxs in members.items():
+    for idxs in _rich_lines(hs)[0]:
         cnt: dict[int, int] = {}
         for i in idxs:
             m = masks[points[i]]
             cnt[m] = cnt.get(m, 0) + 1
-        _check_degree_bound(e.curves, key, cnt)
+        for part, curve in enumerate(e.curves):
+            _check_degree_bound(curve, hs, idxs, sum(
+                c for m, c in cnt.items() if m >> part & 1))
         t = _triples_for_masks(cnt)
         if t:
             triples += t
@@ -177,18 +180,15 @@ def tripartite_curve_count(e: TripartiteExperiment) -> TripartiteCounts:
     return TripartiteCounts(triples, lines, tuple(failures))
 
 
-def _check_degree_bound(curves, line_key, mask_counts):
+def _check_degree_bound(curve, hs, idxs, on_curve):
     """Bezout sanity: an irreducible degree-d curve distinct from the
-    line meets it in at most d points."""
-    for part in (1, 2, 3):
-        curve = curves[part - 1]
-        if not curve.irreducible:
-            continue
-        on_part = sum(c for m, c in mask_counts.items()
-                      if m & (1 << (part - 1)))
-        if on_part > curve.degree and not _line_is(curve, line_key):
+    line through the points idxs of hs, on_curve of which lie on the
+    curve, meets it in at most d points."""
+    if curve.irreducible and on_curve > curve.degree:
+        line_key = _line(hs, idxs[0], idxs[1])
+        if not _line_is(curve, line_key):
             raise InvariantViolation(
-                f"degree bound: line {line_key} carries {on_part} points of "
+                f"degree bound: line {line_key} carries {on_curve} points of "
                 f"the irreducible degree-{curve.degree} curve {curve.label}")
 
 
@@ -240,15 +240,11 @@ def quadruple_experiment(curve: CurveSpec, xs: Iterable[Rat]) -> int:
     for x in xs:
         pts.update(curve.lift(x))
     _check_sample("quadruple_experiment", pts)
-    members, _ = _rich_lines(sorted(p.h for p in pts))
+    hs = sorted(p.h for p in pts)
     count = 0
-    for key, idxs in members.items():
-        m = len(idxs)
-        if m >= 4:
-            if curve.irreducible and m > curve.degree and not _line_is(curve, key):
-                raise InvariantViolation(
-                    f"degree bound: line {key} carries {m} points of the "
-                    f"irreducible degree-{curve.degree} curve {curve.label}")
+    for idxs in _rich_lines(hs)[0]:
+        if len(idxs) >= 4:
+            _check_degree_bound(curve, hs, idxs, len(idxs))
             count += 1
     return count
 

@@ -1,14 +1,12 @@
 """Generators for the classic near-optimal triple-line configurations.
 
-Everything here is exact except the regular n-gon, whose vertices are
-irrational: it is represented combinatorially (chord {i,j} is parallel
-to chord {k,l} iff i+j = k+l mod n), with float vertices only for
-drawing.
+Everything here is exact.  The regular n-gon, whose vertices are
+irrational, is represented combinatorially: chord {i,j} is parallel to
+chord {k,l} iff i+j = k+l mod n.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -121,11 +119,6 @@ class NgonConfig:
     @property
     def chord_count(self) -> int:
         return comb(self.n, 2)
-
-    def float_vertices(self) -> list[tuple[float, float]]:
-        """Approximate unit-circle vertices, for plotting only."""
-        return [(math.cos(2 * math.pi * k / self.n),
-                 math.sin(2 * math.pi * k / self.n)) for k in range(self.n)]
 
 
 def gen_ngon_directions(n: int) -> NgonConfig:

@@ -10,8 +10,9 @@ plus the line at infinity (parabola and hyperbola variants).
 Each description is the only definition of its law:
 menelaus_params, parallel_lines_params and conic_line_params look one
 triple up through it, and description_witness is the one judge of it.
-All values are exact rationals; verification always runs against the
-integer collinearity determinant, never against itself.
+All values are exact rationals; verification always runs against exact
+integer collinearity (the member lists of the rich lines), never
+against the law itself.
 """
 
 from __future__ import annotations
@@ -170,13 +171,6 @@ class WeierstrassCurve:
 
     def add(self, p: ProjPoint, q: ProjPoint) -> ProjPoint:
         return self.neg(self.third(p, q))
-
-    def mul(self, k: int, p: ProjPoint) -> ProjPoint:
-        out = WEIERSTRASS_IDENTITY
-        step = p if k >= 0 else self.neg(p)
-        for _ in range(abs(k)):
-            out = self.add(out, step)
-        return out
 
 
 def weierstrass_third(a: Rat, b: Rat, p: ProjPoint, q: ProjPoint) -> ProjPoint:
@@ -362,8 +356,8 @@ class LawWitness:
 
     Each tuple is ordered by piece: indices are positions in the point
     list that was checked, values the points' group values on pieces
-    1, 2, 3.  collinear is the determinant's verdict; the law's verdict
-    is its negation.
+    1, 2, 3.  collinear is the exact collinearity verdict; the law's
+    verdict is its negation.
     """
 
     indices: tuple[int, int, int]
@@ -391,13 +385,16 @@ def _law_witness(points: Sequence[ProjPoint],
     breaks "collinear iff the values combine to the identity", or None.
 
     points are distinct; roles[i] lists the (piece, value) pairs of
-    points[i].  Collinear => law: a collinear triple of distinct points
-    lies on a line through >= 3 points, which the row enumeration stores
-    with all its members, so only the actually collinear role triples
-    are visited.  Law => collinear: each (piece 1, piece 2) role pair
-    looks up the piece-3 value the law requires and tests each candidate
-    with one determinant.  O(n^2) joins plus one determinant per
-    predicted triple, all in exact integers.
+    points[i].  Three distinct points are collinear exactly when one of
+    the lines through >= 3 points, which the row enumeration stores with
+    all their members, holds all three.  Collinear => law visits only
+    the role triples on a stored line.  Law => collinear: each (piece 1,
+    piece 2) role pair looks up the piece-3 value the law requires, and
+    each candidate is looked up in the stored lines.  O(n^2) joins and
+    no determinant.  Roles rank by point, then by list order: a
+    collinear witness comes first, on the line with the least two
+    lowest members, least by the ranks of its roles; else the
+    non-collinear one least by those ranks.
     """
     additive = operation == ADDITIVE
 
@@ -413,7 +410,8 @@ def _law_witness(points: Sequence[ProjPoint],
         return LawWitness(idx, tuple(points[i] for i in idx),
                           (r1[1], r2[1], r3[1]), operation, on_line)
 
-    for members in _rich_lines([p.h for p in points])[0].values():
+    through: list[set[int]] = [set() for _ in points]   # ids of its lines
+    for n, members in enumerate(_rich_lines([p.h for p in points])[0]):
         on = split(members)
         for r1, r2, r3 in product(on[1], on[2], on[3]):
             if len({r1[0], r2[0], r3[0]}) < 3:
@@ -421,6 +419,8 @@ def _law_witness(points: Sequence[ProjPoint],
             v1, v2, v3 = r1[1], r2[1], r3[1]
             if not (v1 + v2 + v3 == 0 if additive else v1 * v2 * v3 == 1):
                 return witness(r1, r2, r3, True)
+        for i in members:
+            through[i].add(n)
 
     parts = split(range(len(points)))
     third: dict[Fraction, list[int]] = {}
@@ -437,8 +437,8 @@ def _law_witness(points: Sequence[ProjPoint],
         else:
             need = 1 / Fraction(v1 * v2)
         for i3 in third.get(need, ()):
-            if i3 not in (i1, i2) and not collinear(points[i1], points[i2],
-                                                    points[i3]):
+            if (i3 not in (i1, i2)
+                    and not through[i1] & through[i2] & through[i3]):
                 return witness(r1, r2, (i3, need), False)
     return None
 
@@ -456,7 +456,8 @@ def verify_group_description(ps: PointSet, desc: GroupDescription) -> bool:
     """Distinct cross-piece triples are collinear exactly when their
     group values combine to the identity.
 
-    Exhaustive, O(n^2) joins + one determinant per predicted triple.
+    Exhaustive: O(n^2) joins, then the member lists of the rich lines
+    decide every triple (_law_witness).
     """
     return description_witness(ps, desc) is None
 

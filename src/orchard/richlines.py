@@ -1,15 +1,16 @@
 """Lines spanned by a point set, with exact multiplicities.
 
-The central object is the table of the lines through three or more set
-points (triple lines), each with the number of set points on it, plus
-the number of lines through exactly two.  It is built row by row from
-the O(n^2) pair space: row i groups the joins (i, j), j > i, by line, so
-a line through m >= 3 points shows up complete, with its sorted members,
+The central object is the list of the lines through three or more set
+points (triple lines), each as its sorted member indices, plus the
+number of lines through exactly two.  It is built row by row from the
+O(n^2) pair space: row i groups the joins (i, j), j > i, by line, so a
+line through m >= 3 points shows up complete, with its sorted members,
 in the row of its lowest member.  2-point lines are counted, never
 stored.  No O(n^3) pass and no floating slope buckets anywhere: a row
-keys its joins by exact integer slope codes, by lines mod a prime, or
-by canonical lines (see _row_lines), and every stored line is keyed
-by its canonical_triple.
+groups its joins by exact integer slope codes, by lines mod a prime, or
+by canonical lines (see _row_lines).  A stored line is known by its
+members; its canonical_triple is built, from its first two members,
+only for a caller that reads keys (spanned_lines, line_members).
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def _slopes(hs: Sequence[tuple[int, int, int]], i: int,
             for x2, y2, z2 in hs[i + 1:]]
 
 
-RowLines = tuple[int, list[tuple[tuple, list[int]]]]
+Lines = list[list[int]]
+RowLines = tuple[int, Lines]
 
 
 def _slope_row(hs: Sequence[tuple[int, int, int]], i: int,
@@ -124,8 +126,7 @@ def _slope_row(hs: Sequence[tuple[int, int, int]], i: int,
     """Row i, for an affine point i, grouped by slope code (_slopes).
 
     The row dict maps a code to its first j; only a repeated code builds
-    a member list, and only such a line is made canonical, from i and
-    its second member.
+    a member list.
     """
     first: dict[Optional[int], int] = {}
     repeated: dict[Optional[int], list[int]] = {}
@@ -137,8 +138,7 @@ def _slope_row(hs: Sequence[tuple[int, int, int]], i: int,
                 repeated[code] = [i, f, j]
             else:
                 members.append(j)
-    rich = sorted(repeated.values(), key=lambda members: members[1])
-    return len(first), [(_line(hs, i, m[1]), m) for m in rich]
+    return len(first), sorted(repeated.values(), key=lambda m: m[1])
 
 
 def _exact_row(hs: Sequence[tuple[int, int, int]], i: int) -> RowLines:
@@ -146,8 +146,7 @@ def _exact_row(hs: Sequence[tuple[int, int, int]], i: int) -> RowLines:
     row: dict[tuple, list[int]] = {}
     for j in range(i + 1, len(hs)):
         row.setdefault(_line(hs, i, j), []).append(j)
-    return len(row), [(key, [i, *js]) for key, js in row.items()
-                      if len(js) > 1]
+    return len(row), [[i, *js] for js in row.values() if len(js) > 1]
 
 
 def _mod_classes(hp: Sequence[tuple[int, int, int]],
@@ -185,23 +184,23 @@ def _mod_classes(hp: Sequence[tuple[int, int, int]],
 
 
 def _class_lines(hs: Sequence[tuple[int, int, int]], i: int,
-                 js: list[int]) -> list[tuple[tuple, list[int]]]:
+                 js: list[int]) -> Lines:
     """The joins (i, j), j in js (ascending), split by exact line, in
     order of first j.
 
-    js is one class of _mod_classes, almost always one line: its first
-    join is made canonical and every other j is tested against that
-    line with one dot product.  The j off it (a mod-_P collision of
+    js is one class of _mod_classes, almost always one line: every other
+    j is tested against the raw cross product of i and the first j (no
+    gcd) with one dot product.  The j off it (a mod-_P collision of
     distinct lines) go round again.
     """
     lines = []
     while js:
-        a, b, c = key = _line(hs, i, js[0])
+        a, b, c = _cross(hs[i], hs[js[0]])
         on, off = [js[0]], []
         for j in js[1:]:
             x, y, z = hs[j]
             (on if a * x + b * y + c * z == 0 else off).append(j)
-        lines.append((key, on))
+        lines.append(on)
         js = off
     return lines
 
@@ -224,26 +223,25 @@ def _mod_row(hs: Sequence[tuple[int, int, int]],
         if len(js) == 1:
             count += 1
             continue
-        for key, on in _class_lines(hs, i, js):
+        for on in _class_lines(hs, i, js):
             count += 1
             if len(on) > 1:
-                rich.append((key, [i, *on]))
-    rich.sort(key=lambda line: line[1][1])
+                rich.append([i, *on])
+    rich.sort(key=lambda m: m[1])
     return count, rich
 
 
 def _row_lines(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
                step: int = 1,
                hp: Optional[Sequence[tuple[int, int, int]]] = None,
-               shift: Optional[int] = None) -> tuple[dict, int]:
+               shift: Optional[int] = None) -> tuple[Lines, int]:
     """Row-anchored line enumeration over rows stripe, stripe + step, ...
 
     Row i groups the joins (i, j), j > i, by line.  A line with two or
-    more joins in the row is a line through >= 3 points; it is stored
-    with the sorted members [i, j...] the first time a row holds it,
-    keyed by its canonical_triple, and a row stores its lines in order
-    of their first j.  Returns (rich, row_lines): the stored lines and
-    the number of distinct lines summed over rows.
+    more joins in the row is a line through >= 3 points; its sorted
+    members [i, j...] are stored the first time a row holds it (_store),
+    in order of their first j.  Returns (lines, row_lines): the member
+    lists and the number of distinct lines summed over rows.
 
     A row takes one of three paths, each giving the same lines:
     - slope: with shift (see _slopes), an affine anchor i keys its joins
@@ -254,7 +252,8 @@ def _row_lines(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
     - exact: otherwise (no shift and no hp, an anchor at infinity, or
       a join 0 mod _P) every join is made canonical.
     """
-    rich: dict[tuple, list[int]] = {}
+    lines: Lines = []
+    marks: dict[tuple[int, int], list[int]] = {}
     row_lines = 0
     for i in range(stripe, len(hs), step):
         # each path keeps its row dicts local, so a row is freed before
@@ -264,33 +263,36 @@ def _row_lines(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
             row = _slope_row(hs, i, shift)
         elif hp is not None:
             row = _mod_row(hs, hp, i)
-        count, lines = row or _exact_row(hs, i)
+        count, rich = row or _exact_row(hs, i)
         row_lines += count
-        for key, members in lines:
-            _store(rich, key, members)
-    return rich, row_lines
+        for members in rich:
+            _store(lines, marks, members)
+    return lines, row_lines
 
 
-def _store(rich: dict, key: tuple, members: list[int]) -> None:
-    """Keep the longest member list per line.
+def _store(lines: Lines, marks: dict[tuple[int, int], list[int]],
+           members: list[int]) -> None:
+    """Append members to lines, unless they sight a stored line again.
 
-    Every sighting of a line lists its members from some point on, so a
-    shorter sighting must be a suffix of the longer one.
+    Lines arrive in order of (first member, second member), so a line
+    is stored whole before a later row sights it as a suffix m[k:] of 3
+    or more members.  The sighting is found by its first two, so a line
+    marks its pairs (m[k], m[k+1]) for 1 <= k <= m - 3 only: a 3-point
+    line leaves no mark.  A sighting that is not a suffix raises.
     """
-    old = rich.get(key)
+    old = marks.get((members[0], members[1]))
     if old is None:
-        rich[key] = members
-        return
-    short, long = sorted((old, members), key=len)
-    if long[len(long) - len(short):] != short:
+        lines.append(members)
+        for k in range(1, len(members) - 2):
+            marks[members[k], members[k + 1]] = members
+    elif old[len(old) - len(members):] != members:
         raise InvariantViolation(
-            f"row enumeration: line {key} sighted with members {short}, "
-            f"not a suffix of {long}")
-    rich[key] = long
+            f"row enumeration: a line sighted with members {members}, "
+            f"not a suffix of {old}")
 
 
 def _rich_lines(hs: Sequence[tuple[int, int, int]],
-                workers: int = 1) -> tuple[dict[tuple, list[int]], int]:
+                workers: int = 1) -> tuple[Lines, int]:
     """(sorted member indices per line through >= 3 points, number of
     lines through exactly 2 points).
 
@@ -303,14 +305,16 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
     and an anchor at infinity makes every join canonical; above
     _BIG_BITS the points are reduced mod _P once and the rows key their
     joins mod _P, which skips the gcds of multi-thousand-bit joins.
-    Every path gives the same dict, in the same order, as the all-exact
-    _row_lines(hs).  With workers > 1 the rows are split into
-    interleaved stripes run in separate processes; the parent keeps
-    the longest member list per line and restores the serial order, by
-    (first member, second member).  The pool forks: spawned workers
-    start a fresh interpreter and import orchard (a two-worker pool
-    took 0.15 s to spawn against 0.02 s to fork), and orchard starts no
-    threads that a fork could leave in a broken state.
+    Every path gives the same lists, in the same order, as the
+    all-exact _row_lines(hs): by (first member, second member).  With
+    workers > 1 the rows are split into interleaved stripes run in
+    separate processes; a stripe that misses a line's lowest row stores
+    a suffix of it, so the parent sorts the stripes' lines into the
+    serial order and stores them again, which drops such suffixes
+    (_store).  The pool forks: spawned workers start a fresh interpreter
+    and import orchard (a two-worker pool took 0.15 s to spawn against
+    0.02 s to fork), and orchard starts no threads that a fork could
+    leave in a broken state.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
@@ -321,21 +325,19 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
     else:
         shift = _slope_shift(bits)
     if workers == 1:
-        rich, row_lines = _row_lines(hs, 0, 1, hp, shift)
+        lines, row_lines = _row_lines(hs, 0, 1, hp, shift)
     else:
         import multiprocessing   # only a multi-worker call loads it
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
             parts = pool.starmap(_row_lines, [(hs, w, workers, hp, shift)
                                               for w in range(workers)])
-        rich = {}
-        row_lines = 0
-        for part, count in parts:
-            row_lines += count
-            for key, members in part.items():
-                _store(rich, key, members)
-        rich = dict(sorted(rich.items(), key=lambda kv: kv[1][:2]))
-    return rich, row_lines - sum(len(m) - 1 for m in rich.values())
+        lines, marks = [], {}
+        row_lines = sum(count for _, count in parts)
+        for members in sorted((m for part, _ in parts for m in part),
+                              key=lambda m: m[:2]):
+            _store(lines, marks, members)
+    return lines, row_lines - sum(len(m) - 1 for m in lines)
 
 
 def spanned_lines(ps: PointSet, workers: int = 1) -> RichLineTable:
@@ -347,8 +349,10 @@ def spanned_lines(ps: PointSet, workers: int = 1) -> RichLineTable:
     """
     if ps.n < 2:
         raise ValueError("spanned_lines needs at least 2 points")
-    rich, two_point = _rich_lines(ps.raw(), workers)
-    return RichLineTable({key: len(m) for key, m in rich.items()}, two_point)
+    hs = ps.raw()
+    lines, two_point = _rich_lines(hs, workers)
+    return RichLineTable({_line(hs, m[0], m[1]): len(m) for m in lines},
+                         two_point)
 
 
 def k_rich_count(table: RichLineTable, k: int, exactly: bool = False) -> int:
@@ -368,8 +372,10 @@ def triple_line_count(table: RichLineTable) -> int:
 
 
 def line_members(ps: PointSet) -> dict[tuple, list[int]]:
-    """Sorted point indices per line, for the lines through >= 3 set points."""
-    return _rich_lines(ps.raw())[0]
+    """Sorted point indices per canonical line, for the lines through >= 3
+    set points."""
+    hs = ps.raw()
+    return {_line(hs, m[0], m[1]): m for m in _rich_lines(hs)[0]}
 
 
 def tripartite_count(ps: PointSet, pattern: Iterable[int]) -> int:
@@ -390,7 +396,7 @@ def tripartite_count(ps: PointSet, pattern: Iterable[int]) -> int:
         raise ValueError(f"pattern references missing group {sorted(missing)}")
     need = {g: pat.count(g) for g in set(pat)}
     count = 0
-    for _, idxs in line_members(ps).items():
+    for idxs in _rich_lines(ps.raw())[0]:
         have = {g: 0 for g in need}
         for i in idxs:
             g = ps.labels[i]

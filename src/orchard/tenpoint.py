@@ -167,7 +167,8 @@ def lattice_witness(obj) -> Optional[LawWitness]:
 def verify_lattice(obj) -> bool:
     """A_i, B_j, C_k collinear iff i + k = j, over all stored indices.
 
-    Exhaustive, O(n^2) joins + one determinant per predicted triple.
+    Exhaustive: O(n^2) joins, then the member lists of the rich lines
+    decide every triple (_law_witness).
     """
     return lattice_witness(obj) is None
 

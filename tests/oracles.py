@@ -10,7 +10,8 @@ shortcuts, so that agreement is meaningful:
   i + k = j" of a ten point configuration or cantilever;
 - brute_group_description checks a group description: distinct
   cross-piece triples are collinear iff their values combine to the
-  identity.
+  identity;
+- brute_law_witness names the first triple on which such a law fails.
 """
 
 from itertools import combinations
@@ -100,3 +101,42 @@ def brute_group_description(ps, desc):
                 if alg != collinear(pt1, pt2, pt3):
                     return False
     return True
+
+
+def brute_law_witness(points, roles, operation):
+    """(indices, values, collinear) of the first triple of distinct
+    points, one role per piece, on which the collinearity determinant
+    and the group law disagree, or None.
+
+    roles[i] lists the (piece, value) pairs of points[i]; a role's rank
+    is its position when the points are taken in order, each with its
+    roles in list order.  A collinear witness comes first: the one on
+    the line whose two lowest point indices are least, then least by
+    the ranks of its piece 1, 2, 3 roles.  Else the non-collinear
+    witness least by those ranks.
+    """
+    parts = {1: [], 2: [], 3: []}
+    for i, rs in enumerate(roles):
+        for piece, v in rs:
+            parts[piece].append((i, v))
+    additive = operation == "additive"
+    on_line, off_line = [], []
+    for i1, v1 in parts[1]:
+        for i2, v2 in parts[2]:
+            for i3, v3 in parts[3]:
+                if len({i1, i2, i3}) < 3:
+                    continue
+                law = (v1 + v2 + v3 == 0 if additive else v1 * v2 * v3 == 1)
+                on = collinear(points[i1], points[i2], points[i3])
+                if on == law:
+                    continue
+                found = ((i1, i2, i3), (v1, v2, v3), on)
+                if on:
+                    line = [i for i, p in enumerate(points)
+                            if collinear(points[i1], points[i2], p)]
+                    on_line.append((line[:2], found))
+                else:
+                    off_line.append(found)
+    if on_line:
+        return min(on_line, key=lambda t: t[0])[1]
+    return off_line[0] if off_line else None

@@ -295,8 +295,7 @@ def test_lattice_failure_names_witness(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert err == ("invariant violation: ten-point lattice: "
                    "A2, B3, C2 collinear but 2 + 2 != 3\n")
-    lines = out.splitlines()
-    assert lines[0] == "name,X,Y,Z" and len(lines) == 11
+    assert out == ""
 
 
 CANTILEVER = ["cantilever", "--curve", "weierstrass:0,17",
@@ -320,7 +319,49 @@ def test_weierstrass_lattice_failure_names_witness(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert err == ("invariant violation: ten-point lattice: "
                    "A0, B6, C7 collinear but 0 + 7 != 6\n")
-    assert len(out.splitlines()) == 1 + 9 + 10 + 9
+    assert out == ""
+
+
+def test_cantilever_checks_before_it_prints(monkeypatch, capsys):
+    # the benchmark's cantilever, M = 30, with the law broken by a
+    # swap: the check fails before a line of the lattice is printed
+    extend = cli.extend_cantilever
+
+    def c9_c10_swapped(cfg, m):
+        can = extend(cfg, m)
+        c = list(can.c_seq)
+        c[9], c[10] = c[10], c[9]
+        return replace(can, c_seq=tuple(c))
+
+    argv = CANTILEVER[:-1] + ["30"]
+    assert run(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 33 + 34 + 33
+    monkeypatch.setattr(cli, "extend_cantilever", c9_c10_swapped)
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: ten-point lattice: A")
+    assert "collinear but" in err
+
+
+def test_tenpoint_membership_checked_before_printing(monkeypatch, capsys):
+    # a projective map keeps every collinearity, so the index law holds,
+    # but the mapped points leave y = x^3
+    build = cli.build_tenpoint_cuspidal
+
+    def moved(*args):
+        cfg = build(*args)
+        mapped = {}
+        for name, p in cfg.as_dict().items():
+            x, y, z = p.h
+            mapped[name.lower()] = ProjPoint((x, y, x + z))
+        return replace(cfg, **mapped)
+
+    monkeypatch.setattr(cli, "build_tenpoint_cuspidal", moved)
+    assert run(TENPOINT) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: curve membership: ")
 
 
 def test_group_check_failure_names_witness(monkeypatch, capsys):

@@ -89,7 +89,8 @@ def test_ngon_classes_match_float_slopes():
     # same class <=> parallel chords, checked on the float rendering
     for n in (3, 4, 5, 6, 7, 8):
         cfg = gen_ngon_directions(n)
-        verts = cfg.float_vertices()
+        verts = [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
+                 for k in range(n)]
         angles = {}
         for i in range(n):
             for j in range(i + 1, n):

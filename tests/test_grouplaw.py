@@ -18,7 +18,8 @@ from orchard import (CuspidalCubic, DegenerateError, GroupDescription,
                      verify_group_description, weierstrass_add,
                      weierstrass_form, weierstrass_third)
 
-from oracles import brute_group_description
+from orchard.grouplaw import _law_witness
+from oracles import brute_group_description, brute_law_witness
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 
@@ -292,6 +293,17 @@ def _assert_description_witness_fails(ps, desc, w):
     law = (v1 + v2 + v3 == 0 if desc.operation == "additive"
            else v1 * v2 * v3 == 1)
     assert w.collinear == collinear(*w.points) != law
+
+
+def test_predicted_triple_needs_one_line_through_all_three():
+    # a and c share the rich line {a, x, c}, but x is a piece-1 point, so
+    # the law's triple (a, b, c) must still be found not collinear
+    points = [mk_point(0, 0), mk_point(2, 0), mk_point(1, 0), mk_point(1, 1)]
+    roles = [[(1, 0)], [(3, 0)], [(1, 5)], [(2, 0)]]
+    w = _law_witness(points, roles, "additive")
+    assert (w.indices, w.values, w.collinear) == ((0, 3, 1), (0, 0, 0), False)
+    assert brute_law_witness(points, roles, "additive") == (
+        w.indices, w.values, w.collinear)
 
 
 MIDPOINTS = PointSet((mk_point(F(1, 2), F(1, 2)), mk_point(0, F(1, 2)),

@@ -10,10 +10,10 @@ from orchard import (InvariantViolation, PointSet, ProjPoint,
                      WeierstrassCurve, apply_transform,
                      build_tenpoint_weierstrass, direction_count,
                      direction_point, extend_cantilever, gen_cubic_power,
-                     gen_grid, gen_parallel_aps, green_tao_bound,
+                     gen_grid, gen_parallel_aps, green_tao_bound, join,
                      k_rich_count, mk_point, richlines, spanned_lines,
                      triple_line_count, tripartite_count)
-from orchard.richlines import _store
+from orchard.richlines import _store, line_members
 from oracles import brute_multiplicities, brute_tripartite, brute_directions
 
 
@@ -78,13 +78,51 @@ def test_multiworker_identical():
 
 
 def test_row_sighting_must_be_suffix():
-    rich = {}
-    _store(rich, (0, 1, 0), [3, 5])          # a stripe missing the lowest row
-    _store(rich, (0, 1, 0), [1, 3, 5])
-    _store(rich, (0, 1, 0), [3, 5])
-    assert rich == {(0, 1, 0): [1, 3, 5]}
+    lines, marks = [], {}
+    _store(lines, marks, [1, 3, 5, 7, 8])
+    _store(lines, marks, [3, 5, 7, 8])       # the rows of 3 and 5 sight it
+    _store(lines, marks, [5, 7, 8])
+    _store(lines, marks, [2, 4, 6])
+    assert lines == [[1, 3, 5, 7, 8], [2, 4, 6]]
     with pytest.raises(InvariantViolation):
-        _store(rich, (0, 1, 0), [2, 5])
+        _store(lines, marks, [3, 5, 8])
+    with pytest.raises(InvariantViolation):
+        _store(lines, marks, [5, 7, 8, 9])
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 9])
+def test_a_line_marks_the_pairs_a_later_row_starts_from(m):
+    lines, marks = [], {}
+    members = list(range(10, 10 + 2 * m, 2))
+    _store(lines, marks, members)
+    assert len(marks) == m - 3
+    assert sorted(marks) == [tuple(members[k:k + 2])
+                             for k in range(1, m - 2)]
+    for k in range(1, m - 2):               # every later sighting is known
+        _store(lines, marks, members[k:])
+    assert lines == [members]
+
+
+def _non_suffix_sighting(monkeypatch):
+    """Point 1's row sights the line {0, 1, 2, 3} of the grid's first
+    column as [1, 2, 4]: the right first two members, a wrong tail."""
+    slope_row = richlines._slope_row
+
+    def corrupted(hs, i, shift):
+        count, rich = slope_row(hs, i, shift)
+        return count, [[1, 2, 4] if m[:2] == [1, 2] else m for m in rich]
+
+    monkeypatch.setattr(richlines, "_slope_row", corrupted)
+    return gen_grid(4)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_suffix_sighting_raises(monkeypatch, workers):
+    # serially the row of point 1 sights the stored line; with two
+    # workers its stripe stores [1, 2, 4] and the parent's merge sights it
+    ps = _non_suffix_sighting(monkeypatch)
+    with pytest.raises(InvariantViolation, match=r"\[1, 2, 4\]"):
+        spanned_lines(ps, workers=workers)
 
 
 def test_k_rich_count_modes():
@@ -187,8 +225,8 @@ def test_triple_lines_upper_bound(coords):
 def _exact(hs):
     """The serial all-exact kernel: _row_lines with neither slope codes
     nor mod-_P keys, finished as _rich_lines does it."""
-    rich, row_lines = richlines._row_lines(hs)
-    return rich, row_lines - sum(len(m) - 1 for m in rich.values())
+    lines, row_lines = richlines._row_lines(hs)
+    return lines, row_lines - sum(len(m) - 1 for m in lines)
 
 
 def _kernels(hs, workers=1):
@@ -202,15 +240,17 @@ def _kernels(hs, workers=1):
 
 
 def _assert_matches_exact(points, out):
-    """out has the serial all-exact kernel's table, member lists, key
-    order and 2-point count, and the oracle's lines, members and 2-point
-    count."""
+    """out has the serial all-exact kernel's member lists, in its order
+    (by first and second member), and 2-point count, and the oracle's
+    lines, members and 2-point count."""
     exact = _exact([p.h for p in points])
-    assert list(out[0].items()) == list(exact[0].items())
+    assert out[0] == exact[0]
     assert out[1] == exact[1]
+    assert [m[:2] for m in out[0]] == sorted(m[:2] for m in out[0])
     brute = brute_multiplicities(points)
-    assert sorted(out[0]) == sorted(k for k, m in brute.items() if m >= 3)
-    for (a, b, c), members in out[0].items():
+    keys = [join(points[m[0]], points[m[1]]).l for m in out[0]]
+    assert sorted(keys) == sorted(k for k, m in brute.items() if m >= 3)
+    for (a, b, c), members in zip(keys, out[0]):
         assert members == [i for i, p in enumerate(points)
                            if a * p.h[0] + b * p.h[1] + c * p.h[2] == 0]
     assert out[1] == sum(1 for m in brute.values() if m == 2)
@@ -339,8 +379,28 @@ def test_workers_keep_the_serial_key_order(make):
     serial = richlines._rich_lines(hs)
     parallel = richlines._rich_lines(hs, workers=2)
     assert len(serial[0]) >= 3
-    assert list(parallel[0].items()) == list(serial[0].items())
-    assert parallel[1] == serial[1]
+    assert parallel == serial
+
+
+@pytest.mark.parametrize("make", [lambda: gen_grid(5),
+                                  lambda: gen_parallel_aps(5),
+                                  _cantilever_points],
+                         ids=["grid", "parallel-aps", "mod-p"])
+def test_keyed_tables_in_serial_order(make):
+    # spanned_lines and line_members key each line by its canonical
+    # triple, in the order of (first member, second member)
+    ps = make()
+    members = line_members(ps)
+    brute = brute_multiplicities(list(ps.points))
+    assert list(members) == [join(ps.points[m[0]], ps.points[m[1]]).l
+                             for m in members.values()]
+    assert [m[:2] for m in members.values()] == sorted(
+        m[:2] for m in members.values())
+    assert {key: len(m) for key, m in members.items()} == {
+        key: m for key, m in brute.items() if m >= 3}
+    table = spanned_lines(ps)
+    assert list(table.entries.items()) == [(key, len(m))
+                                           for key, m in members.items()]
 
 
 def test_anchors_at_infinity_take_the_exact_row(monkeypatch):

@@ -1,20 +1,22 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from orchard import (ConvergenceError, CuspidalCubic, DegenerateError,
-                     SampledArc, WeierstrassCurve, build_tenpoint_cuspidal,
-                     build_tenpoint_weierstrass, collinear, cuspidal_form,
-                     extend_cantilever, fit_cubics, halve_parameter_demo,
-                     incident, join, meet, mk_point, nine_point_check,
-                     parallel_lines_arcs, standard_system_ok,
+                     ProjPoint, SampledArc, WeierstrassCurve,
+                     build_tenpoint_cuspidal, build_tenpoint_weierstrass,
+                     collinear, cuspidal_form, extend_cantilever, fit_cubics,
+                     halve_parameter_demo, incident, join, meet, mk_point,
+                     nine_point_check, parallel_lines_arcs, projective,
+                     richlines, standard_system_ok, tenpoint,
                      three_lines_multiplicative_arcs, verify_lattice,
                      weierstrass_form)
 from orchard.tenpoint import (describe_lattice_witness, lattice_witness,
                               middle_offset_multiplicative)
-from oracles import brute_lattice
+from oracles import brute_lattice, brute_law_witness
 
 CURVE = WeierstrassCurve(0, 17)
 W_BASE = (mk_point(-2, 3), mk_point(-1, 4), mk_point(4, 9))
@@ -179,6 +181,55 @@ def test_broken_lattice_names_a_failing_witness(make, on_line):
     assert w.collinear is on_line
     i, j, k = w.values[0], -w.values[1], w.values[2]
     assert describe_lattice_witness(w).startswith(f"A{i}, B{j}, C{k} ")
+
+
+def test_lattice_witness_builds_no_canonical_line(monkeypatch):
+    objs = [_cuspidal_cantilever(), extend_cantilever(w_config(), 10),
+            _swap_b(_cuspidal_cantilever(), 3, 6), _b4_moved_off_every_line()]
+    calls = []
+    for module in (projective, richlines):
+        real = module.canonical_triple
+        monkeypatch.setattr(module, "canonical_triple",
+                            lambda *h, _real=real: calls.append(h) or _real(*h))
+    witnesses = [lattice_witness(obj) for obj in objs]
+    assert calls == []
+    assert [w is None for w in witnesses] == [True, True, False, False]
+
+
+@pytest.mark.parametrize("change, seed", [("value", s) for s in range(30)]
+                         + [("point", s) for s in range(10)])
+def test_lattice_witness_on_perturbed_roles_matches_brute(monkeypatch,
+                                                          change, seed):
+    # lattice_witness with one role value moved by a small step (the
+    # witness is then collinear), or one point moved up by 1 (then it is
+    # not): slope codes on the cuspidal cantilever, whose sequences
+    # revisit points, and mod-p rows on the Weierstrass one
+    rng = random.Random(seed)
+    obj = (extend_cantilever(build_tenpoint_cuspidal(-1, 0, 1, F(1, 10)), 12)
+           if seed % 2 else extend_cantilever(w_config(), 8))
+    law_witness, seen = tenpoint._law_witness, []
+
+    def perturbed(points, roles, operation):
+        points, roles = list(points), [list(r) for r in roles]
+        i = rng.randrange(len(roles))
+        if change == "value":
+            k = rng.randrange(len(roles[i]))
+            piece, value = roles[i][k]
+            roles[i][k] = (piece, value + rng.choice((-2, -1, 1, 2)))
+        else:
+            x, y, z = points[i].h
+            points[i] = ProjPoint((x, y + z, z))
+            assert len(set(points)) == len(points)
+        seen.append((points, roles, operation))
+        return law_witness(points, roles, operation)
+
+    monkeypatch.setattr(tenpoint, "_law_witness", perturbed)
+    w = lattice_witness(obj)
+    points, roles, operation = seen[0]
+    expected = brute_law_witness(points, roles, operation)
+    assert (w.indices, w.values, w.collinear) == expected
+    assert w.collinear is (change == "value")
+    assert w.points == tuple(points[i] for i in w.indices)
 
 
 def test_weierstrass_rejects_special_step():
