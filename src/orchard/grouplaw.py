@@ -410,7 +410,8 @@ def _law_witness(points: Sequence[ProjPoint],
         return LawWitness(idx, tuple(points[i] for i in idx),
                           (r1[1], r2[1], r3[1]), operation, on_line)
 
-    through: list[set[int]] = [set() for _ in points]   # ids of its lines
+    # through[i]: the numbers of the stored lines through point i
+    through: list[set[int]] = [set() for _ in points]
     for n, members in enumerate(_rich_lines([p.h for p in points])[0]):
         on = split(members)
         for r1, r2, r3 in product(on[1], on[2], on[3]):
