@@ -155,13 +155,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.tripartite is not None and (args.k is not None or args.exactly):
+        raise ValueError("--k and --exactly do not apply to --tripartite")
     ps = _load_pointset(args.infile)
-    if args.tripartite:
+    if args.tripartite is not None:
         pattern = [int(t) for t in args.tripartite.replace(",", "")]
-        print(tripartite_count(ps, pattern))
+        print(tripartite_count(ps, pattern, workers=args.workers))
         return 0
     table = spanned_lines(ps, workers=args.workers)
-    print(k_rich_count(table, args.k, exactly=args.exactly))
+    k = 3 if args.k is None else args.k
+    print(k_rich_count(table, k, exactly=args.exactly))
     return 0
 
 
@@ -427,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="k-rich or tripartite line counts")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, help="line richness (default 3)")
     p.add_argument("--exactly", action="store_true")
     p.add_argument("--tripartite", help="label pattern, e.g. 1,2,3 or 112")
     p.add_argument("--workers", type=int, default=1)

@@ -125,12 +125,17 @@ def _slope_row(hs: Sequence[tuple[int, int, int]], i: int,
                shift: int) -> RowLines:
     """Row i, for an affine point i, grouped by slope code (_slopes).
 
-    The row dict maps a code to its first j; only a repeated code builds
-    a member list.
+    A row of distinct codes holds no rich line and is counted by one
+    set.  Otherwise the row dict maps a code to its first j, and only a
+    repeated code builds a member list.
     """
+    codes = _slopes(hs, i, shift)
+    count = len(set(codes))
+    if count == len(codes):
+        return count, []
     first: dict[Optional[int], int] = {}
     repeated: dict[Optional[int], list[int]] = {}
-    for j, code in enumerate(_slopes(hs, i, shift), i + 1):
+    for j, code in enumerate(codes, i + 1):
         f = first.setdefault(code, j)
         if f != j:
             members = repeated.get(code)
@@ -138,7 +143,7 @@ def _slope_row(hs: Sequence[tuple[int, int, int]], i: int,
                 repeated[code] = [i, f, j]
             else:
                 members.append(j)
-    return len(first), sorted(repeated.values(), key=lambda m: m[1])
+    return count, sorted(repeated.values(), key=lambda m: m[1])
 
 
 def _exact_row(hs: Sequence[tuple[int, int, int]], i: int) -> RowLines:
@@ -378,12 +383,16 @@ def line_members(ps: PointSet) -> dict[tuple, list[int]]:
     return {_line(hs, m[0], m[1]): m for m in _rich_lines(hs)[0]}
 
 
-def tripartite_count(ps: PointSet, pattern: Iterable[int]) -> int:
+def tripartite_count(ps: PointSet, pattern: Iterable[int],
+                     workers: int = 1) -> int:
     """Lines containing three distinct points matching a label pattern.
 
     pattern is a multiset over {1,2,3} of size 3; e.g. (1,2,3) asks for
     one point of each group, (1,1,2) for two of group 1 and one of
-    group 2.
+    group 2.  A line's label counts are one packed sum: a point of group
+    g weighs 1 << (f * (g - 1)), and a field of f = n.bit_length() + 1
+    bits holds any count up to n, so no field carries into the next.
+    workers is passed on to _rich_lines.
     """
     if ps.labels is None:
         raise ValueError("tripartite_count needs a labelled PointSet")
@@ -394,17 +403,13 @@ def tripartite_count(ps: PointSet, pattern: Iterable[int]) -> int:
     missing = set(pat) - present
     if missing:
         raise ValueError(f"pattern references missing group {sorted(missing)}")
-    need = {g: pat.count(g) for g in set(pat)}
-    count = 0
-    for idxs in _rich_lines(ps.raw())[0]:
-        have = {g: 0 for g in need}
-        for i in idxs:
-            g = ps.labels[i]
-            if g in have:
-                have[g] += 1
-        if all(have[g] >= need[g] for g in need):
-            count += 1
-    return count
+    n1, n2, n3 = (pat.count(g) for g in (1, 2, 3))
+    f = ps.n.bit_length() + 1
+    mask = (1 << f) - 1
+    weight = [1 << (f * (g - 1)) for g in ps.labels].__getitem__
+    sums = (sum(map(weight, m)) for m in _rich_lines(ps.raw(), workers)[0])
+    return sum(1 for s in sums if (s & mask) >= n1
+               and (s >> f & mask) >= n2 and (s >> 2 * f) >= n3)
 
 
 def direction_count(ps: PointSet) -> int:
