@@ -392,7 +392,8 @@ def tripartite_count(ps: PointSet, pattern: Iterable[int],
     group 2.  A line's label counts are one packed sum: a point of group
     g weighs 1 << (f * (g - 1)), and a field of f = n.bit_length() + 1
     bits holds any count up to n, so no field carries into the next.
-    workers is passed on to _rich_lines.
+    With workers > 1 the rows are enumerated in separate processes; the
+    count is the single-worker one.
     """
     if ps.labels is None:
         raise ValueError("tripartite_count needs a labelled PointSet")

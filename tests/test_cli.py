@@ -9,8 +9,9 @@ from hypothesis import given, settings
 
 import orchard.cli as cli
 from orchard import (GroupDescription, PointSet, ProjPoint, collinear,
-                     gen_grid, gen_triangle_ratios, mk_point, richlines,
-                     spanned_lines, triple_line_count, tripartite_count)
+                     gen_grid, gen_parallel_aps, gen_triangle_ratios,
+                     mk_point, richlines, spanned_lines, triple_line_count,
+                     tripartite_count)
 from orchard.cli import pointset_from_doc, pointset_to_doc, run
 from oracles import brute_multiplicities
 
@@ -248,6 +249,7 @@ def test_cli_arguments_rejected(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["count", "--in", "{grid}", "--workers", "0"],
     ["count", "--in", "{grid}", "--workers", "-3"],
+    ["count", "--in", "{grid}", "--tripartite", ""],
     ["experiment", "--kind", "quadruple", "--degree", "3", "--n", "-1"],
     ["experiment", "--kind", "quadruple", "--degree", "3", "--n", "0"],
     ["experiment", "--kind", "directions", "--degree", "3", "--n", "0"],
@@ -258,6 +260,40 @@ def test_usage_error_leaves_stdout_empty(tmp_path, capsys, argv):
     assert run([str(grid) if a == "{grid}" else a for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra", [["--workers", "0"], ["--workers", "-3"],
+                                   ["--k", "3"], ["--k", "4"], ["--exactly"]])
+def test_tripartite_honours_or_rejects_count_flags(tmp_path, capsys, extra):
+    aps = tmp_path / "aps.json"
+    aps.write_text(json.dumps(pointset_to_doc(gen_parallel_aps(3))))
+    argv = ["count", "--in", str(aps), "--tripartite", "1,2,3"]
+    assert run_capture(capsys, argv) == (0, "5\n")
+    assert run(argv + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_tripartite_runs_on_the_given_workers(tmp_path, capsys, monkeypatch):
+    aps = tmp_path / "aps.json"
+    aps.write_text(json.dumps(pointset_to_doc(gen_parallel_aps(12))))
+    seen = []
+    rich_lines = richlines._rich_lines
+    monkeypatch.setattr(richlines, "_rich_lines", lambda hs, workers=1:
+                        seen.append(workers) or rich_lines(hs, workers))
+    argv = ["count", "--in", str(aps), "--tripartite", "1,2,3", "--workers"]
+    # rows x1 + x3 = 2 * x2 of 0..11: 6 * 6 pairs (x1, x3) of each parity
+    assert run_capture(capsys, argv + ["1"]) == (0, "72\n")
+    assert run_capture(capsys, argv + ["2"]) == (0, "72\n")
+    assert seen == [1, 2]
+
+
+def test_count_k_defaults_to_3(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(pointset_to_doc(gen_grid(3))))
+    argv = ["count", "--in", str(grid)]
+    assert run_capture(capsys, argv) == run_capture(capsys, argv + ["--k", "3"])
+    assert run_capture(capsys, argv + ["--exactly"]) == (0, "8\n")
 
 
 @pytest.mark.parametrize("indices", ["-1,-2,-3", "0,1,5", "3"])

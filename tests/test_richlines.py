@@ -163,6 +163,69 @@ def test_tripartite_single_group_consistency():
         tripartite_count(gen_grid(3), (1, 1, 1))   # no labels at all
 
 
+PACKED_PATTERNS = [(1, 1, 2), (1, 2, 2), (2, 2, 2), (3, 3, 1), (1, 2, 3)]
+
+
+def _mixed_labels(points, seed):
+    """The points, labelled at random from {1, 2, 3} with each group used."""
+    rng = random.Random(seed)
+    while True:
+        labels = tuple(rng.choice((1, 2, 3)) for _ in points)
+        if len(set(labels)) == 3:
+            return PointSet(tuple(points), labels)
+
+
+@pytest.mark.parametrize("pattern", PACKED_PATTERNS)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("make", [lambda: gen_grid(5).points,
+                                  lambda: _with_infinity()],
+                         ids=["grid", "infinity"])
+def test_packed_label_counts_match_brute(make, seed, pattern):
+    ps = _mixed_labels(make(), seed)
+    lines = richlines._rich_lines(ps.raw())[0]
+    assert max(len(m) for m in lines) >= 4
+    assert any(len({ps.labels[i] for i in m}) == 3 for m in lines)
+    assert tripartite_count(ps, pattern) == brute_tripartite(
+        list(ps.points), list(ps.labels), pattern)
+
+
+# the lines of _long_line_set: y = 0 holds 300 points of group 1, x = 0
+# holds (0, 0) of group 1, two points of group 2 and one of group 3
+LONG_LINE_COUNTS = {(1, 1, 1): 1, (1, 1, 2): 0, (1, 1, 3): 0, (1, 2, 2): 1,
+                    (1, 2, 3): 1, (1, 3, 3): 0, (2, 2, 2): 0, (2, 2, 3): 1,
+                    (2, 3, 3): 0, (3, 3, 3): 0}
+
+
+def _long_line_set(relabel):
+    """300 points of one group on y = 0, more than an 8-bit field holds,
+    and a mixed line x = 0; group g is renamed relabel[g - 1]."""
+    pts = [mk_point(x, 0) for x in range(300)]
+    pts += [mk_point(0, 1), mk_point(0, 2), mk_point(0, -1)]
+    labels = [1] * 300 + [2, 2, 3]
+    return PointSet(tuple(pts), tuple(relabel[g - 1] for g in labels))
+
+
+@pytest.mark.parametrize("relabel", [(1, 2, 3), (2, 3, 1), (3, 1, 2)])
+def test_packed_label_counts_on_a_long_line(relabel):
+    # a count of 300 in a field of 8 bits would carry one into the next
+    # group's field, and (1, 1, 2) would count the line y = 0
+    ps = _long_line_set(relabel)
+    assert sorted(len(m) for m in richlines._rich_lines(ps.raw())[0]) == \
+        [4, 300]
+    for pattern, count in LONG_LINE_COUNTS.items():
+        assert tripartite_count(ps, [relabel[g - 1] for g in pattern]) == \
+            count
+
+
+def test_packed_label_counts_with_workers():
+    ps = _long_line_set((1, 2, 3))
+    for pattern, count in LONG_LINE_COUNTS.items():
+        assert tripartite_count(ps, pattern, workers=2) == count
+    mixed = _mixed_labels(_with_infinity(), 0)
+    assert [tripartite_count(mixed, p, workers=2) for p in PACKED_PATTERNS] \
+        == [tripartite_count(mixed, p) for p in PACKED_PATTERNS]
+
+
 def test_direction_count_examples():
     sq = PointSet((mk_point(0, 0), mk_point(1, 0), mk_point(0, 1),
                    mk_point(1, 1)))
@@ -420,6 +483,42 @@ def test_anchors_at_infinity_take_the_exact_row(monkeypatch):
     assert rows["exact"] == [i for i, p in enumerate(points) if p.at_infinity]
     assert sorted(rows["slope"] + rows["exact"]) == list(range(len(points)))
     _assert_matches_exact(points, out)
+
+
+def _assert_rows_match_exact(points):
+    """Every row of the affine points, grouped by slope code, has the
+    all-exact row's count and member lists."""
+    hs = [p.h for p in points]
+    shift = richlines._slope_shift(richlines._coord_bits(hs))
+    for i in range(len(hs)):
+        assert richlines._slope_row(hs, i, shift) == \
+            richlines._exact_row(hs, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3),
+                          st.integers(-4, 4), st.integers(1, 3)),
+                min_size=2, max_size=16))
+def test_slope_row_matches_exact_row(coords):
+    points = list({mk_point(F(a, b), F(c, d)): None
+                   for a, b, c, d in coords})
+    _assert_rows_match_exact(points)
+
+
+def test_slope_row_with_one_vertical_join():
+    # row 0: (0, 0) -> (0, 5) is its one vertical join, the None code;
+    # the other codes are distinct, then one of them repeats
+    points = [mk_point(0, 0), mk_point(0, 5), mk_point(1, 1), mk_point(1, 3),
+              mk_point(2, 3)]
+    hs = [p.h for p in points]
+    shift = richlines._slope_shift(richlines._coord_bits(hs))
+    assert richlines._slopes(hs, 0, shift).count(None) == 1
+    assert richlines._slope_row(hs, 0, shift) == (4, [])
+    points.append(mk_point(2, 2))           # on the line y = x of row 0
+    hs = [p.h for p in points]
+    assert richlines._slopes(hs, 0, shift).count(None) == 1
+    assert richlines._slope_row(hs, 0, shift) == (4, [[0, 2, 5]])
+    _assert_rows_match_exact(points)
 
 
 def _egcd(a, b):
