@@ -17,35 +17,21 @@ import random
 import sys
 from fractions import Fraction
 
+from . import _EXPORTS
 from .projective import (DegenerateError, ProjPoint, join, meet, mk_point,
                          point_from_rationals)
 from .richlines import (InvariantViolation, PointSet, direction_count,
                         green_tao_bound, k_rich_count, spanned_lines,
                         tripartite_count)
 
-# The names below are imported from their module on first use, by
-# __getattr__, so that a call loads only the modules its subcommand
-# runs.  Code here reaches them as _cli.<name>: a bare name would not
-# reach __getattr__, and a name replaced on this module (by a test or a
-# tracer) is then the one called.
-_LAZY = {name: module for module, names in (
-    ("conic", "ExternalPoint image_count involution_value "
-              "parabola_collinear reps_collinear"),
-    ("cubics", "fit_cubics"),
-    ("curves", "dichotomy_experiment few_directions_experiment graph_power "
-               "quadruple_experiment"),
-    ("generators", "gen_cubic_power gen_grid gen_ngon_directions "
-                   "gen_parabola_ap gen_parallel_aps gen_triangle_ratios "
-                   "ratio_point"),
-    ("grouplaw", "CuspidalCubic WeierstrassCurve cuspidal_description "
-                 "description_witness hyperbola_infinity_description "
-                 "parabola_infinity_description parallel_lines_description "
-                 "triangle_description"),
-    ("svg", "render_pointset"),
-    ("tenpoint", "build_tenpoint_cuspidal build_tenpoint_weierstrass "
-                 "describe_lattice_witness extend_cantilever "
-                 "lattice_witness verify_lattice"),
-) for name in names.split()}
+# Every name of the package's export table, and two names that it does
+# not export, is imported from its module on first use by __getattr__,
+# so that a call loads only the modules its subcommand runs.  Code here
+# calls these names, and the ones a tracer replaces, as _cli.<name>: a
+# bare lazy name would not reach __getattr__, and a name replaced on
+# this module (by a test or a tracer) is then the one called.
+_LAZY = {**_EXPORTS, "describe_lattice_witness": "tenpoint",
+         "render_pointset": "svg"}
 _cli = sys.modules[__name__]
 
 
@@ -120,7 +106,11 @@ def pointset_from_doc(doc) -> PointSet:
 
 def _load_pointset(path: str) -> PointSet:
     with open(path, "r", encoding="utf-8") as fh:
-        return pointset_from_doc(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("points file is nested too deeply") from None
+    return pointset_from_doc(doc)
 
 
 def _emit(text: str, out: str | None):
@@ -157,19 +147,19 @@ def cmd_generate(args) -> int:
 def cmd_count(args) -> int:
     if args.tripartite is not None and (args.k is not None or args.exactly):
         raise ValueError("--k and --exactly do not apply to --tripartite")
-    ps = _load_pointset(args.infile)
+    ps = _cli._load_pointset(args.infile)
     if args.tripartite is not None:
         pattern = [int(t) for t in args.tripartite.replace(",", "")]
-        print(tripartite_count(ps, pattern, workers=args.workers))
+        print(_cli.tripartite_count(ps, pattern, workers=args.workers))
         return 0
-    table = spanned_lines(ps, workers=args.workers)
+    table = _cli.spanned_lines(ps, workers=args.workers)
     k = 3 if args.k is None else args.k
-    print(k_rich_count(table, k, exactly=args.exactly))
+    print(_cli.k_rich_count(table, k, exactly=args.exactly))
     return 0
 
 
 def cmd_directions(args) -> int:
-    print(direction_count(_load_pointset(args.infile)))
+    print(direction_count(_cli._load_pointset(args.infile)))
     return 0
 
 
@@ -179,7 +169,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_fit_cubic(args) -> int:
-    ps = _load_pointset(args.infile)
+    ps = _cli._load_pointset(args.infile)
     pts = list(ps.points)
     if args.indices:
         idx = [int(i) for i in args.indices.split(",")]
@@ -402,7 +392,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    ps = _load_pointset(args.infile)
+    ps = _cli._load_pointset(args.infile)
     svg = _cli.render_pointset(ps, mark_triple_lines=args.mark_triple_lines)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -506,9 +496,6 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

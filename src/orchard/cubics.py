@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .projective import ProjLine, ProjPoint, Rat
@@ -24,13 +25,10 @@ _NAMES = ("X^3", "X^2*Y", "X^2*Z", "X*Y^2", "X*Y*Z",
 
 
 def _canonical_coeffs(cs: Sequence[int]) -> tuple[int, ...]:
-    if all(c == 0 for c in cs):
+    g = gcd(*cs)
+    if not g:
         raise ValueError("zero cubic form")
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
-    lead = next(c for c in cs if c != 0)
-    if lead < 0:
+    if next(c for c in cs if c) < 0:
         g = -g
     return tuple(c // g for c in cs)
 
@@ -48,9 +46,7 @@ class CubicForm:
     @classmethod
     def from_rationals(cls, cs: Sequence[Rat]) -> "CubicForm":
         fs = [Fraction(c) for c in cs]
-        m = 1
-        for f in fs:
-            m = m * f.denominator // gcd(m, f.denominator)
+        m = lcm(*(f.denominator for f in fs))
         return cls(tuple(int(f * m) for f in fs))
 
     def evaluate(self, p: ProjPoint) -> int:
@@ -114,9 +110,7 @@ def _nullspace_basis(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
         vec[fc] = Fraction(1)
         for col, prow in pivots.items():
             vec[col] = -prow[fc]
-        m = 1
-        for v in vec:
-            m = m * v.denominator // gcd(m, v.denominator)
+        m = lcm(*(v.denominator for v in vec))
         basis.append(_canonical_coeffs([int(v * m) for v in vec]))
     return basis
 
@@ -137,67 +131,47 @@ def on_common_cubic(points: Sequence[ProjPoint]) -> Optional[CubicForm]:
 
 # --- divisibility by linear forms -----------------------------------------
 
-def _as_xdict(coeffs: Sequence[Rat], degree: int, var: int) -> dict:
-    """Form of the given degree as {power of chosen var: residual form}."""
-    monos = _degree_monomials(degree)
-    out: dict[int, dict] = {}
-    for (e, c) in zip(monos, coeffs):
-        if c:
-            rest = tuple(e[v] for v in range(3) if v != var)
-            out.setdefault(e[var], {})[rest] = Fraction(c)
-    return out
-
-
 def _degree_monomials(d: int) -> list[tuple[int, int, int]]:
-    if d == 3:
-        return list(MONOMIALS)
+    """Exponent triples of degree d, in the order of MONOMIALS."""
     return [(i, j, d - i - j) for i in range(d, -1, -1)
             for j in range(d - i, -1, -1)]
+
+
+def _shift(e: tuple[int, ...], var: int, by: int) -> tuple[int, ...]:
+    return tuple(x + by if v == var else x for v, x in enumerate(e))
 
 
 def divide_by_line(coeffs: Sequence[Rat], degree: int,
                    line: ProjLine) -> Optional[list[Fraction]]:
     """Quotient coefficients of a degree-d form by a linear form, or None.
 
-    Treats the form as a polynomial in the variable with nonzero line
-    coefficient and performs synthetic division; exact zero remainder
-    is required.  Quotient is over the degree-(d-1) monomial list.
+    The form is one {exponent triple: coefficient} map, divided with
+    the highest power of v (the first variable with a nonzero line
+    coefficient) first: a term c*m with v | m puts q = c / l_v on m / v
+    in the quotient and subtracts q * (m / v) * L, which clears it.  The
+    terms free of v that remain must be exactly zero.  Coefficients and
+    quotient follow the degree's monomial list (MONOMIALS for degree 3);
+    a list of another length raises ValueError.
     """
+    monos = _degree_monomials(degree)
+    if len(coeffs) != len(monos):
+        raise ValueError(f"a degree-{degree} form has {len(monos)} "
+                         f"coefficients, not {len(coeffs)}")
     la = line.l
     var = next(v for v in range(3) if la[v])
-    others = [v for v in range(3) if v != var]
-    fdict = _as_xdict(coeffs, degree, var)
-    lead = Fraction(la[var])
-    tail = {others[0]: Fraction(la[others[0]]),
-            others[1]: Fraction(la[others[1]])}
-
-    # rem maps (power of var, rest-exponents) -> coefficient
-    rem: dict[tuple, Fraction] = {}
-    for p, d in fdict.items():
-        for rest, c in d.items():
-            rem[(p, rest)] = c
-    quot: dict[tuple, Fraction] = {}
-    for p in range(degree, 0, -1):
-        terms = [(key, c) for key, c in rem.items() if key[0] == p and c]
-        for (p0, rest), c in terms:
-            q = c / lead
-            qkey = (p0 - 1, rest)
-            quot[qkey] = quot.get(qkey, Fraction(0)) + q
-            del rem[(p0, rest)]
-            # subtract q * var^{p-1} * (tail part of the line)
-            for idx, v in enumerate(others):
-                if tail[v]:
-                    nrest = list(rest)
-                    nrest[idx] += 1
-                    rkey = (p0 - 1, tuple(nrest))
-                    rem[rkey] = rem.get(rkey, Fraction(0)) - q * tail[v]
-    if any(rem.values()):
-        return None
-    out = []
-    for e in _degree_monomials(degree - 1):
-        rest = tuple(e[v] for v in range(3) if v != var)
-        out.append(quot.get((e[var], rest), Fraction(0)))
-    return out
+    rem = {e: Fraction(c) for e, c in zip(monos, coeffs)}
+    quot: dict[tuple[int, int, int], Fraction] = {}
+    for e in sorted(monos, key=lambda e: -e[var]):
+        c = rem[e]
+        if not c:
+            continue
+        if not e[var]:
+            return None
+        base = _shift(e, var, -1)
+        quot[base] = q = c / la[var]
+        for v in range(3):
+            rem[_shift(base, v, 1)] -= q * la[v]
+    return [quot.get(e, Fraction(0)) for e in _degree_monomials(degree - 1)]
 
 
 def line_divides(f: CubicForm, line: ProjLine) -> bool:
@@ -206,16 +180,11 @@ def line_divides(f: CubicForm, line: ProjLine) -> bool:
 
 def cubic_from_lines(l1: ProjLine, l2: ProjLine, l3: ProjLine) -> CubicForm:
     """The degenerate cubic that is the product of three lines."""
-    cs = [0] * 10
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                e = [0, 0, 0]
-                e[a] += 1
-                e[b] += 1
-                e[c] += 1
-                cs[MONOMIALS.index(tuple(e))] += l1.l[a] * l2.l[b] * l3.l[c]
-    return CubicForm(tuple(cs))
+    cs = dict.fromkeys(MONOMIALS, 0)
+    for t in product(range(3), repeat=3):
+        e = tuple(map(t.count, range(3)))
+        cs[e] += l1.l[t[0]] * l2.l[t[1]] * l3.l[t[2]]
+    return CubicForm(tuple(cs.values()))
 
 
 @dataclass(frozen=True)

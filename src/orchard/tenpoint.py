@@ -295,41 +295,57 @@ def standard_system_ok(alpha: SampledArc, beta: SampledArc,
     return True
 
 
+def _first_root(g: Callable[[float], Optional[float]], lo: float,
+                hi: float, iters: int) -> Optional[float]:
+    """The first root of g on [lo, hi] at 257 even samples, or None.
+
+    A sample where g is 0 is returned as it is; the first sign change
+    between two samples where g is defined is bisected until g is 0,
+    the bracket is narrower than 1e-14 or iters midpoints have been
+    tried, and the last midpoint is returned.  Samples where g is None
+    are skipped; g None at a midpoint raises ConvergenceError.
+    """
+    prev = None
+    for t in range(257):
+        x = lo + (hi - lo) * t / 256
+        gx = g(x)
+        if gx is None:
+            continue
+        if gx == 0.0:
+            return x
+        if prev is not None and prev[1] * gx < 0.0:
+            break
+        prev = (x, gx)
+    else:
+        return None
+    (a, ga), b = prev, x
+    mid = a
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        gm = g(mid)
+        if gm is None:
+            raise ConvergenceError("construction left the arcs "
+                                   "mid-bisection")
+        if gm == 0.0 or b - a < 1e-14:
+            break
+        if ga * gm < 0.0:
+            b = mid
+        else:
+            a, ga = mid, gm
+    return mid
+
+
 def _line_arc_x(p: tuple[float, float], q: tuple[float, float],
-                arc: SampledArc, samples: int = 256) -> Optional[float]:
+                arc: SampledArc) -> Optional[float]:
     """x-coordinate where the line pq crosses the arc, None if it
-    misses the arc's interval.  Bisection on the sampled sign change."""
+    misses the arc's interval."""
     x1, y1 = p
     x2, y2 = q
     if x1 == x2:
         return x1 if arc.inside(x1) else None
     slope = (y2 - y1) / (x2 - x1)
-
-    def h(x: float) -> float:
-        return arc.fn(x) - (y1 + slope * (x - x1))
-
-    lo, hi = arc.lo, arc.hi
-    xs = [lo + (hi - lo) * t / samples for t in range(samples + 1)]
-    hs = [h(x) for x in xs]
-    for idx in range(samples):
-        if hs[idx] == 0.0:
-            return xs[idx]
-        if hs[idx] * hs[idx + 1] < 0.0:
-            a, b = xs[idx], xs[idx + 1]
-            fa = hs[idx]
-            for _ in range(100):
-                mid = 0.5 * (a + b)
-                fm = h(mid)
-                if fm == 0.0:
-                    return mid
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            return 0.5 * (a + b)
-    if hs[-1] == 0.0:
-        return xs[-1]
-    return None
+    return _first_root(lambda x: arc.fn(x) - (y1 + slope * (x - x1)),
+                       arc.lo, arc.hi, 100)
 
 
 def halve_parameter_demo(alpha: SampledArc, beta: SampledArc,
@@ -352,57 +368,22 @@ def halve_parameter_demo(alpha: SampledArc, beta: SampledArc,
     a0 = (0.0, alpha.fn(0.0))
     c0 = (0.0, gamma.fn(0.0))
 
-    def bx_of(px: float) -> Optional[float]:
+    def gap(px: float) -> Optional[float]:
+        # B(P)'s x minus B's; None where the construction leaves the arcs
         pp = (px, beta.fn(px))
         ax = _line_arc_x(pp, c0, alpha)
-        if ax is None:
-            return None
         cx = _line_arc_x(pp, a0, gamma)
-        if cx is None:
+        if ax is None or cx is None:
             return None
         bx = _line_arc_x((ax, alpha.fn(ax)), (cx, gamma.fn(cx)), beta)
-        return bx
+        return None if bx is None else bx - b_x
 
-    # bracket the root of bx_of(x) - b_x among valid sample points
-    samples = 256
-    grid = [beta.lo + (beta.hi - beta.lo) * t / samples
-            for t in range(samples + 1)]
-    vals = []
-    for x in grid:
-        bx = bx_of(x)
-        if bx is not None:
-            vals.append((x, bx - b_x))
-    bracket = None
-    for (xa, ga), (xb, gb) in zip(vals, vals[1:]):
-        if ga == 0.0:
-            bracket = (xa, xa)
-            break
-        if ga * gb < 0.0:
-            bracket = (xa, xb)
-            break
-    if bracket is None:
-        if vals and vals[-1][1] == 0.0:
-            bracket = (vals[-1][0], vals[-1][0])
-        else:
-            raise ConvergenceError("no bracketing interval: the target is "
-                                   "out of the construction's range")
-    lo, hi = bracket
-    glo = bx_of(lo) - b_x
-    root = lo
-    for _ in range(max_iter):
-        root = 0.5 * (lo + hi)
-        g = bx_of(root)
-        g = (g - b_x) if g is not None else None
-        if g is None:
-            raise ConvergenceError("construction left the arcs mid-bisection")
-        if g == 0.0 or (hi - lo) < 1e-14:
-            break
-        if glo * g < 0.0:
-            hi = root
-        else:
-            lo, glo = root, g
-    final = bx_of(root)
-    if final is None or abs(final - b_x) > tol:
+    root = _first_root(gap, beta.lo, beta.hi, max_iter)
+    if root is None:
+        raise ConvergenceError("no bracketing interval: the target is "
+                               "out of the construction's range")
+    final = gap(root)
+    if final is None or abs(final) > tol:
         raise ConvergenceError(f"bisection did not reach tolerance {tol}")
     return root, beta.fn(root)
 

@@ -208,6 +208,16 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["count", "--in", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", [["count"], ["directions"],
+                                     ["fit-cubic"]])
+def test_deeply_nested_points_file_is_bad_input(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    assert run(command + ["--in", str(deep)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 TWO_POINTS = [{"x": "1", "y": "2"}, {"x": "3", "y": "4"}]
 
 
@@ -313,6 +323,43 @@ def test_lookup_errors_are_internal(monkeypatch, capsys, error):
     assert run(["bound", "--n", "12"]) == 3
     assert capsys.readouterr().err.startswith(
         f"internal error: {error.__name__}: ")
+
+
+def test_lazy_names_resolve_to_the_exports():
+    import orchard
+    for name in orchard.__all__:
+        assert getattr(cli, name) is getattr(orchard, name)
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+CANTILEVER = ["cantilever", "--curve", "weierstrass:0,17",
+              "--base=-2:3,-1:4,4:9", "--delta", "8:23", "--extend", "2"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("_load_pointset", ["count", "--in", "{aps}"]),
+    ("spanned_lines", ["count", "--in", "{aps}"]),
+    ("k_rich_count", ["count", "--in", "{aps}"]),
+    ("tripartite_count", ["count", "--in", "{aps}", "--tripartite", "123"]),
+    ("build_tenpoint_weierstrass", CANTILEVER),
+    ("extend_cantilever", CANTILEVER),
+    ("verify_lattice", CANTILEVER),
+])
+def test_cli_calls_the_name_set_on_the_module(tmp_path, capsys, monkeypatch,
+                                              name, argv):
+    """A tracer wraps these names on orchard.cli; the wrapper must be the
+    function that a call runs."""
+    aps = tmp_path / "aps.json"
+    aps.write_text(json.dumps(pointset_to_doc(gen_parallel_aps(3))))
+    argv = [str(aps) if a == "{aps}" else a for a in argv]
+    code, out = run_capture(capsys, argv)
+    seen = []
+    fn = getattr(cli, name)
+    monkeypatch.setattr(cli, name,
+                        lambda *a, **k: seen.append(1) or fn(*a, **k))
+    assert run_capture(capsys, argv) == (code, out) and code == 0
+    assert seen == [1]
 
 
 TENPOINT = ["tenpoint", "--curve", "cuspidal", "--base=-1,0,1",

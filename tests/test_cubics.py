@@ -10,6 +10,7 @@ from orchard import (CubicForm, ProjLine, ProjPoint, classify_with_candidates,
                      cubic_from_lines, cuspidal_form, fit_cubics,
                      gen_cubic_power, gen_grid, join, line_divides, mk_point,
                      on_common_cubic, weierstrass_form)
+from orchard.cubics import MONOMIALS, divide_by_line
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
@@ -157,3 +158,51 @@ def test_weierstrass_form_membership():
     assert not f.contains(mk_point(0, 0))
     g = weierstrass_form(F(1, 2), F(3, 16))
     assert g.contains(mk_point(F(1, 2), F(3, 4)))   # 9/16 = 1/8 + 1/4 + 3/16
+
+
+def monomials(d):
+    """Exponent triples of degree d: X first, then Y, then Z."""
+    return [(i, j, d - i - j) for i in range(d, -1, -1)
+            for j in range(d - i, -1, -1)]
+
+
+def times_line(l, q, d):
+    """Coefficients of L * q, q of degree d - 1, multiplied out term by
+    term over the degree-d monomials."""
+    out = dict.fromkeys(monomials(d), F(0))
+    for (i, j, k), c in zip(monomials(d - 1), q):
+        out[(i + 1, j, k)] += l[0] * c
+        out[(i, j + 1, k)] += l[1] * c
+        out[(i, j, k + 1)] += l[2] * c
+    return list(out.values())
+
+
+lines = (st.tuples(*[st.integers(-6, 6)] * 3).filter(any).map(ProjLine))
+
+
+@given(st.integers(1, 3), lines, st.data())
+def test_divide_by_line_inverts_multiplication(d, line, data):
+    assert monomials(3) == list(MONOMIALS)
+    n = len(monomials(d - 1))
+    q = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    f = times_line(line.l, q, d)
+    assert divide_by_line(f, d, line) == q
+    # L cannot divide f + c*m for a monomial m free of v, the first
+    # variable with a nonzero coefficient in L
+    v = next(i for i in range(3) if line.l[i])
+    free = [e for e in monomials(d) if e[v] == 0]
+    at = monomials(d).index(data.draw(st.sampled_from(free)))
+    f[at] += data.draw(rationals.filter(bool))
+    assert divide_by_line(f, d, line) is None
+
+
+def test_divide_by_line_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        divide_by_line([1, 0, 0], 3, ProjLine((1, 0, 0)))
+    line = ProjLine((1, -1, 0))
+    f = list(cubic_from_lines(line, line, ProjLine((0, 0, 1))).coefficients)
+    assert divide_by_line(f, 3, line) is not None
+    with pytest.raises(ValueError):
+        divide_by_line(f + [1], 3, line)
+    with pytest.raises(ValueError):
+        divide_by_line(f[:6], 3, line)

@@ -271,3 +271,16 @@ def test_halving_out_of_range():
     alpha, beta, gamma = three_lines_multiplicative_arcs()
     with pytest.raises(ConvergenceError):
         halve_parameter_demo(alpha, beta, gamma, 0.89)
+
+
+def test_first_root_skips_undefined_samples():
+    first_root = tenpoint._first_root
+    # g undefined left of 0.3; its first root on [-1, 1] is 0.6
+    g = lambda x: None if x < 0.3 else (x - 0.6) * (x - 0.9)
+    assert abs(first_root(g, -1.0, 1.0, 200) - 0.6) < 1e-13
+    assert first_root(lambda x: x + 0.5, -1.0, 1.0, 200) == -0.5
+    assert first_root(lambda x: x * x + 1.0, -1.0, 1.0, 200) is None
+    assert first_root(lambda x: None, -1.0, 1.0, 200) is None
+    with pytest.raises(ConvergenceError):
+        first_root(lambda x: None if 0.2 < x < 0.3 else x - 0.25,
+                   -1.0, 1.0, 200)
