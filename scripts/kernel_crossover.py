@@ -17,7 +17,7 @@ import statistics
 import time
 
 from orchard import richlines
-from orchard.projective import canonical_triple
+from orchard.projective import canonical
 
 SLOPE, MOD_P = 10 ** 9, -1      # _BIG_BITS values that force each kernel
 
@@ -25,7 +25,7 @@ SLOPE, MOD_P = 10 ** 9, -1      # _BIG_BITS values that force each kernel
 def random_points(rng: random.Random, bits: int, n: int = 400) -> list:
     def coord():
         return rng.getrandbits(bits) - (1 << (bits - 1))
-    return [canonical_triple(coord(), coord(), rng.getrandbits(bits) | 1)
+    return [canonical((coord(), coord(), rng.getrandbits(bits) | 1))
             for _ in range(n)]
 
 
@@ -39,7 +39,7 @@ def rich_points(rng: random.Random, bits: int, m: int = 133) -> list:
                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
         if det:
             break
-    return [canonical_triple(*(r[0] * x + r[1] * y + r[2] for r in a))
+    return [canonical([r[0] * x + r[1] * y + r[2] for r in a])
             for y in (0, 1, 2) for x in range(m)]
 
 

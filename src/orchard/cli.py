@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import _EXPORTS
 from .projective import (DegenerateError, ProjPoint, join, meet, mk_point,
-                         point_from_rationals)
+                         point_from_rationals, triangle_sides)
 from .richlines import (InvariantViolation, PointSet, direction_count,
                         green_tao_bound, k_rich_count, spanned_lines,
                         tripartite_count)
@@ -203,8 +203,7 @@ def _triangle_cases(trials: int, rng: random.Random):
     """One point per side of _TRIANGLE, for each trial that is not
     degenerate: at random ratios on even trials, cut by a random line
     (so collinear) on odd ones."""
-    p1, p2, p3 = _TRIANGLE
-    sides = [(p3, p2), (p1, p3), (p2, p1)]
+    sides = triangle_sides(*_TRIANGLE)
     for t in range(trials):
         if t % 2 == 0:
             xs = [_cli.ratio_point(a, b, _nonzero(rng)) for a, b in sides]
@@ -258,11 +257,9 @@ def cmd_group_check(args) -> int:
     elif name == "parabola-inf":
         desc = _cli.parabola_infinity_description()
         cases = _conic_cases(True, args.trials, rng)
-    elif name == "hyperbola-inf":
+    else:
         desc = _cli.hyperbola_infinity_description()
         cases = _conic_cases(False, args.trials, rng)
-    else:
-        raise ValueError(f"unknown group-check config {name!r}")
     witnesses = [w for w in (_cli.description_witness(ps, desc)
                              for ps in cases) if w is not None]
     if exhaustive:
@@ -327,12 +324,6 @@ def _tenpoint_common(args) -> int:
     return 0
 
 
-def cmd_cantilever(args) -> int:
-    if args.extend is None:
-        raise ValueError("cantilever requires --extend M")
-    return _tenpoint_common(args)
-
-
 _CONIC_NEEDS = {"collinear": ("external", "x", "y"),
                "involution": ("external", "x"),
                "image-count": ("external", "xs"),
@@ -381,13 +372,11 @@ def cmd_experiment(args) -> int:
                                           range(-n, n + 1))
         print("degree,n,count")
         print(f"{d},{n},{count}")
-    elif args.kind == "directions":
+    else:
         count = _cli.few_directions_experiment(_cli.graph_power(d),
                                                range(1, n + 1))
         print("degree,n,count")
         print(f"{d},{n},{count}")
-    else:
-        raise ValueError(f"unknown experiment kind {args.kind!r}")
     return 0
 
 
@@ -449,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_group_check)
 
-    for name, fn in (("tenpoint", _tenpoint_common),
-                     ("cantilever", cmd_cantilever)):
+    for name in ("tenpoint", "cantilever"):
         p = sub.add_parser(name, help="build and verify a ten point "
                                       "configuration (optionally extended)")
         p.add_argument("--curve", required=True,
@@ -460,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "x1:y1,x2:y2,x3:y3")
         p.add_argument("--delta", required=True,
                        help="cuspidal: rational step; weierstrass: x:y point")
-        p.add_argument("--extend", type=int, default=None)
-        p.set_defaults(func=fn)
+        p.add_argument("--extend", type=int, required=name == "cantilever")
+        p.set_defaults(func=_tenpoint_common)
 
     p = sub.add_parser("conic", help="parabola secant/involution utilities")
     p.add_argument("--mode", required=True,

@@ -12,25 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .projective import ProjLine, ProjPoint, Rat
+from .projective import ProjLine, ProjPoint, Rat, canonical, integral
 
 MONOMIALS = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
              (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3))
 
 _NAMES = ("X^3", "X^2*Y", "X^2*Z", "X*Y^2", "X*Y*Z",
           "X*Z^2", "Y^3", "Y^2*Z", "Y*Z^2", "Z^3")
-
-
-def _canonical_coeffs(cs: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*cs)
-    if not g:
-        raise ValueError("zero cubic form")
-    if next(c for c in cs if c) < 0:
-        g = -g
-    return tuple(c // g for c in cs)
 
 
 @dataclass(frozen=True)
@@ -41,21 +31,16 @@ class CubicForm:
         cs = tuple(int(c) for c in self.coefficients)
         if len(cs) != 10:
             raise ValueError("a cubic form has 10 coefficients")
-        object.__setattr__(self, "coefficients", _canonical_coeffs(cs))
+        object.__setattr__(self, "coefficients", canonical(cs))
 
     @classmethod
     def from_rationals(cls, cs: Sequence[Rat]) -> "CubicForm":
-        fs = [Fraction(c) for c in cs]
-        m = lcm(*(f.denominator for f in fs))
-        return cls(tuple(int(f * m) for f in fs))
+        return cls(integral(cs))
 
     def evaluate(self, p: ProjPoint) -> int:
         x, y, z = p.h
-        c = self.coefficients
-        return (c[0] * x * x * x + c[1] * x * x * y + c[2] * x * x * z
-                + c[3] * x * y * y + c[4] * x * y * z + c[5] * x * z * z
-                + c[6] * y * y * y + c[7] * y * y * z + c[8] * y * z * z
-                + c[9] * z * z * z)
+        return sum(c * x ** i * y ** j * z ** k for c, (i, j, k)
+                   in zip(self.coefficients, MONOMIALS) if c)
 
     def contains(self, p: ProjPoint) -> bool:
         return self.evaluate(p) == 0
@@ -110,8 +95,7 @@ def _nullspace_basis(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
         vec[fc] = Fraction(1)
         for col, prow in pivots.items():
             vec[col] = -prow[fc]
-        m = lcm(*(v.denominator for v in vec))
-        basis.append(_canonical_coeffs([int(v * m) for v in vec]))
+        basis.append(canonical(integral(vec)))
     return basis
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from .projective import (DegenerateError, ProjPoint, Rat, collinear,
-                         mk_point, point_from_rationals)
+                         mk_point, point_from_rationals, triangle_sides)
 from .richlines import PointSet
 
 DEFAULT_TRIANGLE = (mk_point(0, 0), mk_point(1, 0), mk_point(0, 1))
@@ -79,18 +79,15 @@ def gen_triangle_ratios(n: int,
     """Geometric-progression ratio sets on the three sides of a triangle.
 
     Side i joins the vertices other than P_i; its points are the X with
-    AX/XB in the ratio set (A, B the two vertices in cyclic order).
+    AX/XB in the ratio set, A and B as in triangle_sides.
     Ratio -1 is the side's point at infinity.  Each side gets 4n-2
     points, labelled i.
     """
     if collinear(p1, p2, p3):
         raise DegenerateError("gen_triangle_ratios: collinear vertices")
-    verts = {1: p1, 2: p2, 3: p3}
     ratios = triangle_ratio_set(n)
     points, labels = [], []
-    for i in (1, 2, 3):
-        a = verts[(i - 2) % 3 + 1]   # P_{i-1}, indices mod 3 in {1,2,3}
-        b = verts[i % 3 + 1]         # P_{i+1}
+    for i, (a, b) in enumerate(triangle_sides(p1, p2, p3), 1):
         for t in ratios:
             points.append(ratio_point(a, b, t))
             labels.append(i)

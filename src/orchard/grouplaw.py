@@ -17,6 +17,7 @@ against the law itself.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -25,11 +26,14 @@ from typing import Callable, Optional, Sequence
 
 from .cubics import CubicForm, cuspidal_form, weierstrass_form
 from .projective import (DegenerateError, ProjPoint, Rat, collinear, incident,
-                         join, mk_point, signed_ratio)
+                         join, mk_point, signed_ratio, triangle_sides)
 from .richlines import PointSet, _rich_lines
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
+# operation -> (identity, combine, inverse, the sign that combines)
+_LAWS = {ADDITIVE: (0, operator.add, operator.neg, " + "),
+         MULTIPLICATIVE: (1, operator.mul, lambda v: 1 / Fraction(v), " * ")}
 
 
 @dataclass(frozen=True)
@@ -39,26 +43,24 @@ class GroupElement:
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
-        if self.operation not in (ADDITIVE, MULTIPLICATIVE):
+        if self.operation not in _LAWS:
             raise ValueError(f"unknown group operation {self.operation!r}")
         if self.operation == MULTIPLICATIVE and self.value == 0:
             raise ValueError("multiplicative group element cannot be 0")
 
     @property
     def is_identity(self) -> bool:
-        return self.value == (0 if self.operation == ADDITIVE else 1)
+        return self.value == _LAWS[self.operation][0]
 
     def combine(self, other: "GroupElement") -> "GroupElement":
         if self.operation != other.operation:
             raise ValueError("mixed group operations")
-        if self.operation == ADDITIVE:
-            return GroupElement(self.value + other.value, ADDITIVE)
-        return GroupElement(self.value * other.value, MULTIPLICATIVE)
+        return GroupElement(_LAWS[self.operation][1](self.value, other.value),
+                            self.operation)
 
     def inverse(self) -> "GroupElement":
-        if self.operation == ADDITIVE:
-            return GroupElement(-self.value, ADDITIVE)
-        return GroupElement(1 / self.value, MULTIPLICATIVE)
+        return GroupElement(_LAWS[self.operation][2](self.value),
+                            self.operation)
 
 
 def combine_all(elements: Sequence[GroupElement]) -> GroupElement:
@@ -245,9 +247,7 @@ def triangle_description(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint
                          ) -> GroupDescription:
     if collinear(p1, p2, p3):
         raise DegenerateError("triangle_description: collinear vertices")
-    verts = {1: p1, 2: p2, 3: p3}
-    # side i runs from P_{i-1} to P_{i+1}
-    ends = {i: (verts[(i - 2) % 3 + 1], verts[i % 3 + 1]) for i in (1, 2, 3)}
+    ends = dict(enumerate(triangle_sides(p1, p2, p3), 1))
     sides = {i: join(*ends[i]) for i in (1, 2, 3)}
 
     def assign(p):
@@ -367,8 +367,7 @@ class LawWitness:
     collinear: bool
 
     def __str__(self) -> str:
-        op, identity = ((" + ", 0) if self.operation == ADDITIVE
-                        else (" * ", 1))
+        identity, _, _, op = _LAWS[self.operation]
         where = ", ".join(f"point {i} {p.h} on piece {piece}"
                           for piece, (i, p)
                           in enumerate(zip(self.indices, self.points), 1))
@@ -396,7 +395,7 @@ def _law_witness(points: Sequence[ProjPoint],
     lowest members, least by the ranks of its roles; else the
     non-collinear one least by those ranks.
     """
-    additive = operation == ADDITIVE
+    identity, combine, inverse, _ = _LAWS[operation]
 
     def split(idxs):
         parts: dict[int, list[tuple[int, Fraction]]] = {1: [], 2: [], 3: []}
@@ -417,8 +416,7 @@ def _law_witness(points: Sequence[ProjPoint],
         for r1, r2, r3 in product(on[1], on[2], on[3]):
             if len({r1[0], r2[0], r3[0]}) < 3:
                 continue
-            v1, v2, v3 = r1[1], r2[1], r3[1]
-            if not (v1 + v2 + v3 == 0 if additive else v1 * v2 * v3 == 1):
+            if combine(combine(r1[1], r2[1]), r3[1]) != identity:
                 return witness(r1, r2, r3, True)
         for i in members:
             through[i].add(n)
@@ -431,12 +429,10 @@ def _law_witness(points: Sequence[ProjPoint],
         (i1, v1), (i2, v2) = r1, r2
         if i1 == i2:
             continue
-        if additive:
-            need = -(v1 + v2)
-        elif v1 * v2 == 0:
+        try:
+            need = inverse(combine(v1, v2))
+        except ZeroDivisionError:       # 0 has no multiplicative inverse
             continue
-        else:
-            need = 1 / Fraction(v1 * v2)
         for i3 in third.get(need, ()):
             if (i3 not in (i1, i2)
                     and not through[i1] & through[i2] & through[i3]):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -21,27 +21,31 @@ class DegenerateError(ValueError):
     """Raised when an operation's inputs are geometrically degenerate."""
 
 
-def canonical_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Reduce an integer triple to canonical homogeneous form."""
-    if a == 0 and b == 0 and c == 0:
-        raise ValueError("zero triple is not a projective object")
-    g = gcd(a, b, c)
-    # fold the sign of the first nonzero coordinate into g
-    if a:
-        if a < 0:
-            g = -g
-    elif b:
-        if b < 0:
-            g = -g
-    elif c < 0:
-        g = -g
-    return (a // g, b // g, c // g)
+def canonical(cs: Sequence[int]) -> tuple[int, ...]:
+    """An integer vector divided by its gcd, with its first nonzero
+    entry made positive: proportional vectors map to the same tuple."""
+    g = gcd(*cs)
+    if not g:
+        raise ValueError("the zero vector has no canonical form")
+    for c in cs:
+        if c:
+            if c < 0:
+                g = -g
+            break
+    return tuple([c // g for c in cs])
 
 
-def _clear_denominators(a: Rat, b: Rat, c: Rat) -> tuple[int, int, int]:
-    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-    m = fa.denominator * fb.denominator * fc.denominator
-    return (int(fa * m), int(fb * m), int(fc * m))
+def integral(rs: Sequence[Rat]) -> list[int]:
+    """The rationals rs times the lcm of their denominators."""
+    fs = [Fraction(r) for r in rs]
+    m = lcm(*(f.denominator for f in fs))
+    return [f.numerator * (m // f.denominator) for f in fs]
+
+
+def _triple(v: Sequence[int]) -> tuple[int, int, int]:
+    if len(v) != 3:
+        raise ValueError(f"{v!r} is not a homogeneous triple")
+    return canonical(v)
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ class ProjPoint:
     h: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "h", canonical_triple(*self.h))
+        object.__setattr__(self, "h", _triple(self.h))
 
     @property
     def at_infinity(self) -> bool:
@@ -74,7 +78,7 @@ class ProjLine:
     l: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "l", canonical_triple(*self.l))
+        object.__setattr__(self, "l", _triple(self.l))
 
     def __repr__(self):
         return f"ProjLine{self.l}"
@@ -93,7 +97,7 @@ def mk_point(x: Rat, y: Rat) -> ProjPoint:
 
 def point_from_rationals(hx: Rat, hy: Rat, hz: Rat) -> ProjPoint:
     """Homogeneous rational triple (cleared and canonicalized)."""
-    return ProjPoint(_clear_denominators(hx, hy, hz))
+    return ProjPoint(integral((hx, hy, hz)))
 
 
 def direction_point(slope: Rat | None) -> ProjPoint:
@@ -104,19 +108,19 @@ def direction_point(slope: Rat | None) -> ProjPoint:
     return ProjPoint((s.denominator, s.numerator, 0))
 
 
-def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    """True iff det[p; q; r] = 0 over the integers."""
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = p.h, q.h, r.h
-    det = (x1 * (y2 * z3 - z2 * y3)
-           - y1 * (x2 * z3 - z2 * x3)
-           + z1 * (x2 * y3 - y2 * x3))
-    return det == 0
-
-
 def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u: Sequence[Rat], v: Sequence[Rat]) -> Rat:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
+    """True iff det[p; q; r] = p . (q x r) = 0 over the integers."""
+    return _dot(p.h, _cross(q.h, r.h)) == 0
 
 
 def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
@@ -134,8 +138,7 @@ def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
 
 
 def incident(p: ProjPoint, l: ProjLine) -> bool:
-    (x, y, z), (a, b, c) = p.h, l.l
-    return a * x + b * y + c * z == 0
+    return _dot(p.h, l.l) == 0
 
 
 def apply_transform(m: Sequence[Sequence[Rat]], p: ProjPoint) -> ProjPoint:
@@ -143,13 +146,16 @@ def apply_transform(m: Sequence[Sequence[Rat]], p: ProjPoint) -> ProjPoint:
     rows = [[Fraction(e) for e in row] for row in m]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("transform matrix must be 3x3")
-    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-           - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-           + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-    if det == 0:
+    if _dot(rows[0], _cross(rows[1], rows[2])) == 0:
         raise ValueError("singular transform matrix")
-    img = [sum(rows[i][k] * p.h[k] for k in range(3)) for i in range(3)]
-    return point_from_rationals(*img)
+    return point_from_rationals(*(_dot(row, p.h) for row in rows))
+
+
+def triangle_sides(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint
+                   ) -> tuple[tuple[ProjPoint, ProjPoint], ...]:
+    """The sides 1, 2, 3 of the triangle P1P2P3 as (A, B) vertex pairs:
+    side i runs from P_{i-1} to P_{i+1} (indices mod 3), opposite P_i."""
+    return ((p3, p2), (p1, p3), (p2, p1))
 
 
 def signed_ratio(x: ProjPoint, a: ProjPoint, b: ProjPoint) -> Fraction:
@@ -167,15 +173,9 @@ def signed_ratio(x: ProjPoint, a: ProjPoint, b: ProjPoint) -> Fraction:
         raise DegenerateError("signed_ratio: pole at X = B")
     if not incident(x, join(a, b)):
         raise ValueError("signed_ratio: X not on line AB")
-    # write x = lam*a + mu*b using an invertible 2x2 coordinate minor;
-    # the ratio mu*b3/(lam*a3) is independent of all representative scalings
-    ah, bh, xh = a.h, b.h, x.h
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = ah[i] * bh[j] - ah[j] * bh[i]
-            if d != 0:
-                lam = Fraction(xh[i] * bh[j] - xh[j] * bh[i], d)
-                mu = Fraction(ah[i] * xh[j] - ah[j] * xh[i], d)
-                # lam = 0 would mean x = b, rejected above
-                return (mu * bh[2]) / (lam * ah[2])
-    raise DegenerateError("signed_ratio: base points coincide")  # unreachable
+    if x.at_infinity:
+        return Fraction(-1)
+    # along an affine coordinate in which A and B differ
+    pa, pb, px = a.affine(), b.affine(), x.affine()
+    k = 0 if pa[0] != pb[0] else 1
+    return (px[k] - pa[k]) / (pb[k] - px[k])

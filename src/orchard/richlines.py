@@ -9,7 +9,7 @@ in the row of its lowest member.  2-point lines are counted, never
 stored.  No O(n^3) pass and no floating slope buckets anywhere: a row
 groups its joins by exact integer slope codes, by lines mod a prime, or
 by canonical lines (see _row_lines).  A stored line is known by its
-members; its canonical_triple is built, from its first two members,
+members; its canonical form is built, from its first two members,
 only for a caller that reads keys (spanned_lines, line_members).
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .projective import ProjPoint, _cross, canonical_triple
+from .projective import ProjPoint, _cross, canonical
 
 
 class InvariantViolation(RuntimeError):
@@ -81,7 +81,7 @@ _BIG_BITS = 256
 def _line(hs: Sequence[tuple[int, int, int]], i: int, j: int
           ) -> tuple[int, int, int]:
     """The canonical line through the points i and j of hs."""
-    return canonical_triple(*_cross(hs[i], hs[j]))
+    return canonical(_cross(hs[i], hs[j]))
 
 
 def _coord_bits(hs: Sequence[tuple[int, int, int]]) -> int:

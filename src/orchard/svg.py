@@ -45,6 +45,10 @@ class _View:
 
     def clip_line(self, a: int, b: int, c: int):
         """Segment of aX + bY + c = 0 inside the bounding box, or None."""
+        # coefficients past 53 bits are scaled by a power of two, which
+        # is exact, so that every one of them converts to a float
+        scale = 1 << max(0, max(abs(a), abs(b), abs(c)).bit_length() - 53)
+        a, b, c = a / scale, b / scale, c / scale
         hits = []
         if b != 0:
             for x in (self.x0, self.x1):
@@ -73,11 +77,15 @@ def render_pointset(ps: PointSet, mark_triple_lines: bool = False) -> str:
     finite, infinite = [], []
     for idx, p in enumerate(ps.points):
         label = ps.labels[idx] if ps.labels else None
-        if p.at_infinity:
-            infinite.append((p, label))
-        else:
-            x, y = p.affine()
-            finite.append((float(x), float(y), label))
+        try:
+            if p.at_infinity:
+                infinite.append((float(p.h[0]), float(p.h[1]), label))
+            else:
+                x, y = p.affine()
+                finite.append((float(x), float(y), label))
+        except OverflowError:
+            raise ValueError(f"point {idx} has a coordinate beyond float "
+                             f"range") from None
     if not finite:
         raise ValueError("nothing to draw: all points at infinity")
     view = _View([(x, y) for x, y, _ in finite])
@@ -111,8 +119,7 @@ def render_pointset(ps: PointSet, mark_triple_lines: bool = False) -> str:
 
     center = CANVAS / 2.0
     reach = CANVAS / 2.0 - MARGIN / 2.0
-    for p, label in infinite:
-        dx, dy = float(p.h[0]), float(p.h[1])
+    for dx, dy, label in infinite:
         norm = max((dx * dx + dy * dy) ** 0.5, 1e-12)
         ux, uy = dx / norm, -dy / norm           # svg y points down
         tip = (center + reach * ux, center + reach * uy)

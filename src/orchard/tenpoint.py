@@ -303,7 +303,9 @@ def _first_root(g: Callable[[float], Optional[float]], lo: float,
     between two samples where g is defined is bisected until g is 0,
     the bracket is narrower than 1e-14 or iters midpoints have been
     tried, and the last midpoint is returned.  Samples where g is None
-    are skipped; g None at a midpoint raises ConvergenceError.
+    are skipped; g None at a midpoint raises ConvergenceError.  A root
+    where g touches 0 without changing sign between samples is not
+    seen: _first_root(lambda x: x * x, -1.0, 0.999, 200) is None.
     """
     prev = None
     for t in range(257):
@@ -338,7 +340,8 @@ def _first_root(g: Callable[[float], Optional[float]], lo: float,
 def _line_arc_x(p: tuple[float, float], q: tuple[float, float],
                 arc: SampledArc) -> Optional[float]:
     """x-coordinate where the line pq crosses the arc, None if it
-    misses the arc's interval."""
+    misses the arc's interval.  A line that only touches the arc,
+    without crossing it, counts as a miss (see _first_root)."""
     x1, y1 = p
     x2, y2 = q
     if x1 == x2:

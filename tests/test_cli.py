@@ -199,6 +199,51 @@ def test_plot_svg(tmp_path, capsys):
     assert len(arrows) == 3        # one infinity point per side
 
 
+BIG = 10 ** 400
+
+
+@pytest.mark.parametrize("entry", [{"x": str(BIG), "y": "0"},
+                                   {"x": "1", "y": f"-{BIG}/3"},
+                                   {"h": [str(BIG), "1", "0"]}])
+@pytest.mark.parametrize("flags", [[], ["--mark-triple-lines"]])
+def test_plot_refuses_a_point_beyond_float_range(tmp_path, capsys, entry,
+                                                 flags):
+    src, svg = tmp_path / "pts.json", tmp_path / "out.svg"
+    src.write_text(json.dumps({"points": [{"x": "0", "y": "1"}, entry]}))
+    assert run(["plot", "--in", str(src), "--out", str(svg)] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: point 1 ")
+    assert not svg.exists()
+
+
+def _triple_line_paths(svg):
+    ns = "{http://www.w3.org/2000/svg}"
+    return [e.get("d") for e in ET.fromstring(svg.read_text()).iter(f"{ns}path")
+            if e.get("class") == "triple-line"]
+
+
+def test_plot_marks_triple_lines_with_huge_coefficients(tmp_path, capsys):
+    d = 10 ** 309
+    e = d + 2
+    # x d + y e = 1 meets the unit box only at its corner: no segment
+    corner = [{"x": f"1/{d}", "y": "0"}, {"x": "0", "y": f"1/{e}"},
+              {"x": f"1/{2 * d}", "y": f"1/{2 * e}"}, {"x": "1", "y": "1"}]
+    # y = (1 + 1/d) x through three points: one segment across the box
+    steep = [{"x": str(k), "y": f"{k * (d + 1)}/{d}"} for k in range(3)]
+    # ... which runs corner to corner of the points' box
+    diagonal = ["M 60.000 580.000 L 580.000 60.000"]
+    for points, paths in ((corner, []),
+                          (steep + [{"x": "0", "y": "1"}], diagonal)):
+        src, svg = tmp_path / "pts.json", tmp_path / "out.svg"
+        src.write_text(json.dumps({"points": points}))
+        ps = pointset_from_doc(json.loads(src.read_text()))
+        assert max(map(abs, next(iter(spanned_lines(ps).entries)))) > 2 ** 1024
+        code, out = run_capture(capsys, ["plot", "--in", str(src), "--out",
+                                         str(svg), "--mark-triple-lines"])
+        assert code == 0 and out == ""
+        assert _triple_line_paths(svg) == paths
+
+
 def test_exit_codes(tmp_path, capsys):
     assert run(["count", "--in", str(tmp_path / "nope.json")]) == 2
     assert run(["bound", "--n", "1"]) == 2

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -5,8 +6,10 @@ from hypothesis import given, assume
 import hypothesis.strategies as st
 
 from orchard import (DegenerateError, LINE_AT_INFINITY, ProjLine, ProjPoint,
-                     apply_transform, collinear, incident, join, meet,
-                     mk_point, signed_ratio)
+                     apply_transform, collinear, gen_triangle_ratios,
+                     incident, join, meet, mk_point, ratio_point,
+                     signed_ratio, triangle_description, triangle_ratio_set)
+from orchard.projective import canonical, integral
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 points = st.builds(mk_point, rationals, rationals)
@@ -128,3 +131,68 @@ def test_signed_ratio_definition(ax, ay, t, u):
     x = mk_point((F(ax) + t * (F(ax) + u)) / (1 + t),
                  (F(ay) + t * (F(ay) + 1)) / (1 + t))
     assert signed_ratio(x, a, b) == t
+
+
+# --- the one canonical form, denominator clearing and side order ------------
+
+ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+vectors = st.one_of(st.lists(ints, min_size=3, max_size=3),
+                    st.lists(ints, min_size=10, max_size=10))
+
+
+@given(vectors, ints.filter(bool))
+def test_canonical_is_the_primitive_positive_multiple(v, k):
+    if not any(v):
+        with pytest.raises(ValueError):
+            canonical(v)
+        return
+    c = canonical(v)
+    assert canonical([k * x for x in v]) == c
+    assert math.gcd(*c) == 1
+    assert [x for x in c if x][0] > 0
+    # c is a rational multiple of v: all 2x2 minors vanish
+    assert all(c[i] * v[j] == c[j] * v[i]
+               for i in range(len(v)) for j in range(len(v)))
+
+
+@given(st.lists(rationals, min_size=1, max_size=10))
+def test_integral_is_a_positive_integer_multiple(rs):
+    out = integral(rs)
+    assert all(type(x) is int for x in out)
+    assert all((x == 0) == (r == 0) for x, r in zip(out, rs))
+    # one factor >= 1 carries rs to out
+    factors = {F(x) / r for x, r in zip(out, rs) if r}
+    assert len(factors) <= 1 and all(f >= 1 for f in factors)
+
+
+@given(rationals, rationals, rationals, rationals, rationals)
+def test_signed_ratio_inverts_ratio_point(ax, ay, bx, by, t):
+    a, b = mk_point(ax, ay), mk_point(bx, by)
+    assume(a != b)
+    for u in (t, 0, -1):
+        x = ratio_point(a, b, u)
+        assert x.at_infinity == (u == -1)
+        assert signed_ratio(x, a, b) == u
+
+
+@given(points, points, points)
+def test_generated_side_is_the_described_piece(p1, p2, p3):
+    assume(not collinear(p1, p2, p3))
+    desc = triangle_description(p1, p2, p3)
+    ps = gen_triangle_ratios(2, p1, p2, p3)
+    ratios = triangle_ratio_set(2)
+    # side i runs from P_{i-1} to P_{i+1}, and carries each ratio once
+    ends = {1: (p3, p2), 2: (p1, p3), 3: (p2, p1)}
+    for k, (p, i) in enumerate(zip(ps.points, ps.labels)):
+        assert desc.assign(p) == (i,)
+        assert collinear(*ends[i], p)
+        assert -desc.value(i, p) == ratios[k % len(ratios)]
+
+
+@pytest.mark.parametrize("make, v", [(ProjPoint, (1, 2)),
+                                     (ProjPoint, (1, 2, 3, 4)),
+                                     (ProjLine, (1, 2, 3, 4)),
+                                     (ProjLine, (1,))])
+def test_projective_objects_need_three_coordinates(make, v):
+    with pytest.raises(ValueError):
+        make(v)

@@ -188,9 +188,9 @@ def test_lattice_witness_builds_no_canonical_line(monkeypatch):
             _swap_b(_cuspidal_cantilever(), 3, 6), _b4_moved_off_every_line()]
     calls = []
     for module in (projective, richlines):
-        real = module.canonical_triple
-        monkeypatch.setattr(module, "canonical_triple",
-                            lambda *h, _real=real: calls.append(h) or _real(*h))
+        real = module.canonical
+        monkeypatch.setattr(module, "canonical",
+                            lambda h, _real=real: calls.append(h) or _real(h))
     witnesses = [lattice_witness(obj) for obj in objs]
     assert calls == []
     assert [w is None for w in witnesses] == [True, True, False, False]
