@@ -280,6 +280,8 @@ def test_first_root_skips_undefined_samples():
     assert abs(first_root(g, -1.0, 1.0, 200) - 0.6) < 1e-13
     assert first_root(lambda x: x + 0.5, -1.0, 1.0, 200) == -0.5
     assert first_root(lambda x: x * x + 1.0, -1.0, 1.0, 200) is None
+    # a root where g touches 0 between samples is not seen
+    assert first_root(lambda x: x * x, -1.0, 0.999, 200) is None
     assert first_root(lambda x: None, -1.0, 1.0, 200) is None
     with pytest.raises(ConvergenceError):
         first_root(lambda x: None if 0.2 < x < 0.3 else x - 0.25,
