@@ -14,6 +14,7 @@ import argparse
 import importlib
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -60,9 +61,18 @@ def pointset_to_doc(ps: PointSet) -> dict:
     return doc
 
 
+# an ASCII integer or "p/q": parsed by int(), without Fraction's own
+# string parser, which spends several times as long on a token
+_INT_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _rational(token: str) -> Fraction:
     """Fraction(token), with a zero denominator refused as ValueError."""
     try:
+        m = _INT_RATIO.fullmatch(token) if type(token) is str else None
+        if m:
+            p, q = m.groups()
+            return Fraction(int(p), int(q or 1))
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"{token!r} has a zero denominator") from None

@@ -9,7 +9,6 @@ there is no epsilon anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence, Union
@@ -48,14 +47,44 @@ def _triple(v: Sequence[int]) -> tuple[int, int, int]:
     return canonical(v)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class _Frozen:
+    """An immutable value.  A subclass names its fields in __slots__,
+    sets them once in __init__ through object.__setattr__, and returns
+    them from _fields.  Equal to, and hashed like, an object of the same
+    class with equal fields; pickled and copied by calling the class
+    again on its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class ProjPoint(_Frozen):
     """A point of the real projective plane, canonical (X, Y, Z)."""
 
+    __slots__ = ("h",)
     h: tuple[int, int, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "h", _triple(self.h))
+    def __init__(self, h: Sequence[int]):
+        object.__setattr__(self, "h", _triple(h))
+
+    def _fields(self):
+        return (self.h,)
 
     @property
     def at_infinity(self) -> bool:
@@ -71,14 +100,17 @@ class ProjPoint:
         return f"ProjPoint{self.h}"
 
 
-@dataclass(frozen=True)
-class ProjLine:
+class ProjLine(_Frozen):
     """A line aX + bY + cZ = 0, canonical (a, b, c)."""
 
+    __slots__ = ("l",)
     l: tuple[int, int, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "l", _triple(self.l))
+    def __init__(self, l: Sequence[int]):
+        object.__setattr__(self, "l", _triple(l))
+
+    def _fields(self):
+        return (self.l,)
 
     def __repr__(self):
         return f"ProjLine{self.l}"
@@ -89,7 +121,8 @@ LINE_AT_INFINITY = ProjLine((0, 0, 1))
 
 def mk_point(x: Rat, y: Rat) -> ProjPoint:
     """Affine point (x, y) as a canonical projective point."""
-    fx, fy = Fraction(x), Fraction(y)
+    fx = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    fy = y if isinstance(y, (int, Fraction)) else Fraction(y)
     return ProjPoint((fx.numerator * fy.denominator,
                       fy.numerator * fx.denominator,
                       fx.denominator * fy.denominator))

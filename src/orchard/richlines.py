@@ -15,35 +15,39 @@ only for a caller that reads keys (spanned_lines, line_members).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .projective import ProjPoint, _cross, canonical
+from .projective import ProjPoint, _cross, _Frozen, canonical
 
 
 class InvariantViolation(RuntimeError):
     """An internal consistency law failed; the message names it."""
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(_Frozen):
     """Ordered distinct projective points, optionally labelled 1/2/3."""
 
+    __slots__ = ("points", "labels")
     points: tuple[ProjPoint, ...]
-    labels: Optional[tuple[int, ...]] = None
+    labels: Optional[tuple[int, ...]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, points: Iterable[ProjPoint],
+                 labels: Optional[Iterable[int]] = None):
+        points = tuple(points)
+        if len(set(points)) != len(points):
             raise ValueError("PointSet: duplicate points rejected")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != len(self.points):
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != len(points):
                 raise ValueError("PointSet: labels must cover all indices")
             if any(g not in (1, 2, 3) for g in labels):
                 raise ValueError("PointSet: labels must be in {1, 2, 3}")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "labels", labels)
+
+    def _fields(self):
+        return self.points, self.labels
 
     @property
     def n(self) -> int:
@@ -52,8 +56,10 @@ class PointSet:
     def raw(self) -> list[tuple[int, int, int]]:
         return [p.h for p in self.points]
 
+    def __repr__(self):
+        return f"PointSet(points={self.points!r}, labels={self.labels!r})"
 
-@dataclass
+
 class RichLineTable:
     """The lines through >= 3 set points, and how many lines hold exactly 2.
 
@@ -61,8 +67,21 @@ class RichLineTable:
     to m; two_point counts the lines that carry exactly two.
     """
 
-    entries: dict = field(default_factory=dict)
-    two_point: int = 0
+    __hash__ = None
+
+    def __init__(self, entries: Optional[dict] = None, two_point: int = 0):
+        self.entries = {} if entries is None else entries
+        self.two_point = two_point
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.entries, self.two_point)
+                    == (other.entries, other.two_point))
+        return NotImplemented
+
+    def __repr__(self):
+        return (f"RichLineTable(entries={self.entries!r}, "
+                f"two_point={self.two_point!r})")
 
     def sorted_entries(self) -> list[tuple[tuple[int, int, int], int]]:
         return sorted(self.entries.items())

@@ -10,6 +10,8 @@ canvas.
 
 from __future__ import annotations
 
+from math import isfinite
+
 from .richlines import PointSet, spanned_lines
 
 CANVAS = 640.0
@@ -36,8 +38,11 @@ def _bbox(pts: list[tuple[float, float]]) -> tuple[float, float, float, float]:
 class _View:
     def __init__(self, pts: list[tuple[float, float]]):
         self.x0, self.y0, self.x1, self.y1 = _bbox(pts)
-        self.sx = (CANVAS - 2 * MARGIN) / (self.x1 - self.x0)
-        self.sy = (CANVAS - 2 * MARGIN) / (self.y1 - self.y0)
+        width, height = self.x1 - self.x0, self.y1 - self.y0
+        if not (isfinite(width) and isfinite(height)):
+            raise ValueError("the points' bounding box is beyond float range")
+        self.sx = (CANVAS - 2 * MARGIN) / width
+        self.sy = (CANVAS - 2 * MARGIN) / height
 
     def to_svg(self, x: float, y: float) -> tuple[float, float]:
         return (MARGIN + (x - self.x0) * self.sx,

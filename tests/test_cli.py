@@ -216,6 +216,21 @@ def test_plot_refuses_a_point_beyond_float_range(tmp_path, capsys, entry,
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--mark-triple-lines"]])
+def test_plot_refuses_a_bounding_box_beyond_float_range(tmp_path, capsys,
+                                                        flags):
+    # each point fits in floats, but the box's width 2 * 10**308 does not
+    src, svg = tmp_path / "pts.json", tmp_path / "out.svg"
+    big = str(10 ** 308)
+    src.write_text(json.dumps({"points": [{"x": big, "y": "0"},
+                                          {"x": "-" + big, "y": "0"},
+                                          {"x": "0", "y": "1"}]}))
+    assert run(["plot", "--in", str(src), "--out", str(svg)] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bounding box is beyond float range" in err
+    assert not svg.exists()
+
+
 def _triple_line_paths(svg):
     ns = "{http://www.w3.org/2000/svg}"
     return [e.get("d") for e in ET.fromstring(svg.read_text()).iter(f"{ns}path")
