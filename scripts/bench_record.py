@@ -35,11 +35,21 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def seed_list(spec: str) -> list[int]:
-    """'1-3,7' -> [1, 2, 3, 7]"""
+    """'1-3,7' -> [1, 2, 3, 7].  A part that is not N or N-M, a reversed
+    range or a seed named twice exits with a message."""
     seeds = []
     for part in spec.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        try:
+            span = range(int(lo), int(hi or lo) + 1)
+        except ValueError:
+            raise SystemExit(f"--seeds {spec!r}: {part!r} is not N or "
+                             "N-M") from None
+        if not span:
+            raise SystemExit(f"--seeds {spec!r}: {part!r} is an empty range")
+        seeds.extend(span)
+    if len(set(seeds)) != len(seeds):
+        raise SystemExit(f"--seeds {spec!r} names a seed twice")
     return seeds
 
 

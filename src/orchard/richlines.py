@@ -67,8 +67,6 @@ class RichLineTable:
     to m; two_point counts the lines that carry exactly two.
     """
 
-    __hash__ = None
-
     def __init__(self, entries: Optional[dict] = None, two_point: int = 0):
         self.entries = {} if entries is None else entries
         self.two_point = two_point

@@ -636,3 +636,35 @@ def test_points_file_exit_code_contract(tmp_path_factory, doc, command):
     f = tmp_path_factory.getbasetemp() / "fuzz_points.json"
     f.write_text(json.dumps(doc))
     assert run(command + ["--in", str(f)]) in (0, 2, 3)
+
+
+def _fraction_or_error(token):
+    try:
+        return F(token)
+    except (ValueError, ZeroDivisionError):
+        return ValueError
+
+
+def _rational_or_error(token):
+    try:
+        return cli._rational(token)
+    except ValueError:
+        return ValueError
+
+
+INT_RATIO_TOKENS = st.builds(
+    lambda sign, p, q: sign + p + q,
+    st.sampled_from(["", "-"]), st.from_regex(r"[0-9]{1,30}", fullmatch=True),
+    st.one_of(st.just(""), st.from_regex(r"/[0-9]{1,30}", fullmatch=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(INT_RATIO_TOKENS, st.text(max_size=8),
+                 st.sampled_from(["+3", " 3/4", "3/ 4", "1_0", "٣",
+                                  "-0/5", "1.5", "1e3", "1/0", "",
+                                  "3/4\n", "-", "/4", "3/", "1" * 5000])))
+def test_rational_agrees_with_fraction(token):
+    expected = _fraction_or_error(token)
+    assert _rational_or_error(token) == expected
+    if expected is not ValueError:
+        assert type(cli._rational(token)) is F

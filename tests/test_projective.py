@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +27,64 @@ def test_mk_point_canonical():
 def test_zero_triple_rejected():
     with pytest.raises(ValueError):
         ProjPoint((0, 0, 0))
+
+
+def test_point_and_line_value_semantics():
+    p, line = ProjPoint((-2, 4, 6)), ProjLine((-2, 4, 6))
+    assert p.h == line.l == (1, -2, -3)
+    assert p == ProjPoint((1, -2, -3)) == ProjPoint(h=(3, -6, -9))
+    assert hash(p) == hash(ProjPoint((1, -2, -3))) == hash((p.h,))
+    assert p != ProjPoint((1, -2, 3))
+    # a point never equals the line with the same triple
+    assert p != line and line != p and len({p, line}) == 2
+    assert repr(p) == "ProjPoint(1, -2, -3)"
+    assert repr(line) == "ProjLine(1, -2, -3)"
+    assert repr(LINE_AT_INFINITY) == "ProjLine(0, 0, 1)"
+
+
+@pytest.mark.parametrize("value", [ProjPoint((1, 2, 3)), ProjLine((1, 2, 3))])
+def test_point_and_line_are_immutable(value):
+    field = "h" if isinstance(value, ProjPoint) else "l"
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(value, field, (1, 0, 0))
+    with pytest.raises(AttributeError, match="cannot assign to field 'z'"):
+        value.z = 1
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(value, field)
+    assert getattr(value, field) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("cls", [ProjPoint, ProjLine])
+@pytest.mark.parametrize("triple, message", [
+    ((0, 0, 0), "the zero vector has no canonical form"),
+    ((1, 2), r"\(1, 2\) is not a homogeneous triple"),
+    ((1, 2, 3, 4), "is not a homogeneous triple")])
+def test_bad_triples_rejected(cls, triple, message):
+    with pytest.raises(ValueError, match=message):
+        cls(triple)
+
+
+@pytest.mark.parametrize("value", [mk_point(F(1, 2), -3), ProjPoint((1, 0, 0)),
+                                   ProjLine((2, -4, 10**40))])
+def test_point_and_line_pickle_and_deepcopy(value):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert back == value and type(back) is type(value)
+        assert repr(back) == repr(value)
+    for clone in (copy.copy(value), copy.deepcopy(value)):
+        assert clone == value and hash(clone) == hash(value)
+        with pytest.raises(AttributeError):
+            clone.z = 1
+
+
+def test_mk_point_takes_ints_fractions_and_other_rationals():
+    expected = mk_point(F(-3, 4), F(5))
+    assert expected.h == (3, -20, -4)
+    for x, y in ((F(-3, 4), 5), ("-3/4", "5"), (-0.75, 5.0), (F(-6, 8), F(5))):
+        assert mk_point(x, y) == expected
+    assert mk_point(True, False) == mk_point(1, 0)
+    with pytest.raises(ValueError):
+        mk_point("1/x", 0)
 
 
 def test_collinear_cubic_parameter_sums():

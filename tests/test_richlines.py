@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import comb
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from orchard import (InvariantViolation, PointSet, ProjPoint,
+                     RichLineTable,
                      WeierstrassCurve, apply_transform,
                      build_tenpoint_weierstrass, direction_count,
                      direction_point, extend_cantilever, gen_cubic_power,
@@ -24,10 +27,51 @@ def test_pointset_rejects_duplicates():
 
 def test_pointset_label_validation():
     pts = (mk_point(0, 0), mk_point(1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="labels must cover all indices"):
         PointSet(pts, (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"labels must be in \{1, 2, 3\}"):
         PointSet(pts, (1, 7))
+    with pytest.raises(ValueError, match="duplicate points rejected"):
+        PointSet(pts + (mk_point(1, 1),), (1, 2, 3))
+
+
+def test_pointset_value_semantics():
+    pts = (mk_point(0, 0), ProjPoint((1, 0, 0)))
+    ps = PointSet(list(pts), [1, 2])
+    assert ps.points == pts and ps.labels == (1, 2) and ps.n == 2
+    assert ps == PointSet(points=pts, labels=(1, 2))
+    assert hash(ps) == hash(PointSet(pts, (1, 2))) == hash((pts, (1, 2)))
+    assert ps != PointSet(pts) and ps != PointSet(pts, (2, 1))
+    assert PointSet(pts).labels is None
+    assert repr(ps) == ("PointSet(points=(ProjPoint(0, 0, 1), "
+                        "ProjPoint(1, 0, 0)), labels=(1, 2))")
+    with pytest.raises(AttributeError, match="cannot assign to field 'labels'"):
+        ps.labels = None
+    with pytest.raises(AttributeError, match="cannot delete field 'points'"):
+        del ps.points
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(ps, protocol))
+        assert back == ps and repr(back) == repr(ps)
+    assert copy.deepcopy(ps) == ps and copy.deepcopy(PointSet(pts)) == \
+        PointSet(pts)
+
+
+def test_rich_line_table_value_semantics():
+    table = spanned_lines(gen_grid(3))
+    assert table == RichLineTable(dict(table.entries), 12)
+    assert table != RichLineTable(dict(table.entries), 11)
+    assert RichLineTable() == RichLineTable({}, 0)
+    assert repr(RichLineTable({(0, 1, 0): 3}, 2)) == \
+        "RichLineTable(entries={(0, 1, 0): 3}, two_point=2)"
+    with pytest.raises(TypeError):
+        hash(table)
+    # mutable, and each default table owns its dict
+    empty = RichLineTable()
+    empty.entries[(1, 0, 0)] = 3
+    empty.two_point = 1
+    assert RichLineTable().entries == {} and empty.pair_total() == 4
+    for back in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+        assert back == table and back.entries is not table.entries
 
 
 def test_spanned_lines_grid3():

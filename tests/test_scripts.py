@@ -5,6 +5,7 @@ renamed name would otherwise break it silently.  Only --help runs:
 no benchmark, no worker pool.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,3 +30,26 @@ def test_script_help_runs(script):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.startswith("usage: ")
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("spec, seeds", [("1-3,7", [1, 2, 3, 7]),
+                                         ("5", [5]), ("2-2,4-5", [2, 4, 5])])
+def test_seed_list_reads_ranges(spec, seeds):
+    assert _load_script("bench_record").seed_list(spec) == seeds
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("3-1", "empty range"), ("1,1", "seed twice"), ("1-3,2", "seed twice"),
+    ("", "not N or N-M"), ("1,,2", "not N or N-M"), ("a", "not N or N-M"),
+    ("-1", "not N or N-M")])
+def test_seed_list_refuses_bad_specs(spec, message):
+    with pytest.raises(SystemExit, match=message):
+        _load_script("bench_record").seed_list(spec)
