@@ -500,7 +500,7 @@ def run(argv: list[str]) -> int:
     except RuntimeError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (KeyError, IndexError) as exc:
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .projective import Rat
 
@@ -65,15 +65,6 @@ def image_count(e: ExternalPoint, xs: Iterable[Rat]) -> int:
     return count
 
 
-def filter_by_image_count(points: Sequence[ExternalPoint],
-                          xs: Iterable[Rat],
-                          threshold: int) -> list[ExternalPoint]:
-    """Keep the external points whose involution maps at least
-    threshold sample values back into the sample."""
-    xset = [Fraction(x) for x in xs]
-    return [e for e in points if image_count(e, xset) >= threshold]
-
-
 def reps_collinear(e1: ExternalPoint, e2: ExternalPoint,
                    e3: ExternalPoint) -> bool:
     """Affine dependence of the three 4-vector representatives.
@@ -91,14 +82,3 @@ def reps_collinear(e1: ExternalPoint, e2: ExternalPoint,
             if u[i] * v[j] - u[j] * v[i] != 0:
                 return False
     return True
-
-
-def combination_weight(e1: ExternalPoint, e2: ExternalPoint,
-                       e3: ExternalPoint) -> Optional[Fraction]:
-    """The weight lam with rep(e3) = lam*rep(e1) + (1-lam)*rep(e2),
-    when the representatives are affinely dependent; None otherwise."""
-    if not reps_collinear(e1, e2, e3):
-        return None
-    if e1.a != e2.a:
-        return (e3.a - e2.a) / (e1.a - e2.a)
-    return (e3.b - e2.b) / (e1.b - e2.b)

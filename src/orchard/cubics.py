@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .projective import ProjLine, ProjPoint, Rat, canonical, integral
@@ -107,12 +106,6 @@ def fit_cubics(points: Sequence[ProjPoint]) -> list[CubicForm]:
             _nullspace_basis(monomial_row(p) for p in points)]
 
 
-def on_common_cubic(points: Sequence[ProjPoint]) -> Optional[CubicForm]:
-    """Some cubic through all the points, or None if no nonzero one exists."""
-    basis = fit_cubics(points)
-    return basis[0] if basis else None
-
-
 # --- divisibility by linear forms -----------------------------------------
 
 def _degree_monomials(d: int) -> list[tuple[int, int, int]]:
@@ -158,24 +151,10 @@ def divide_by_line(coeffs: Sequence[Rat], degree: int,
     return [quot.get(e, Fraction(0)) for e in _degree_monomials(degree - 1)]
 
 
-def line_divides(f: CubicForm, line: ProjLine) -> bool:
-    return divide_by_line(f.coefficients, 3, line) is not None
-
-
-def cubic_from_lines(l1: ProjLine, l2: ProjLine, l3: ProjLine) -> CubicForm:
-    """The degenerate cubic that is the product of three lines."""
-    cs = dict.fromkeys(MONOMIALS, 0)
-    for t in product(range(3), repeat=3):
-        e = tuple(map(t.count, range(3)))
-        cs[e] += l1.l[t[0]] * l2.l[t[1]] * l3.l[t[2]]
-    return CubicForm(tuple(cs.values()))
-
-
 @dataclass(frozen=True)
 class CubicClassification:
     kind: str                      # three-lines | line-plus-conic | no-candidate-factor
     line_factors: tuple[ProjLine, ...]
-    residual_degree: int
 
 
 def classify_with_candidates(f: CubicForm,
@@ -201,10 +180,10 @@ def classify_with_candidates(f: CubicForm,
                 progress = True
                 break
     if degree == 1:
-        return CubicClassification("three-lines", tuple(factors), 1)
+        return CubicClassification("three-lines", tuple(factors))
     if degree == 2:
-        return CubicClassification("line-plus-conic", tuple(factors), 2)
-    return CubicClassification("no-candidate-factor", (), 3)
+        return CubicClassification("line-plus-conic", tuple(factors))
+    return CubicClassification("no-candidate-factor", ())
 
 
 def cuspidal_form() -> CubicForm:

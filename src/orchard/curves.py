@@ -16,21 +16,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable
 
-from .grouplaw import WeierstrassCurve
-from .projective import ProjLine, ProjPoint, Rat, mk_point
+from .projective import ProjPoint, Rat, mk_point
 from .richlines import (InvariantViolation, PointSet, _line, _rich_lines,
                         direction_count)
 
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A plane curve with an exact point-lifting rule for sample x-values."""
+    """An irreducible plane curve with an exact point-lifting rule for
+    sample x-values."""
 
     degree: int
     lift_fn: Callable[[Fraction], list[ProjPoint]]
-    irreducible: bool
     label: str = ""
 
     def lift(self, x: Rat) -> list[ProjPoint]:
@@ -41,63 +40,7 @@ def graph_power(d: int) -> CurveSpec:
     """y = x^d (the parabola for d = 2, the cuspidal cubic for d = 3)."""
     if d < 1:
         raise ValueError("graph_power needs degree >= 1")
-    return CurveSpec(d, lambda x: [mk_point(x, x ** d)], irreducible=True,
-                     label=f"y=x^{d}")
-
-
-def parabola() -> CurveSpec:
-    return graph_power(2)
-
-
-def line_curve(l: ProjLine) -> CurveSpec:
-    a, b, c = l.l
-
-    def lift(x: Fraction) -> list[ProjPoint]:
-        if b == 0:
-            return []          # vertical line: no graph over x
-        return [mk_point(x, Fraction(-(a * x + c), b))]
-
-    return CurveSpec(1, lift, irreducible=True, label=f"line{l.l}")
-
-
-def weierstrass_spec(a: Rat, b: Rat) -> CurveSpec:
-    """y^2 = x^3 + ax + b, lifted by WeierstrassCurve.lift."""
-    curve = WeierstrassCurve(a, b)
-    return CurveSpec(3, curve.lift, irreducible=True,
-                     label=f"y^2=x^3+{curve.a}x+{curve.b}")
-
-
-def custom_curve(lift_fn: Callable[[Fraction], list[ProjPoint]],
-                 degree: int, irreducible: bool,
-                 membership: Optional[Callable[[ProjPoint], bool]] = None,
-                 label: str = "custom") -> CurveSpec:
-    """A user-supplied curve; lifted points are validated when a
-    membership predicate is given."""
-
-    def lift(x: Fraction) -> list[ProjPoint]:
-        pts = lift_fn(x)
-        if membership is not None:
-            for p in pts:
-                if not membership(p):
-                    raise InvariantViolation(
-                        f"lifting rule: {p} is not on the {label} curve")
-        return pts
-
-    return CurveSpec(degree, lift, irreducible, label)
-
-
-def lines_product_curve(lines: Sequence[ProjLine]) -> CurveSpec:
-    """The degenerate curve that is a product of graph lines."""
-    specs = [line_curve(l) for l in lines]
-
-    def lift(x: Fraction) -> list[ProjPoint]:
-        out = []
-        for s in specs:
-            out.extend(s.lift(x))
-        return out
-
-    return CurveSpec(len(lines), lift, irreducible=False,
-                     label=f"{len(lines)}-lines")
+    return CurveSpec(d, lambda x: [mk_point(x, x ** d)], f"y=x^{d}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +91,9 @@ def tripartite_curve_count(e: TripartiteExperiment) -> TripartiteCounts:
     distinct lines carrying at least one of them.
 
     A triple is three distinct lifted points assignable one-to-each
-    part (points shared between parts count once).  Lines on which an
-    irreducible part-curve exceeds its degree in lifted points violate
-    the intersection bound and abort the experiment.
+    part (points shared between parts count once).  Lines on which a
+    part-curve exceeds its degree in lifted points violate the
+    intersection bound and abort the experiment.
     """
     masks: dict[ProjPoint, int] = {}
     failures = []
@@ -184,7 +127,7 @@ def _check_degree_bound(curve, hs, idxs, on_curve):
     """Bezout sanity: an irreducible degree-d curve distinct from the
     line through the points idxs of hs, on_curve of which lie on the
     curve, meets it in at most d points."""
-    if curve.irreducible and on_curve > curve.degree:
+    if on_curve > curve.degree:
         line_key = _line(hs, idxs[0], idxs[1])
         if not _line_is(curve, line_key):
             raise InvariantViolation(
@@ -194,8 +137,8 @@ def _check_degree_bound(curve, hs, idxs, on_curve):
 
 def _line_is(curve: CurveSpec, line_key) -> bool:
     """Is the curve the line line_key?  True for a degree-1 curve whose
-    points lifted at x = 0, 1, 2 are two or more, all on the line; so a
-    graph y = x^1 counts as well as a line_curve."""
+    points lifted at x = 0, 1, 2 are two or more, all on the line, such
+    as the graph y = x^1."""
     if curve.degree != 1:
         return False
     pts = {p.h for x in (0, 1, 2) for p in curve.lift(Fraction(x))}

@@ -58,10 +58,6 @@ class GroupElement:
         return GroupElement(_LAWS[self.operation][1](self.value, other.value),
                             self.operation)
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(_LAWS[self.operation][2](self.value),
-                            self.operation)
-
 
 def combine_all(elements: Sequence[GroupElement]) -> GroupElement:
     out = elements[0]
@@ -173,14 +169,6 @@ class WeierstrassCurve:
 
     def add(self, p: ProjPoint, q: ProjPoint) -> ProjPoint:
         return self.neg(self.third(p, q))
-
-
-def weierstrass_third(a: Rat, b: Rat, p: ProjPoint, q: ProjPoint) -> ProjPoint:
-    return WeierstrassCurve(a, b).third(p, q)
-
-
-def weierstrass_add(a: Rat, b: Rat, p: ProjPoint, q: ProjPoint) -> ProjPoint:
-    return WeierstrassCurve(a, b).add(p, q)
 
 
 # --- descriptions ----------------------------------------------------------
@@ -458,9 +446,3 @@ def verify_group_description(ps: PointSet, desc: GroupDescription) -> bool:
     """
     return description_witness(ps, desc) is None
 
-
-def sphere_membership(x: Rat, y: Rat, z: Rat) -> tuple[bool, Fraction]:
-    """Additive description of the unit sphere: (x,y,z) lies on it iff
-    the parameters t^2 - 1/3 of the coordinates sum to zero."""
-    s = sum((Fraction(t) ** 2 - Fraction(1, 3)) for t in (x, y, z))
-    return s == 0, s

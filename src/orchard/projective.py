@@ -116,9 +116,6 @@ class ProjLine(_Frozen):
         return f"ProjLine{self.l}"
 
 
-LINE_AT_INFINITY = ProjLine((0, 0, 1))
-
-
 def mk_point(x: Rat, y: Rat) -> ProjPoint:
     """Affine point (x, y) as a canonical projective point."""
     fx = x if isinstance(x, (int, Fraction)) else Fraction(x)
@@ -172,16 +169,6 @@ def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
 
 def incident(p: ProjPoint, l: ProjLine) -> bool:
     return _dot(p.h, l.l) == 0
-
-
-def apply_transform(m: Sequence[Sequence[Rat]], p: ProjPoint) -> ProjPoint:
-    """Image of p under the projective map with matrix m (must be invertible)."""
-    rows = [[Fraction(e) for e in row] for row in m]
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise ValueError("transform matrix must be 3x3")
-    if _dot(rows[0], _cross(rows[1], rows[2])) == 0:
-        raise ValueError("singular transform matrix")
-    return point_from_rationals(*(_dot(row, p.h) for row in rows))
 
 
 def triangle_sides(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint

@@ -81,9 +81,6 @@ class RichLineTable:
         return (f"RichLineTable(entries={self.entries!r}, "
                 f"two_point={self.two_point!r})")
 
-    def sorted_entries(self) -> list[tuple[tuple[int, int, int], int]]:
-        return sorted(self.entries.items())
-
     def pair_total(self) -> int:
         return self.two_point + sum(comb(m, 2) for m in self.entries.values())
 
@@ -329,14 +326,14 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
     joins mod _P, which skips the gcds of multi-thousand-bit joins.
     Every path gives the same lists, in the same order, as the
     all-exact _row_lines(hs): by (first member, second member).  With
-    workers > 1 the rows are split into interleaved stripes run in
-    separate processes; a stripe that misses a line's lowest row stores
-    a suffix of it, so the parent sorts the stripes' lines into the
-    serial order and stores them again, which drops such suffixes
-    (_store).  The pool forks: spawned workers start a fresh interpreter
-    and import orchard (a two-worker pool took 0.15 s to spawn against
-    0.02 s to fork), and orchard starts no threads that a fork could
-    leave in a broken state.
+    workers > 1 the rows are split into min(workers, len(hs))
+    interleaved stripes run in separate processes; a stripe that misses
+    a line's lowest row stores a suffix of it, so the parent sorts the
+    stripes' lines into the serial order and stores them again, which
+    drops such suffixes (_store).  The pool forks: spawned workers start
+    a fresh interpreter and import orchard (a two-worker pool took
+    0.15 s to spawn against 0.02 s to fork), and orchard starts no
+    threads that a fork could leave in a broken state.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
@@ -346,14 +343,15 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
         hp = [(x % _P, y % _P, z % _P) for x, y, z in hs]
     else:
         shift = _slope_shift(bits)
-    if workers == 1:
+    stripes = min(workers, len(hs))     # no process without a row
+    if stripes <= 1:
         lines, row_lines = _row_lines(hs, 0, 1, hp, shift)
     else:
         import multiprocessing   # only a multi-worker call loads it
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            parts = pool.starmap(_row_lines, [(hs, w, workers, hp, shift)
-                                              for w in range(workers)])
+        with ctx.Pool(stripes) as pool:
+            parts = pool.starmap(_row_lines, [(hs, w, stripes, hp, shift)
+                                              for w in range(stripes)])
         lines, marks = [], {}
         row_lines = sum(count for _, count in parts)
         for members in sorted((m for part, _ in parts for m in part),
@@ -449,14 +447,3 @@ def green_tao_bound(n: int) -> int:
         raise ValueError("green_tao_bound needs n >= 3")
     return n * (n - 3) // 6 + 1
 
-
-def green_tao_advisory(ps: PointSet) -> tuple[int, int, bool]:
-    """(exactly-3-rich count, bound, within-bound?) for a point set.
-
-    The bound is proven only for sufficiently large sets, so callers
-    should report a violation rather than crash on one.
-    """
-    t = spanned_lines(ps)
-    c = k_rich_count(t, 3, exactly=True)
-    b = green_tao_bound(ps.n)
-    return c, b, c <= b

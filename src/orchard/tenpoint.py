@@ -2,9 +2,9 @@
 
 A ten point configuration is grown from a collinear base triple
 A0, B0, C0 and a step: successive chord-third operations on a cubic
-produce A0..A2, B1..B4, C0..C2 (B0 is computed but deliberately not
-part of the configuration).  The index law is that A_i, B_j, C_k are
-collinear exactly when i + k = j.
+produce A0..A2, B1..B4, C0..C2; B0 is not one of the ten points.
+The index law is that A_i, B_j, C_k are collinear exactly when
+i + k = j.
 
 Cantilever extension is pure incidence: only meets and joins of the
 ten points, never the curve, so curve membership of the extended
@@ -46,10 +46,6 @@ class TenPointConfig:
     c0: ProjPoint
     c1: ProjPoint
     c2: ProjPoint
-    # retained for reference; NOT one of the ten points
-    b0: Optional[ProjPoint] = None
-    # cuspidal builders record the parameter of every point
-    params: Optional[dict[str, Fraction]] = None
 
     def as_dict(self) -> dict[str, ProjPoint]:
         return {name: getattr(self, name.lower()) for name in POINT_NAMES}
@@ -70,7 +66,6 @@ class Cantilever:
     a_seq: tuple[ProjPoint, ...]          # A_0 .. A_{M+2}
     b_seq: tuple[ProjPoint, ...]          # B_1 .. B_{M+4}
     c_seq: tuple[ProjPoint, ...]          # C_0 .. C_{M+2}
-    extension: int
 
     def lattice_points(self):
         return ({i: p for i, p in enumerate(self.a_seq)},
@@ -94,15 +89,13 @@ def _derive(third: Callable[[ProjPoint, ProjPoint], ProjPoint],
             "B4": b4, "C0": c0, "C1": c1, "C2": c2}
 
 
-def _config_from(pts: dict[str, ProjPoint], b0: ProjPoint,
-                 params=None) -> TenPointConfig:
+def _config_from(pts: dict[str, ProjPoint]) -> TenPointConfig:
     if len(set(pts.values())) != 10:
         dup = [n for n in POINT_NAMES
                if list(pts.values()).count(pts[n]) > 1]
         raise DegenerateError(f"coincident derived points {dup}; "
                               "the step is too special for this base")
-    return TenPointConfig(**{n.lower(): pts[n] for n in POINT_NAMES},
-                          b0=b0, params=params)
+    return TenPointConfig(**{n.lower(): pts[n] for n in POINT_NAMES})
 
 
 def build_tenpoint_cuspidal(a0: Rat, b0: Rat, c0: Rat,
@@ -125,7 +118,7 @@ def build_tenpoint_cuspidal(a0: Rat, b0: Rat, c0: Rat,
     curve = CuspidalCubic()
     pts = _derive(curve.third, curve.lift(fa), curve.lift(fc),
                   curve.lift(fb + fd))
-    return _config_from(pts, curve.lift(fb), params=params)
+    return _config_from(pts)
 
 
 def build_tenpoint_weierstrass(curve: WeierstrassCurve,
@@ -143,7 +136,7 @@ def build_tenpoint_weierstrass(curve: WeierstrassCurve,
         raise ValueError("step must not be the identity")
     b1 = curve.add(b0, delta)
     pts = _derive(curve.third, a0, c0, b1)
-    return _config_from(pts, b0)
+    return _config_from(pts)
 
 
 def lattice_witness(obj) -> Optional[LawWitness]:
@@ -248,8 +241,7 @@ def extend_cantilever(cfg: TenPointConfig, m: int) -> Cantilever:
         pending = stuck
     return Cantilever(tuple(amap[i] for i in range(m + 3)),
                       tuple(bmap[j] for j in range(1, m + 5)),
-                      tuple(cmap[k] for k in range(m + 3)),
-                      m)
+                      tuple(cmap[k] for k in range(m + 3)))
 
 
 def nine_point_check(cfg: TenPointConfig) -> bool:
