@@ -24,8 +24,7 @@ _EXPORTS = {name: module for module, names in (
                  "cuspidal_description cuspidal_third description_witness "
                  "hyperbola_infinity_description menelaus_params "
                  "parabola_infinity_description parallel_lines_description "
-                 "parallel_lines_params triangle_description "
-                 "verify_group_description"),
+                 "triangle_description verify_group_description"),
     ("tenpoint", "Cantilever ConvergenceError SampledArc TenPointConfig "
                  "build_tenpoint_cuspidal build_tenpoint_weierstrass "
                  "extend_cantilever halve_parameter_demo lattice_witness "

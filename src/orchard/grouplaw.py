@@ -8,8 +8,8 @@ parallel lines, triangle sides (signed-ratio products), and a conic
 plus the line at infinity (parabola and hyperbola variants).
 
 Each description is the only definition of its law:
-menelaus_params, parallel_lines_params and conic_line_params look one
-triple up through it, and description_witness is the one judge of it.
+menelaus_params and conic_line_params look one triple up through it,
+and description_witness is the one judge of it.
 All values are exact rationals; verification always runs against exact
 integer collinearity (the member lists of the rich lines), never
 against the law itself.
@@ -305,14 +305,6 @@ def menelaus_params(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
     us = tuple(_piece_element(desc, k, x)
                for k, x in enumerate((x1, x2, x3), 1))
     return us, combine_all(us).is_identity
-
-
-def parallel_lines_params(x1: Rat, x2: Rat, x3: Rat
-                          ) -> tuple[GroupElement, GroupElement, GroupElement]:
-    """Additive parameters of (x1,0), (x2,1), (x3,2); sum 0 iff collinear."""
-    desc = parallel_lines_description()
-    return tuple(_piece_element(desc, k, mk_point(x, k - 1))
-                 for k, x in enumerate((x1, x2, x3), 1))
 
 
 def conic_line_params(variant: str, p: ProjPoint, q: ProjPoint, d: ProjPoint

@@ -11,12 +11,17 @@ shortcuts, so that agreement is meaningful:
 - brute_group_description checks a group description: distinct
   cross-piece triples are collinear iff their values combine to the
   identity;
-- brute_law_witness names the first triple on which such a law fails.
+- brute_law_witness names the first triple on which such a law fails;
+- apply_transform moves points by a projective map, for the tests of
+  invariance under such maps;
+- InlineContext stands in for a multiprocessing context, so that a
+  multi-worker call starts no process.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
-from orchard import collinear, join
+from orchard import ProjLine, collinear, join, meet, point_from_rationals
 
 
 def brute_triple_lines(points):
@@ -58,10 +63,10 @@ def brute_tripartite(points, labels, pattern):
 
 def brute_directions(points):
     """Distinct points at infinity of all joins."""
-    from orchard import meet, LINE_AT_INFINITY
+    at_infinity = ProjLine((0, 0, 1))
     dirs = set()
     for a, b in combinations(points, 2):
-        dirs.add(meet(join(a, b), LINE_AT_INFINITY).h)
+        dirs.add(meet(join(a, b), at_infinity).h)
     return len(dirs)
 
 
@@ -140,3 +145,38 @@ def brute_law_witness(points, roles, operation):
     if on_line:
         return min(on_line, key=lambda t: t[0])[1]
     return off_line[0] if off_line else None
+
+
+def apply_transform(m, p):
+    """Image of the point p under the projective map with the invertible
+    3x3 rational matrix m."""
+    rows = [[Fraction(e) for e in row] for row in m]
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise ValueError("transform matrix must be 3x3")
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0:
+        raise ValueError("singular transform matrix")
+    return point_from_rationals(*(sum(r * v for r, v in zip(row, p.h))
+                                  for row in rows))
+
+
+class InlineContext:
+    """A stand-in for multiprocessing.get_context("fork"): its pool runs
+    starmap in this process, starts no process, and records in sizes the
+    number of processes that each pool was asked for."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, args):
+        return [fn(*a) for a in args]

@@ -1,4 +1,9 @@
+import argparse
+import contextlib
+import io
 import json
+import multiprocessing
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from fractions import Fraction as F
@@ -13,7 +18,7 @@ from orchard import (GroupDescription, PointSet, ProjPoint, collinear,
                      mk_point, richlines, spanned_lines, triple_line_count,
                      tripartite_count)
 from orchard.cli import pointset_from_doc, pointset_to_doc, run
-from oracles import brute_multiplicities
+from oracles import InlineContext, brute_multiplicities
 
 
 def run_capture(capsys, argv):
@@ -161,7 +166,7 @@ def test_experiment_subcommand(capsys):
 @pytest.mark.parametrize("kind, least", [("dichotomy", 3), ("quadruple", 4)])
 def test_experiment_degree_one_is_a_line(capsys, kind, least):
     # y = x^1 is a line: its 11 sample points all lie on one line, which
-    # the degree bound must accept, as it does for a line_curve
+    # the degree bound must accept, as it does for any degree-1 curve
     n = 5
     brute = brute_multiplicities([mk_point(x, x) for x in range(-n, n + 1)])
     count = sum(1 for m in brute.values() if m >= least)
@@ -191,7 +196,7 @@ def test_plot_svg(tmp_path, capsys):
     paths = [e for e in root.iter(f"{ns}path")
              if e.get("class") == "triple-line"]
     ps = pointset_from_doc(json.loads(src.read_text()))
-    drawable = [key for key, m in spanned_lines(ps).sorted_entries()
+    drawable = [key for key, m in spanned_lines(ps).entries.items()
                 if m >= 3 and not (key[0] == 0 and key[1] == 0)]
     assert len(paths) == len(drawable)
     arrows = [e for e in root.iter(f"{ns}path")
@@ -383,6 +388,18 @@ def test_lookup_errors_are_internal(monkeypatch, capsys, error):
     assert run(["bound", "--n", "12"]) == 3
     assert capsys.readouterr().err.startswith(
         f"internal error: {error.__name__}: ")
+
+
+@pytest.mark.parametrize("error", [TypeError, AttributeError,
+                                   ZeroDivisionError, ArithmeticError])
+def test_any_other_error_is_internal(monkeypatch, capsys, error):
+    def broken(n):
+        raise error("lost")
+
+    monkeypatch.setattr(cli, "green_tao_bound", broken)
+    assert run(["bound", "--n", "12"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"internal error: {error.__name__}: lost\n"
 
 
 def test_lazy_names_resolve_to_the_exports():
@@ -668,3 +685,105 @@ def test_rational_agrees_with_fraction(token):
     assert _rational_or_error(token) == expected
     if expected is not ValueError:
         assert type(cli._rational(token)) is F
+
+
+# --- every subcommand, argv built from the parser's own actions ----------------
+
+def _options():
+    """subcommand -> its options other than -h, read from build_parser()."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions
+                   if a.option_strings and a.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+OPTIONS = _options()
+SMALL_INTS = st.integers(-2, 6).map(str)
+RATIOS = st.builds("{}/{}".format, st.integers(-6, 6), st.integers(0, 4))
+JUNK = st.sampled_from([
+    "", "-", "x", "1/0", "0/0", "1e3", "nan", "1,,2", ",", ":", ";", "١",
+    "1:2", "1,2", "-1,0,1", "1,2,-3", "3,1,2", "0,1;1,2;2,3", "1,2;3,4",
+    "-2:3,-1:4,4:9", "8:23", "cuspidal", "weierstrass:0,17",
+    "weierstrass:1/0,1", "weierstrass:0"])
+VALUES = (SMALL_INTS | RATIOS | JUNK
+          | st.lists(SMALL_INTS | RATIOS, min_size=1, max_size=4)
+          .map(",".join))
+# well-formed values of the string options, so that some draws get past
+# parsing
+GOOD = {"curve": ["cuspidal", "weierstrass:0,17"],
+        "base": ["-1,0,1", "1,2,-3", "-2:3,-1:4,4:9"],
+        "delta": ["1/10", "3", "8:23", "2:5"],
+        "external": ["0,-1", "1,0", "1,1"], "externals": ["0,1;1,2;2,3"],
+        "x": ["2", "1/2"], "y": ["1/2", "3"], "xs": ["2,1/2,3,1/3"],
+        "tripartite": ["1,2,3", "112"], "indices": ["0,1,2", "8,0"]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Points files (labelled, unlabelled, broken, missing, a folder) for
+    --in, and an output file and a folder for --out."""
+    d = tmp_path_factory.mktemp("fuzz")
+    files = {"aps.json": json.dumps(pointset_to_doc(gen_parallel_aps(3))),
+             "grid.json": json.dumps(pointset_to_doc(gen_grid(3))),
+             "two.json": json.dumps({"points": TWO_POINTS}),
+             "list.json": "[1, 2]", "broken.json": "{not json"}
+    for name, text in files.items():
+        (d / name).write_text(text)
+    return {"infile": [str(d / n) for n in [*files, "missing.json"]]
+            + [str(d), ""], "out": [str(d / "out.txt"), str(d)]}
+
+
+@st.composite
+def cli_argv(draw, files):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for action in draw(st.permutations(OPTIONS[command])):
+        # a required option is left out about one time in four; the one
+        # size without a cap of its own is always given
+        keep = draw(st.booleans()) or (action.required
+                                       and draw(st.booleans()))
+        if not keep and action.dest != "trials":
+            continue
+        option = draw(st.sampled_from(action.option_strings))
+        if action.nargs == 0:
+            argv.append(option)
+            continue
+        if action.dest in files:
+            value = draw(st.sampled_from(files[action.dest]))
+        elif draw(st.booleans()):
+            value = draw(VALUES)
+        elif action.choices:
+            value = draw(st.sampled_from(action.choices))
+        elif action.type is int:
+            value = draw(SMALL_INTS)
+        else:
+            value = draw(st.sampled_from(GOOD.get(action.dest, ["0"])))
+        if draw(st.booleans()):
+            argv.append(f"{option}={value}")
+        else:
+            argv += [option, value]
+    return argv
+
+
+GROUP_CHECK_FAIL = re.compile(r"[^\n]*: FAIL[^\n]*\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_keeps_the_exit_code_contract(fuzz_files, data):
+    """Exit 0, 2 or 3 and no traceback on any argv; stdout empty unless
+    the call succeeds, but for group-check's documented FAIL line.  A
+    multi-worker count starts no process (InlineContext)."""
+    argv = data.draw(cli_argv(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiprocessing, "get_context",
+                   lambda method: InlineContext())
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code != 0 and out.getvalue():
+        assert argv[0] == "group-check" and code == 3, argv
+        assert GROUP_CHECK_FAIL.fullmatch(out.getvalue()), argv

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, assume
 import hypothesis.strategies as st
 
-from orchard import (ExternalPoint, collinear, combination_weight,
-                     filter_by_image_count, image_count, involution_value,
+from orchard import (ExternalPoint, collinear, image_count, involution_value,
                      mk_point, parabola_collinear, reps_collinear)
 
 rationals = st.fractions(min_value=-15, max_value=15, max_denominator=6)
@@ -44,14 +43,6 @@ def test_image_count_examples():
     assert image_count(e, []) == 0
 
 
-def test_filter_by_image_count():
-    xs = [F(v) for v in (2, F(1, 2), 3, F(1, 3), 5)]
-    good = ExternalPoint(0, -1)
-    bad = ExternalPoint(7, 5)
-    kept = filter_by_image_count([good, bad], xs, threshold=4)
-    assert kept == [good]
-
-
 def test_reps_collinear_examples():
     assert reps_collinear(ExternalPoint(0, 1), ExternalPoint(1, 2),
                           ExternalPoint(2, 3))
@@ -60,16 +51,6 @@ def test_reps_collinear_examples():
     with pytest.raises(ValueError):
         reps_collinear(ExternalPoint(0, 1), ExternalPoint(0, 1),
                        ExternalPoint(1, 2))
-
-
-def test_combination_weight():
-    e1, e2 = ExternalPoint(0, 1), ExternalPoint(1, 2)
-    e3 = ExternalPoint(F(1, 2), F(3, 2))
-    lam = combination_weight(e1, e2, e3)
-    assert lam == F(1, 2)
-    r1, r2, r3 = e1.rep4(), e2.rep4(), e3.rep4()
-    assert all(r3[i] == lam * r1[i] + (1 - lam) * r2[i] for i in range(4))
-    assert combination_weight(e1, e2, ExternalPoint(5, 2)) is None
 
 
 @given(rationals, rationals, rationals)

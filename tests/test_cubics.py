@@ -7,12 +7,36 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from orchard import (CubicForm, ProjLine, ProjPoint, classify_with_candidates,
-                     cubic_from_lines, cuspidal_form, fit_cubics,
-                     gen_cubic_power, gen_grid, join, line_divides, mk_point,
-                     on_common_cubic, weierstrass_form)
+                     cuspidal_form, fit_cubics, gen_cubic_power, gen_grid,
+                     join, mk_point, weierstrass_form)
 from orchard.cubics import MONOMIALS, divide_by_line
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
+
+
+def monomials(d):
+    """Exponent triples of degree d: X first, then Y, then Z."""
+    return [(i, j, d - i - j) for i in range(d, -1, -1)
+            for j in range(d - i, -1, -1)]
+
+
+def times_line(l, q, d):
+    """Coefficients of L * q, q of degree d - 1, multiplied out term by
+    term over the degree-d monomials."""
+    out = dict.fromkeys(monomials(d), F(0))
+    for (i, j, k), c in zip(monomials(d - 1), q):
+        out[(i + 1, j, k)] += l[0] * c
+        out[(i, j + 1, k)] += l[1] * c
+        out[(i, j, k + 1)] += l[2] * c
+    return list(out.values())
+
+
+def lines_cubic(l1, l2, l3):
+    """The cubic that is the product of three lines."""
+    return CubicForm(times_line(l1.l, times_line(l2.l, l3.l, 2), 3))
+
+
+ROWS = [ProjLine((0, 1, 0)), ProjLine((0, 1, -1)), ProjLine((0, 1, -2))]
 
 
 def test_canonical_coefficients():
@@ -28,8 +52,7 @@ def test_contains():
     f = cuspidal_form()
     assert f.contains(mk_point(2, 8))
     assert not f.contains(mk_point(1, 2))
-    rows = cubic_from_lines(ProjLine((0, 1, 0)), ProjLine((0, 1, -1)),
-                            ProjLine((0, 1, -2)))
+    rows = lines_cubic(*ROWS)
     from orchard import gen_parallel_aps
     assert all(rows.contains(p) for p in gen_parallel_aps(4).points)
 
@@ -70,43 +93,40 @@ def test_fit_dimensions():
     assert len(fit_cubics(eight)) == 2
     ten = [gen() for _ in range(10)]
     assert fit_cubics(ten) == []
-    assert on_common_cubic(ten) is None
 
 
 def test_fit_recovers_cuspidal_cubic():
     pts = list(gen_cubic_power(5).points)[:10]
     basis = fit_cubics(pts)
     assert len(basis) == 1 and basis[0] == cuspidal_form()
-    assert on_common_cubic(pts) == cuspidal_form()
 
 
 def test_grid_plus_row_point_lies_on_rows_cubic():
     pts = list(gen_grid(3).points) + [mk_point(3, 0)]
-    rows = cubic_from_lines(ProjLine((0, 1, 0)), ProjLine((0, 1, -1)),
-                            ProjLine((0, 1, -2)))
-    assert on_common_cubic(pts) == rows
+    assert fit_cubics(pts) == [lines_cubic(*ROWS)]
 
 
 def test_nine_grid_points_have_two_dim_space():
     # the 3x3 grid is cut out by the row and column cubics
     basis = fit_cubics(list(gen_grid(3).points))
     assert len(basis) == 2
-    cols = cubic_from_lines(ProjLine((1, 0, 0)), ProjLine((1, 0, -1)),
-                            ProjLine((1, 0, -2)))
-    rows = cubic_from_lines(ProjLine((0, 1, 0)), ProjLine((0, 1, -1)),
-                            ProjLine((0, 1, -2)))
-    for f in (rows, cols):
+    cols = lines_cubic(ProjLine((1, 0, 0)), ProjLine((1, 0, -1)),
+                       ProjLine((1, 0, -2)))
+    for f in (lines_cubic(*ROWS), cols):
         assert all(f.contains(p) for p in gen_grid(3).points)
 
 
+def divides(f, line):
+    return divide_by_line(f.coefficients, 3, line) is not None
+
+
 def test_line_divides():
-    rows = cubic_from_lines(ProjLine((0, 1, 0)), ProjLine((0, 1, -1)),
-                            ProjLine((0, 1, -2)))
-    assert line_divides(rows, ProjLine((0, 1, -1)))
-    assert not line_divides(rows, ProjLine((1, 0, 0)))
-    assert not line_divides(cuspidal_form(), ProjLine((0, 1, -1)))
+    rows = lines_cubic(*ROWS)
+    assert divides(rows, ProjLine((0, 1, -1)))
+    assert not divides(rows, ProjLine((1, 0, 0)))
+    assert not divides(cuspidal_form(), ProjLine((0, 1, -1)))
     z_conic = CubicForm((0, 0, 1, 0, 0, 0, 0, 1, 0, -1))   # Z(X^2+Y^2-Z^2)
-    assert line_divides(z_conic, ProjLine((0, 0, 1)))
+    assert divides(z_conic, ProjLine((0, 0, 1)))
 
 
 def test_line_divides_implies_containment():
@@ -114,22 +134,19 @@ def test_line_divides_implies_containment():
     line = ProjLine((2, -3, 1))
     q1 = CubicForm((1, 1, 0, 0, 1, 0, 2, 0, 0, 1))
     # build a cubic with the line as an explicit factor
-    f = cubic_from_lines(line, ProjLine((1, 1, 1)), ProjLine((1, -1, 2)))
-    assert line_divides(f, line)
+    f = lines_cubic(line, ProjLine((1, 1, 1)), ProjLine((1, -1, 2)))
+    assert divides(f, line)
     for _ in range(20):
         x = F(rng.randint(-20, 20), rng.randint(1, 5))
         # point of the line with this x
         a, b, c = line.l
         p = mk_point(x, F(-(a * x + c), b))
         assert f.contains(p)
-    assert not line_divides(q1, line)
+    assert not divides(q1, line)
 
 
 def test_classification():
-    row_lines = [ProjLine((0, 1, 0)), ProjLine((0, 1, -1)),
-                 ProjLine((0, 1, -2))]
-    rows = cubic_from_lines(*row_lines)
-    cls = classify_with_candidates(rows, row_lines)
+    cls = classify_with_candidates(lines_cubic(*ROWS), ROWS)
     assert cls.kind == "three-lines"
     assert len(cls.line_factors) == 2       # third factor is the cofactor
     z_conic = CubicForm((0, 0, 1, 0, 0, 0, 0, 1, 0, -1))
@@ -145,7 +162,7 @@ def test_classification():
 
 def test_double_line_factor():
     l = ProjLine((1, -1, 0))
-    f = cubic_from_lines(l, l, ProjLine((0, 0, 1)))
+    f = lines_cubic(l, l, ProjLine((0, 0, 1)))
     cls = classify_with_candidates(f, [l, ProjLine((1, 1, 1))])
     assert cls.kind == "three-lines"
 
@@ -158,23 +175,6 @@ def test_weierstrass_form_membership():
     assert not f.contains(mk_point(0, 0))
     g = weierstrass_form(F(1, 2), F(3, 16))
     assert g.contains(mk_point(F(1, 2), F(3, 4)))   # 9/16 = 1/8 + 1/4 + 3/16
-
-
-def monomials(d):
-    """Exponent triples of degree d: X first, then Y, then Z."""
-    return [(i, j, d - i - j) for i in range(d, -1, -1)
-            for j in range(d - i, -1, -1)]
-
-
-def times_line(l, q, d):
-    """Coefficients of L * q, q of degree d - 1, multiplied out term by
-    term over the degree-d monomials."""
-    out = dict.fromkeys(monomials(d), F(0))
-    for (i, j, k), c in zip(monomials(d - 1), q):
-        out[(i + 1, j, k)] += l[0] * c
-        out[(i, j + 1, k)] += l[1] * c
-        out[(i, j, k + 1)] += l[2] * c
-    return list(out.values())
 
 
 lines = (st.tuples(*[st.integers(-6, 6)] * 3).filter(any).map(ProjLine))
@@ -200,7 +200,7 @@ def test_divide_by_line_rejects_wrong_length():
     with pytest.raises(ValueError):
         divide_by_line([1, 0, 0], 3, ProjLine((1, 0, 0)))
     line = ProjLine((1, -1, 0))
-    f = list(cubic_from_lines(line, line, ProjLine((0, 0, 1))).coefficients)
+    f = list(lines_cubic(line, line, ProjLine((0, 0, 1))).coefficients)
     assert divide_by_line(f, 3, line) is not None
     with pytest.raises(ValueError):
         divide_by_line(f + [1], 3, line)

@@ -5,6 +5,7 @@ fresh interpreter here: under pytest every module is already loaded,
 which would hide a name missing from the CLI's table of lazy names.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -18,7 +19,8 @@ import orchard
 import orchard.cli as cli
 from orchard import gen_parallel_aps
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # Runs `python -m orchard.cli <argv>` and then prints, as the last line
 # of stderr, the orchard modules, multiprocessing, dataclasses and
@@ -58,7 +60,7 @@ SUBCOMMANDS = {
     "conic": (["conic", "--mode", "involution", "--external", "1,2",
                "--x", "3"], {"conic"}),
     "experiment": (["experiment", "--kind", "quadruple", "--degree", "3",
-                    "--n", "3"], {"cubics", "curves", "grouplaw"}),
+                    "--n", "3"], {"curves"}),
     "plot": (["plot", "--in", "{in}", "--out", "{out}",
               "--mark-triple-lines"], {"svg"}),
 }
@@ -110,40 +112,35 @@ def test_subcommand_in_fresh_interpreter(case, points_file, tmp_path,
                 == (tmp_path / "run.svg").read_bytes())
 
 
-# every name the package exported when it imported its submodules eagerly
+# every name the package exports
 EXPORTS = {
-    "projective": "DegenerateError LINE_AT_INFINITY ProjLine ProjPoint "
-                  "apply_transform collinear direction_point incident join "
-                  "meet mk_point point_from_rationals signed_ratio",
+    "projective": "DegenerateError ProjLine ProjPoint collinear "
+                  "direction_point incident join meet mk_point "
+                  "point_from_rationals signed_ratio",
     "richlines": "InvariantViolation PointSet RichLineTable direction_count "
-                 "green_tao_advisory green_tao_bound k_rich_count "
-                 "spanned_lines triple_line_count tripartite_count",
+                 "green_tao_bound k_rich_count spanned_lines "
+                 "triple_line_count tripartite_count",
     "generators": "NgonConfig gen_cubic_power gen_grid gen_ngon_directions "
                   "gen_parabola_ap gen_parallel_aps gen_triangle_ratios "
                   "parallel_aps_closed_form ratio_point triangle_ratio_set",
-    "cubics": "CubicForm classify_with_candidates cubic_from_lines "
-              "cuspidal_form fit_cubics line_divides on_common_cubic "
+    "cubics": "CubicForm classify_with_candidates cuspidal_form fit_cubics "
               "weierstrass_form",
     "grouplaw": "CuspidalCubic GroupDescription GroupElement LawWitness "
                 "WeierstrassCurve WEIERSTRASS_IDENTITY conic_line_params "
                 "cuspidal_description cuspidal_third description_witness "
                 "hyperbola_infinity_description menelaus_params "
                 "parabola_infinity_description parallel_lines_description "
-                "parallel_lines_params sphere_membership "
-                "triangle_description verify_group_description "
-                "weierstrass_add weierstrass_third",
+                "triangle_description verify_group_description",
     "tenpoint": "Cantilever ConvergenceError SampledArc TenPointConfig "
                 "build_tenpoint_cuspidal build_tenpoint_weierstrass "
                 "extend_cantilever halve_parameter_demo lattice_witness "
                 "nine_point_check parallel_lines_arcs standard_system_ok "
                 "three_lines_multiplicative_arcs verify_lattice",
-    "conic": "ExternalPoint combination_weight filter_by_image_count "
-             "image_count involution_value parabola_collinear "
-             "reps_collinear",
+    "conic": "ExternalPoint image_count involution_value "
+             "parabola_collinear reps_collinear",
     "curves": "CurveSpec TripartiteCounts TripartiteExperiment "
               "dichotomy_experiment few_directions_experiment graph_power "
-              "line_curve lines_product_curve parabola quadruple_experiment "
-              "tripartite_curve_count weierstrass_spec",
+              "quadruple_experiment tripartite_curve_count",
 }
 
 
@@ -164,3 +161,41 @@ def test_package_exports():
         orchard.no_such_name
     with pytest.raises(ImportError):
         exec("from orchard import no_such_name", {})
+
+
+def _reads(path: Path) -> set[str]:
+    """The names that the file reads, outside the definition of the name
+    itself: a bare name, or an attribute of a name bound to the package,
+    the CLI or a submodule (orchard.x, _cli.x, richlines.x, ...)."""
+    owners = {"orchard", "cli", "_cli", *set(orchard._EXPORTS.values())}
+    reads = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in owners):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in inside:
+            reads.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return reads
+
+
+def test_every_export_has_a_reader():
+    """Each exported name is read by the library, the CLI, a script or
+    an acceptance test; a unit test of the name alone does not count."""
+    files = [*sorted((SRC / "orchard").glob("*.py")),
+             *sorted((ROOT / "scripts").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*(_reads(f) for f in files
+                         if f.name != "__init__.py"))
+    assert sorted(set(orchard._EXPORTS) - read) == []

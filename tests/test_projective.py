@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, assume
 import hypothesis.strategies as st
 
-from orchard import (DegenerateError, LINE_AT_INFINITY, ProjLine, ProjPoint,
-                     apply_transform, collinear, gen_triangle_ratios,
-                     incident, join, meet, mk_point, ratio_point,
-                     signed_ratio, triangle_description, triangle_ratio_set)
+from orchard import (DegenerateError, ProjLine, ProjPoint, collinear,
+                     gen_triangle_ratios, incident, join, meet, mk_point,
+                     ratio_point, signed_ratio, triangle_description,
+                     triangle_ratio_set)
 from orchard.projective import canonical, integral
+from oracles import apply_transform
+
+LINE_AT_INFINITY = ProjLine((0, 0, 1))
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 points = st.builds(mk_point, rationals, rationals)

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from orchard import (InvariantViolation, PointSet, ProjPoint,
-                     RichLineTable,
-                     WeierstrassCurve, apply_transform,
+                     RichLineTable, WeierstrassCurve,
                      build_tenpoint_weierstrass, direction_count,
                      direction_point, extend_cantilever, gen_cubic_power,
                      gen_grid, gen_parallel_aps, green_tao_bound, join,
                      k_rich_count, mk_point, richlines, spanned_lines,
                      triple_line_count, tripartite_count)
 from orchard.richlines import _store, line_members
-from oracles import brute_multiplicities, brute_tripartite, brute_directions
+from oracles import (InlineContext, apply_transform, brute_directions,
+                     brute_multiplicities, brute_tripartite)
 
 
 def test_pointset_rejects_duplicates():
@@ -103,7 +103,7 @@ def test_spanned_lines_vs_brute_multiplicities():
     two_point = sum(1 for m in brute.values() if m == 2)
     for workers in (1, 3):
         table = spanned_lines(ps, workers=workers)
-        assert table.sorted_entries() == rich
+        assert sorted(table.entries.items()) == rich
         assert k_rich_count(table, 2, exactly=True) == two_point
 
 
@@ -118,7 +118,20 @@ def test_multiworker_identical():
     parallel = spanned_lines(ps, workers=3)
     assert serial.entries == parallel.entries
     assert serial.two_point == parallel.two_point
-    assert serial.sorted_entries() == parallel.sorted_entries()
+    assert list(serial.entries) == list(parallel.entries)
+
+
+def test_workers_beyond_the_rows_start_no_idle_process(monkeypatch):
+    import multiprocessing
+    ctx = InlineContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    ps = gen_grid(3)
+    serial = spanned_lines(ps)
+    table = spanned_lines(ps, workers=5000)
+    assert ctx.sizes == [9]                 # one stripe per row, not 5000
+    assert table == serial and list(table.entries) == list(serial.entries)
+    assert tripartite_count(gen_parallel_aps(4), (1, 2, 3), workers=50) == 8
+    assert ctx.sizes == [9, 12]
 
 
 def test_row_sighting_must_be_suffix():

@@ -1,8 +1,8 @@
 """Each script under scripts/ starts and prints its usage.
 
 A script imports library names that no other test reaches, so a
-renamed name would otherwise break it silently.  Only --help runs:
-no benchmark, no worker pool.
+renamed name would otherwise break it silently.  Only --help runs,
+and the census at a small size: no benchmark, no worker pool.
 """
 
 import importlib.util
@@ -21,15 +21,33 @@ def test_scripts_are_found():
     assert len(SCRIPTS) >= 4
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_script_help_runs(script):
+def _run_script(script, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run([sys.executable, str(script), "--help"], env=env,
+    proc = subprocess.run([sys.executable, str(script), *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stdout.startswith("usage: ")
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help_runs(script):
+    assert _run_script(script, "--help").startswith("usage: ")
+
+
+def test_census_classifies_each_family_cubic():
+    """Three progressions and the triangle ratios lie on three lines, the
+    points of y = x^3 on a cubic with no rich-line factor; the n-gon
+    family is not a point set."""
+    header, *rows = _run_script(ROOT / "scripts" / "census_configs.py",
+                                "--n", "8").splitlines()
+    assert header.split(",")[-1] == "cubic"
+    assert [row.split(",")[0::6] for row in rows] == [
+        ["three-progressions", "three-lines"],
+        ["triangle-ratios", "three-lines"],
+        ["ngon-directions", "-"],
+        ["cubic-power", "no-candidate-factor"]]
 
 
 def _load_script(name):

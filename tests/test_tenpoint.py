@@ -30,9 +30,8 @@ def w_config():
 def test_build_cuspidal_points():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
     assert cfg.b3 == mk_point(F(3, 10), F(27, 1000))
-    assert cfg.b0 == mk_point(0, 0)
-    assert cfg.b0 not in cfg.points()
-    assert cfg.params["A2"] == F(-12, 10)
+    assert mk_point(0, 0) not in cfg.points()      # B0 is not one of them
+    assert cfg.a2 == CuspidalCubic().lift(F(-12, 10))
     # A2 carries parameter a0 - 2*step (integer step needs 3 to avoid
     # parameter collisions for this base)
     cfg2 = build_tenpoint_cuspidal(-1, 0, 1, 3)
