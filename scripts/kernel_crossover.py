@@ -8,7 +8,7 @@ parallel rows of 133 points (a third of all pairs lie on rich lines)
 moved by a random integer projective map.  Each kernel runs five times,
 alternating which goes first; the medians and their ratio are printed,
 and the two results are checked to be the same member lists in the same
-order.  richlines._BIG_BITS is set from where the ratio crosses 1.
+order, with the same 2-point count.  richlines._BIG_BITS is set from where the ratio crosses 1.
 """
 
 import argparse
@@ -44,10 +44,13 @@ def rich_points(rng: random.Random, bits: int, m: int = 133) -> list:
 
 
 def timed(hs: list, big_bits: int) -> tuple[float, tuple]:
+    """The time to read every line of the stream, and (the lines, the
+    2-point count)."""
     richlines._BIG_BITS = big_bits
+    lines: list = []
     t0 = time.perf_counter()
-    out = richlines._rich_lines(hs)
-    return time.perf_counter() - t0, out
+    two_point = richlines._drain(richlines._rich_lines(hs), lines.append)
+    return time.perf_counter() - t0, (lines, two_point)
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterable
 
 from .projective import ProjPoint, Rat, mk_point
@@ -70,20 +70,10 @@ def _matchable(m1: int, m2: int, m3: int) -> bool:
 
 
 def _triples_for_masks(counts: dict[int, int]) -> int:
-    total = 0
-    masks = sorted(counts)
-    for m1, m2, m3 in combinations_with_replacement(masks, 3):
-        if not _matchable(m1, m2, m3):
-            continue
-        if m1 == m2 == m3:
-            total += comb(counts[m1], 3)
-        elif m1 == m2:
-            total += comb(counts[m1], 2) * counts[m3]
-        elif m2 == m3:
-            total += counts[m1] * comb(counts[m2], 2)
-        else:
-            total += counts[m1] * counts[m2] * counts[m3]
-    return total
+    """Triples with one point per part, from counts of points per mask."""
+    return sum(prod(comb(counts[m], ms.count(m)) for m in set(ms))
+               for ms in combinations_with_replacement(sorted(counts), 3)
+               if _matchable(*ms))
 
 
 def tripartite_curve_count(e: TripartiteExperiment) -> TripartiteCounts:
@@ -106,9 +96,8 @@ def tripartite_curve_count(e: TripartiteExperiment) -> TripartiteCounts:
                 masks[p] = masks.get(p, 0) | (1 << (part - 1))
     points = sorted(masks, key=lambda p: p.h)
     hs = [p.h for p in points]
-    triples = 0
-    lines = 0
-    for idxs in _rich_lines(hs)[0]:
+    triples = lines = 0
+    for idxs in _rich_lines(hs):
         cnt: dict[int, int] = {}
         for i in idxs:
             m = masks[points[i]]
@@ -185,7 +174,7 @@ def quadruple_experiment(curve: CurveSpec, xs: Iterable[Rat]) -> int:
     _check_sample("quadruple_experiment", pts)
     hs = sorted(p.h for p in pts)
     count = 0
-    for idxs in _rich_lines(hs)[0]:
+    for idxs in _rich_lines(hs):
         if len(idxs) >= 4:
             _check_degree_bound(curve, hs, idxs, len(idxs))
             count += 1

@@ -59,13 +59,6 @@ class GroupElement:
                             self.operation)
 
 
-def combine_all(elements: Sequence[GroupElement]) -> GroupElement:
-    out = elements[0]
-    for e in elements[1:]:
-        out = out.combine(e)
-    return out
-
-
 # --- cuspidal cubic y = x^3 -------------------------------------------------
 
 def cuspidal_third(p: Rat, q: Rat) -> Fraction:
@@ -304,7 +297,7 @@ def menelaus_params(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
     desc = triangle_description(p1, p2, p3)
     us = tuple(_piece_element(desc, k, x)
                for k, x in enumerate((x1, x2, x3), 1))
-    return us, combine_all(us).is_identity
+    return us, us[0].combine(us[1]).combine(us[2]).is_identity
 
 
 def conic_line_params(variant: str, p: ProjPoint, q: ProjPoint, d: ProjPoint
@@ -391,7 +384,7 @@ def _law_witness(points: Sequence[ProjPoint],
 
     # through[i]: the numbers of the stored lines through point i
     through: list[set[int]] = [set() for _ in points]
-    for n, members in enumerate(_rich_lines([p.h for p in points])[0]):
+    for n, members in enumerate(_rich_lines([p.h for p in points])):
         on = split(members)
         for r1, r2, r3 in product(on[1], on[2], on[3]):
             if len({r1[0], r2[0], r3[0]}) < 3:

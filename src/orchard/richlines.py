@@ -1,22 +1,24 @@
 """Lines spanned by a point set, with exact multiplicities.
 
-The central object is the list of the lines through three or more set
-points (triple lines), each as its sorted member indices, plus the
-number of lines through exactly two.  It is built row by row from the
-O(n^2) pair space: row i groups the joins (i, j), j > i, by line, so a
-line through m >= 3 points shows up complete, with its sorted members,
-in the row of its lowest member.  2-point lines are counted, never
-stored.  No O(n^3) pass and no floating slope buckets anywhere: a row
-groups its joins by exact integer slope codes, by lines mod a prime, or
-by canonical lines (see _row_lines).  A stored line is known by its
-members; its canonical form is built, from its first two members,
-only for a caller that reads keys (spanned_lines, line_members).
+The central object is the stream of the lines through three or more set
+points (triple lines), each as its sorted member indices, that ends
+with the number of lines through exactly two.  It is built row by row
+from the O(n^2) pair space: row i groups the joins (i, j), j > i, by
+line, so a line through m >= 3 points shows up complete in the row of
+its lowest member and is streamed to its consumer there.  Only lines of
+4+ members are remembered, to know their later sightings; 2-point lines
+are counted, never stored.  No O(n^3) pass and no floating slope
+buckets anywhere: a row groups its joins by exact integer slope codes,
+by lines mod a prime, or by canonical lines (see _row_lines).  A line's
+canonical form is built, from its first two members, only for a caller
+that reads keys (spanned_lines, line_members).
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import (Callable, Generator, Iterable, Iterator, Optional,
+                    Sequence)
 
 from .projective import ProjPoint, _cross, _Frozen, canonical
 
@@ -133,6 +135,8 @@ def _slopes(hs: Sequence[tuple[int, int, int]], i: int,
 
 Lines = list[list[int]]
 RowLines = tuple[int, Lines]
+# lines through >= 3 points in serial order; returns the 2-point count
+LineStream = Generator[list[int], None, int]
 
 
 def _slope_row(hs: Sequence[tuple[int, int, int]], i: int,
@@ -253,27 +257,21 @@ def _mod_row(hs: Sequence[tuple[int, int, int]],
 def _row_lines(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
                step: int = 1,
                hp: Optional[Sequence[tuple[int, int, int]]] = None,
-               shift: Optional[int] = None) -> tuple[Lines, int]:
-    """Row-anchored line enumeration over rows stripe, stripe + step, ...
+               shift: Optional[int] = None) -> Iterator[RowLines]:
+    """Rows stripe, stripe + step, ..., built one at a time.
 
-    Row i groups the joins (i, j), j > i, by line.  A line with two or
-    more joins in the row is a line through >= 3 points; its sorted
-    members [i, j...] are stored the first time a row holds it (_store),
-    in order of their first j.  Returns (lines, row_lines): the member
-    lists and the number of distinct lines summed over rows.
-
-    A row takes one of three paths, each giving the same lines:
-    - slope: with shift (see _slopes), an affine anchor i keys its joins
+    Row i groups the joins (i, j), j > i, by line: it is the number of
+    distinct lines and the sorted members [i, j...] of those through
+    >= 3 points (two or more joins), in order of their first j.  A row
+    takes one of three paths, each giving the same row:
+    - slope: with shift (see _slopes), an affine anchor keys its joins
       by an exact integer slope code, with no gcd;
-    - mod-_P: with hp (the points of hs mod _P), the joins are grouped
-      by line mod _P and only a repeated class is joined exactly
-      (_mod_row), unless a join is 0 mod _P;
-    - exact: otherwise (no shift and no hp, an anchor at infinity, or
-      a join 0 mod _P) every join is made canonical.
+    - mod-_P: with hp (hs mod _P), the joins are grouped by line mod _P
+      and only a repeated class is joined exactly (_mod_row), unless a
+      join is 0 mod _P;
+    - exact: otherwise (no shift and no hp, an anchor at infinity, or a
+      join 0 mod _P) every join is made canonical.
     """
-    lines: Lines = []
-    marks: dict[tuple[int, int], list[int]] = {}
-    row_lines = 0
     for i in range(stripe, len(hs), step):
         # each path keeps its row dicts local, so a row is freed before
         # the next is built (two live rows of 2,000 joins cost 0.4 MB)
@@ -282,58 +280,84 @@ def _row_lines(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
             row = _slope_row(hs, i, shift)
         elif hp is not None:
             row = _mod_row(hs, hp, i)
-        count, rich = row or _exact_row(hs, i)
-        row_lines += count
+        yield row or _exact_row(hs, i)
+
+
+def _stream(rows: Iterable[RowLines]) -> LineStream:
+    """Each line of the rows 0, 1, ... once, as soon as its row is read,
+    then the number of 2-point lines: a line of m >= 3 members is
+    complete in its lowest row and a row line in m - 1 rows (_store
+    drops the later sightings)."""
+    marks: dict[tuple[int, int], list[int]] = {}
+    two_point = 0
+    for count, rich in rows:
+        two_point += count
         for members in rich:
-            _store(lines, marks, members)
-    return lines, row_lines
+            if _store(marks, members):
+                two_point -= len(members) - 1
+                yield members
+    return two_point
 
 
-def _store(lines: Lines, marks: dict[tuple[int, int], list[int]],
-           members: list[int]) -> None:
-    """Append members to lines, unless they sight a stored line again.
+def _store(marks: dict[tuple[int, int], list[int]],
+           members: list[int]) -> bool:
+    """True for a new line, False for a later sighting of a known one.
 
-    Lines arrive in order of (first member, second member), so a line
-    is stored whole before a later row sights it as a suffix m[k:] of 3
-    or more members.  The sighting is found by its first two, so a line
-    marks its pairs (m[k], m[k+1]) for 1 <= k <= m - 3 only: a 3-point
-    line leaves no mark.  A sighting that is not a suffix raises.
+    Lines arrive in order of (first, second member), so a later row
+    sights a complete line as a suffix m[k:] of 3+ members, found by
+    its first two: a new line marks its pairs (m[k], m[k+1]), 1 <= k <=
+    m - 3, so only lines of 4+ members are kept.  A sighting that is not
+    a suffix raises.
     """
     old = marks.get((members[0], members[1]))
     if old is None:
-        lines.append(members)
         for k in range(1, len(members) - 2):
             marks[members[k], members[k + 1]] = members
-    elif old[len(old) - len(members):] != members:
+        return True
+    if old[len(old) - len(members):] != members:
         raise InvariantViolation(
             f"row enumeration: a line sighted with members {members}, "
             f"not a suffix of {old}")
+    return False
+
+
+def _drain(lines: LineStream, each: Callable[[list[int]], object]) -> int:
+    """Call each on every line of the stream; return its 2-point count."""
+    while True:
+        try:
+            members = next(lines)
+        except StopIteration as end:
+            return end.value
+        each(members)
+
+
+def _stripe(*args) -> list[RowLines]:
+    """_row_lines(*args) less its later sightings: one worker's result."""
+    marks: dict[tuple[int, int], list[int]] = {}
+    return [(count, [m for m in rich if _store(marks, m)])
+            for count, rich in _row_lines(*args)]
 
 
 def _rich_lines(hs: Sequence[tuple[int, int, int]],
-                workers: int = 1) -> tuple[Lines, int]:
-    """(sorted member indices per line through >= 3 points, number of
-    lines through exactly 2 points).
+                workers: int = 1) -> LineStream:
+    """The sorted members of each line through >= 3 points, as a stream
+    that returns the number of lines through exactly 2 (_drain).
 
-    A line through m >= 3 points is complete in the row of its lowest
-    member and is seen in m - 1 rows, so the 2-point lines are the row
-    lines left over.  The regime is fixed for the whole call by the
-    largest coordinate (see _row_lines for the paths): up to _BIG_BITS
-    bits an affine anchor keys its row by exact integer slope codes,
-    which need no gcd (_slopes states the bound that makes them exact),
-    and an anchor at infinity makes every join canonical; above
-    _BIG_BITS the points are reduced mod _P once and the rows key their
-    joins mod _P, which skips the gcds of multi-thousand-bit joins.
-    Every path gives the same lists, in the same order, as the
-    all-exact _row_lines(hs): by (first member, second member).  With
-    workers > 1 the rows are split into min(workers, len(hs))
-    interleaved stripes run in separate processes; a stripe that misses
-    a line's lowest row stores a suffix of it, so the parent sorts the
-    stripes' lines into the serial order and stores them again, which
-    drops such suffixes (_store).  The pool forks: spawned workers start
-    a fresh interpreter and import orchard (a two-worker pool took
-    0.15 s to spawn against 0.02 s to fork), and orchard starts no
-    threads that a fork could leave in a broken state.
+    The largest coordinate fixes the regime at the call (see _row_lines
+    for the paths): up to _BIG_BITS bits an affine anchor keys its row
+    by exact integer slope codes, which need no gcd (_slopes states the
+    bound that makes them exact), and an anchor at infinity makes every
+    join canonical; above _BIG_BITS the points are reduced mod _P once
+    and the rows key their joins mod _P, which skips the gcds of
+    multi-thousand-bit joins.  Every path streams the same lines in the
+    same order as the all-exact _stream(_row_lines(hs)): by (first,
+    second member); serially, each before the next row is built.
+    workers > 1 forks min(workers, len(hs)) processes at the call, one
+    per stripe of interleaved rows, and the parent streams all their
+    rows, held at once, in serial order.  Fork, not spawn: a spawned
+    worker starts a fresh interpreter and imports orchard (a two-worker
+    pool took 0.15 s to spawn against 0.02 s to fork), and orchard
+    starts no threads that a fork could leave in a broken state.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
@@ -345,19 +369,14 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
         shift = _slope_shift(bits)
     stripes = min(workers, len(hs))     # no process without a row
     if stripes <= 1:
-        lines, row_lines = _row_lines(hs, 0, 1, hp, shift)
-    else:
-        import multiprocessing   # only a multi-worker call loads it
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(stripes) as pool:
-            parts = pool.starmap(_row_lines, [(hs, w, stripes, hp, shift)
-                                              for w in range(stripes)])
-        lines, marks = [], {}
-        row_lines = sum(count for _, count in parts)
-        for members in sorted((m for part, _ in parts for m in part),
-                              key=lambda m: m[:2]):
-            _store(lines, marks, members)
-    return lines, row_lines - sum(len(m) - 1 for m in lines)
+        return _stream(_row_lines(hs, 0, 1, hp, shift))
+    import multiprocessing   # only a multi-worker call loads it
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(stripes) as pool:
+        parts = pool.starmap(_stripe, [(hs, w, stripes, hp, shift)
+                                       for w in range(stripes)])
+    # row i is row i // stripes of stripe i % stripes
+    return _stream(parts[i % stripes][i // stripes] for i in range(len(hs)))
 
 
 def spanned_lines(ps: PointSet, workers: int = 1) -> RichLineTable:
@@ -370,19 +389,19 @@ def spanned_lines(ps: PointSet, workers: int = 1) -> RichLineTable:
     if ps.n < 2:
         raise ValueError("spanned_lines needs at least 2 points")
     hs = ps.raw()
-    lines, two_point = _rich_lines(hs, workers)
-    return RichLineTable({_line(hs, m[0], m[1]): len(m) for m in lines},
-                         two_point)
+    entries: dict[tuple, int] = {}
+
+    def enter(m):
+        entries[_line(hs, m[0], m[1])] = len(m)
+    return RichLineTable(entries, _drain(_rich_lines(hs, workers), enter))
 
 
 def k_rich_count(table: RichLineTable, k: int, exactly: bool = False) -> int:
     """Number of lines with multiplicity = k (exactly) or >= k."""
     if k < 2:
         raise ValueError("k_rich_count needs k >= 2")
-    if exactly:
-        rich = sum(1 for m in table.entries.values() if m == k)
-    else:
-        rich = sum(1 for m in table.entries.values() if m >= k)
+    rich = sum(1 for m in table.entries.values()
+               if m == k or m > k and not exactly)
     return rich + table.two_point if k == 2 else rich
 
 
@@ -395,7 +414,7 @@ def line_members(ps: PointSet) -> dict[tuple, list[int]]:
     """Sorted point indices per canonical line, for the lines through >= 3
     set points."""
     hs = ps.raw()
-    return {_line(hs, m[0], m[1]): m for m in _rich_lines(hs)[0]}
+    return {_line(hs, m[0], m[1]): m for m in _rich_lines(hs)}
 
 
 def tripartite_count(ps: PointSet, pattern: Iterable[int],
@@ -415,15 +434,14 @@ def tripartite_count(ps: PointSet, pattern: Iterable[int],
     pat = sorted(pattern)
     if len(pat) != 3 or any(g not in (1, 2, 3) for g in pat):
         raise ValueError("pattern must be a size-3 multiset over {1,2,3}")
-    present = set(ps.labels)
-    missing = set(pat) - present
+    missing = set(pat) - set(ps.labels)
     if missing:
         raise ValueError(f"pattern references missing group {sorted(missing)}")
     n1, n2, n3 = (pat.count(g) for g in (1, 2, 3))
     f = ps.n.bit_length() + 1
     mask = (1 << f) - 1
     weight = [1 << (f * (g - 1)) for g in ps.labels].__getitem__
-    sums = (sum(map(weight, m)) for m in _rich_lines(ps.raw(), workers)[0])
+    sums = (sum(map(weight, m)) for m in _rich_lines(ps.raw(), workers))
     return sum(1 for s in sums if (s & mask) >= n1
                and (s >> f & mask) >= n2 and (s >> 2 * f) >= n3)
 

@@ -163,18 +163,35 @@ def test_package_exports():
         exec("from orchard import no_such_name", {})
 
 
+def _bound(fn) -> set[str]:
+    """The names that a function or lambda binds: its parameters and
+    the targets it stores to, outside the functions nested in it."""
+    names = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def _reads(path: Path) -> set[str]:
     """The names that the file reads, outside the definition of the name
-    itself: a bare name, or an attribute of a name bound to the package,
-    the CLI or a submodule (orchard.x, _cli.x, richlines.x, ...)."""
+    itself: a bare name that no enclosing function binds, or an
+    attribute of a name bound to the package, the CLI or a submodule
+    (orchard.x, _cli.x, richlines.x, ...)."""
     owners = {"orchard", "cli", "_cli", *set(orchard._EXPORTS.values())}
     reads = set()
 
-    def visit(node, inside):
+    def visit(node, inside, local):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            local = local | _bound(node)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            name = node.id
+            name = None if node.id in local else node.id
         elif (isinstance(node, ast.Attribute)
               and isinstance(node.value, ast.Name)
               and node.value.id in owners):
@@ -184,10 +201,28 @@ def _reads(path: Path) -> set[str]:
         if name is not None and name not in inside:
             reads.add(name)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, inside, local)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset(),
+          frozenset())
     return reads
+
+
+def test_reads_skip_the_names_a_function_binds(tmp_path):
+    # a parameter or a local named like an export hides it; the
+    # module's own name, an attribute read and a later function do not
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text(
+        "def cases(gen_grid, *, k=spanned_lines):\n"
+        "    tripartite_count = gen_grid + k\n"
+        "    return tripartite_count, orchard.gen_cubic_power\n"
+        "shadow = lambda line_members: line_members\n"
+        "def later():\n"
+        "    return tripartite_count, line_members\n")
+    reads = _reads(snippet)
+    assert {"gen_grid", "k"}.isdisjoint(reads)
+    assert {"spanned_lines", "gen_cubic_power", "tripartite_count",
+            "line_members"} <= reads
 
 
 def test_every_export_has_a_reader():

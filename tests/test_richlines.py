@@ -1,4 +1,5 @@
 import copy
+import multiprocessing
 import pickle
 import random
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ from orchard import (InvariantViolation, PointSet, ProjPoint,
                      gen_grid, gen_parallel_aps, green_tao_bound, join,
                      k_rich_count, mk_point, richlines, spanned_lines,
                      triple_line_count, tripartite_count)
-from orchard.richlines import _store, line_members
+from orchard.richlines import _drain, _store, line_members
 from oracles import (InlineContext, apply_transform, brute_directions,
                      brute_multiplicities, brute_tripartite)
 
@@ -122,7 +123,6 @@ def test_multiworker_identical():
 
 
 def test_workers_beyond_the_rows_start_no_idle_process(monkeypatch):
-    import multiprocessing
     ctx = InlineContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
     ps = gen_grid(3)
@@ -135,29 +135,66 @@ def test_workers_beyond_the_rows_start_no_idle_process(monkeypatch):
 
 
 def test_row_sighting_must_be_suffix():
-    lines, marks = [], {}
-    _store(lines, marks, [1, 3, 5, 7, 8])
-    _store(lines, marks, [3, 5, 7, 8])       # the rows of 3 and 5 sight it
-    _store(lines, marks, [5, 7, 8])
-    _store(lines, marks, [2, 4, 6])
-    assert lines == [[1, 3, 5, 7, 8], [2, 4, 6]]
+    marks = {}
+    # the rows of 3 and 5 sight the first line, and are dropped
+    sightings = [[1, 3, 5, 7, 8], [3, 5, 7, 8], [5, 7, 8], [2, 4, 6]]
+    assert [m for m in sightings if _store(marks, m)] == \
+        [[1, 3, 5, 7, 8], [2, 4, 6]]
     with pytest.raises(InvariantViolation):
-        _store(lines, marks, [3, 5, 8])
+        _store(marks, [3, 5, 8])
     with pytest.raises(InvariantViolation):
-        _store(lines, marks, [5, 7, 8, 9])
+        _store(marks, [5, 7, 8, 9])
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 9])
 def test_a_line_marks_the_pairs_a_later_row_starts_from(m):
-    lines, marks = [], {}
+    marks = {}
     members = list(range(10, 10 + 2 * m, 2))
-    _store(lines, marks, members)
+    assert _store(marks, members)
     assert len(marks) == m - 3
     assert sorted(marks) == [tuple(members[k:k + 2])
                              for k in range(1, m - 2)]
     for k in range(1, m - 2):               # every later sighting is known
-        _store(lines, marks, members[k:])
-    assert lines == [members]
+        assert not _store(marks, members[k:])
+
+
+
+def test_lines_stream_row_by_row(monkeypatch):
+    # a line reaches the consumer in its lowest row, before the next
+    # row is built, and only lines of 4+ members stay in the marks
+    built, marks_seen = [], []
+    slope_row, store = richlines._slope_row, richlines._store
+
+    def spy_row(hs, i, shift):
+        built.append(i)
+        return slope_row(hs, i, shift)
+
+    def spy_store(marks, members):
+        marks_seen.append(marks)
+        return store(marks, members)
+
+    monkeypatch.setattr(richlines, "_slope_row", spy_row)
+    monkeypatch.setattr(richlines, "_store", spy_store)
+    ps = gen_parallel_aps(12)
+    stream = richlines._rich_lines(ps.raw())
+    assert built == []
+    first = next(stream)
+    assert first[0] == 0 and built == [0]
+    lines = [first]
+    assert _drain(stream, lines.append) == 216   # C(36, 2) - 72*3 - 3*66
+    assert built == list(range(ps.n))
+    # the three rows of 12 points and the 72 lines x1 + x3 = 2 * x2
+    assert sorted(len(m) for m in lines) == [3] * 72 + [12] * 3
+    marks = marks_seen[0]
+    assert all(m is marks for m in marks_seen) and len(marks) == 3 * 9
+    assert all(len(m) >= 4 for m in marks.values())
+
+
+def test_workers_below_one_raise_at_the_call():
+    # the check does not wait for the first line to be read
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            richlines._rich_lines(gen_grid(3).raw(), workers)
 
 
 def _non_suffix_sighting(monkeypatch):
@@ -175,8 +212,8 @@ def _non_suffix_sighting(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_non_suffix_sighting_raises(monkeypatch, workers):
-    # serially the row of point 1 sights the stored line; with two
-    # workers its stripe stores [1, 2, 4] and the parent's merge sights it
+    # serially the row of point 1 sights the marked line; with two
+    # workers the parent reads that row from the second stripe
     ps = _non_suffix_sighting(monkeypatch)
     with pytest.raises(InvariantViolation, match=r"\[1, 2, 4\]"):
         spanned_lines(ps, workers=workers)
@@ -239,7 +276,7 @@ def _mixed_labels(points, seed):
                          ids=["grid", "infinity"])
 def test_packed_label_counts_match_brute(make, seed, pattern):
     ps = _mixed_labels(make(), seed)
-    lines = richlines._rich_lines(ps.raw())[0]
+    lines = list(richlines._rich_lines(ps.raw()))
     assert max(len(m) for m in lines) >= 4
     assert any(len({ps.labels[i] for i in m}) == 3 for m in lines)
     assert tripartite_count(ps, pattern) == brute_tripartite(
@@ -267,7 +304,7 @@ def test_packed_label_counts_on_a_long_line(relabel):
     # a count of 300 in a field of 8 bits would carry one into the next
     # group's field, and (1, 1, 2) would count the line y = 0
     ps = _long_line_set(relabel)
-    assert sorted(len(m) for m in richlines._rich_lines(ps.raw())[0]) == \
+    assert sorted(len(m) for m in richlines._rich_lines(ps.raw())) == \
         [4, 300]
     for pattern, count in LONG_LINE_COUNTS.items():
         assert tripartite_count(ps, [relabel[g - 1] for g in pattern]) == \
@@ -342,21 +379,37 @@ def test_triple_lines_upper_bound(coords):
 
 # --- the slope-code and mod-p keyed row kernels ----------------------------
 
+def _read(stream):
+    """The lines of a line stream, as a list, and its 2-point count."""
+    lines = []
+    two_point = _drain(stream, lines.append)
+    return lines, two_point
+
+
 def _exact(hs):
-    """The serial all-exact kernel: _row_lines with neither slope codes
-    nor mod-_P keys, finished as _rich_lines does it."""
-    lines, row_lines = richlines._row_lines(hs)
-    return lines, row_lines - sum(len(m) - 1 for m in lines)
+    """The serial all-exact kernel: the rows of _row_lines with neither
+    slope codes nor mod-_P keys, streamed as _rich_lines streams them."""
+    return _read(richlines._stream(richlines._row_lines(hs)))
 
 
 def _kernels(hs, workers=1):
     """_rich_lines forced onto the slope codes, and onto mod-_P keys."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(richlines, "_BIG_BITS", 10 ** 9)
-        slope = richlines._rich_lines(hs, workers)
+        slope = _read(richlines._rich_lines(hs, workers))
         mp.setattr(richlines, "_BIG_BITS", 0)
-        modp = richlines._rich_lines(hs, workers)
+        modp = _read(richlines._rich_lines(hs, workers))
     return slope, modp
+
+
+def _assert_stream_is_two_stripes(hs):
+    """The serial stream, read as a list, is the two-stripe result (its
+    stripes built in this process)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiprocessing, "get_context",
+                   lambda method: InlineContext())
+        assert _read(richlines._rich_lines(hs)) == \
+            _read(richlines._rich_lines(hs, workers=2))
 
 
 def _assert_matches_exact(points, out):
@@ -457,6 +510,7 @@ def big_point_sets(draw):
 def test_mod_kernel_on_big_coordinates(points):
     assert max(abs(c) for p in points for c in p.h).bit_length() >= 500
     _assert_kernels_agree(points)
+    _assert_stream_is_two_stripes([p.h for p in points])
 
 
 def test_mod_kernel_workers_match_serial():
@@ -496,8 +550,8 @@ def _cantilever_points():
                          ids=["grid", "slope", "mod-p"])
 def test_workers_keep_the_serial_key_order(make):
     hs = make().raw()
-    serial = richlines._rich_lines(hs)
-    parallel = richlines._rich_lines(hs, workers=2)
+    serial = _read(richlines._rich_lines(hs))
+    parallel = _read(richlines._rich_lines(hs, workers=2))
     assert len(serial[0]) >= 3
     assert parallel == serial
 
@@ -536,7 +590,7 @@ def test_anchors_at_infinity_take_the_exact_row(monkeypatch):
     monkeypatch.setattr(richlines, "_slope_row", spy("slope", slope_row))
     monkeypatch.setattr(richlines, "_exact_row", spy("exact", exact_row))
     points = _with_infinity()
-    out = richlines._rich_lines([p.h for p in points])
+    out = _read(richlines._rich_lines([p.h for p in points]))
     assert rows["exact"] == [i for i, p in enumerate(points) if p.at_infinity]
     assert sorted(rows["slope"] + rows["exact"]) == list(range(len(points)))
     _assert_matches_exact(points, out)
@@ -642,7 +696,8 @@ def test_slope_kernel_on_farey_directions(data):
     hs = [p.h for p in points]
     assert richlines._coord_bits(hs) <= richlines._BIG_BITS
     if len(hs) >= 2:
-        _assert_matches_exact(points, richlines._rich_lines(hs))
+        _assert_matches_exact(points, _read(richlines._rich_lines(hs)))
+        _assert_stream_is_two_stripes(hs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -676,7 +731,7 @@ def test_regime_boundary_at_big_bits(monkeypatch, extra, path):
     row = getattr(richlines, path)
     monkeypatch.setattr(richlines, path,
                         lambda *args: calls.append(1) or row(*args))
-    out = richlines._rich_lines(hs)
+    out = _read(richlines._rich_lines(hs))
     assert len(calls) == len(hs) and out[0]      # the planted line
     _assert_matches_exact(points, out)
 

@@ -2,7 +2,8 @@
 
 A script imports library names that no other test reaches, so a
 renamed name would otherwise break it silently.  Only --help runs,
-and the census at a small size: no benchmark, no worker pool.
+the census at a small size and the kernel crossover at one bit size:
+no benchmark, no worker pool.
 """
 
 import importlib.util
@@ -48,6 +49,16 @@ def test_census_classifies_each_family_cubic():
         ["triangle-ratios", "three-lines"],
         ["ngon-directions", "-"],
         ["cubic-power", "no-candidate-factor"]]
+
+
+
+def test_kernel_crossover_smoke():
+    """Both kernels read the whole line stream and agree on it."""
+    out = _run_script(ROOT / "scripts" / "kernel_crossover.py",
+                      "--bits", "32", "--reps", "1").splitlines()
+    assert out[0] == "bits,input,slope_s,mod_p_s,slope_over_mod_p"
+    assert [row.split(",")[:2] for row in out[1:]] == [["32", "random"],
+                                                      ["32", "rich"]]
 
 
 def _load_script(name):
