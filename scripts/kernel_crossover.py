@@ -8,7 +8,8 @@ parallel rows of 133 points (a third of all pairs lie on rich lines)
 moved by a random integer projective map.  Each kernel runs five times,
 alternating which goes first; the medians and their ratio are printed,
 and the two results are checked to be the same member lists in the same
-order, with the same 2-point count.  richlines._BIG_BITS is set from where the ratio crosses 1.
+order, with the same 2-point count.  richlines._BIG_BITS is set from
+where the ratio crosses 1.
 """
 
 import argparse

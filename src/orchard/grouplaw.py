@@ -358,15 +358,15 @@ def _law_witness(points: Sequence[ProjPoint],
 
     points are distinct; roles[i] lists the (piece, value) pairs of
     points[i].  Three distinct points are collinear exactly when one of
-    the lines through >= 3 points, which the row enumeration stores with
-    all their members, holds all three.  Collinear => law visits only
-    the role triples on a stored line.  Law => collinear: each (piece 1,
-    piece 2) role pair looks up the piece-3 value the law requires, and
-    each candidate is looked up in the stored lines.  O(n^2) joins and
-    no determinant.  Roles rank by point, then by list order: a
-    collinear witness comes first, on the line with the least two
-    lowest members, least by the ranks of its roles; else the
-    non-collinear one least by those ranks.
+    the lines through >= 3 points, which the row enumeration streams
+    with all their members, holds all three.  Collinear => law visits
+    the role triples of each line as it goes by, and keeps only the
+    line's number at its points.  Law => collinear: each (piece 1, piece
+    2) role pair looks up the piece-3 value the law requires, and each
+    candidate by the line numbers kept.  O(n^2) joins, no determinant.
+    Roles rank by point, then by list order: a collinear witness comes
+    first, on the line with the least two lowest members, least by the
+    ranks of its roles; else the non-collinear one least by those ranks.
     """
     identity, combine, inverse, _ = _LAWS[operation]
 
@@ -382,7 +382,7 @@ def _law_witness(points: Sequence[ProjPoint],
         return LawWitness(idx, tuple(points[i] for i in idx),
                           (r1[1], r2[1], r3[1]), operation, on_line)
 
-    # through[i]: the numbers of the stored lines through point i
+    # through[i]: the numbers of the streamed lines through point i
     through: list[set[int]] = [set() for _ in points]
     for n, members in enumerate(_rich_lines([p.h for p in points])):
         on = split(members)

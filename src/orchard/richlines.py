@@ -401,7 +401,7 @@ def k_rich_count(table: RichLineTable, k: int, exactly: bool = False) -> int:
     if k < 2:
         raise ValueError("k_rich_count needs k >= 2")
     rich = sum(1 for m in table.entries.values()
-               if m == k or m > k and not exactly)
+               if (m == k if exactly else m >= k))
     return rich + table.two_point if k == 2 else rich
 
 
