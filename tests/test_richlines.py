@@ -158,7 +158,6 @@ def test_a_line_marks_the_pairs_a_later_row_starts_from(m):
         assert not _store(marks, members[k:])
 
 
-
 def test_lines_stream_row_by_row(monkeypatch):
     # a line reaches the consumer in its lowest row, before the next
     # row is built, and only lines of 4+ members stay in the marks
