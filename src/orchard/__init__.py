@@ -32,9 +32,8 @@ _EXPORTS = {name: module for module, names in (
                  "three_lines_multiplicative_arcs verify_lattice"),
     ("conic", "ExternalPoint image_count involution_value "
               "parabola_collinear reps_collinear"),
-    ("curves", "CurveSpec TripartiteCounts TripartiteExperiment "
-               "dichotomy_experiment few_directions_experiment graph_power "
-               "quadruple_experiment tripartite_curve_count"),
+    ("curves", "CurveSpec dichotomy_experiment few_directions_experiment "
+               "graph_power quadruple_experiment"),
 ) for name in names.split()}
 
 __all__ = list(_EXPORTS)

@@ -18,9 +18,6 @@ from .projective import ProjLine, ProjPoint, Rat, canonical, integral
 MONOMIALS = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
              (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3))
 
-_NAMES = ("X^3", "X^2*Y", "X^2*Z", "X*Y^2", "X*Y*Z",
-          "X*Z^2", "Y^3", "Y^2*Z", "Y*Z^2", "Z^3")
-
 
 @dataclass(frozen=True)
 class CubicForm:
@@ -43,16 +40,6 @@ class CubicForm:
 
     def contains(self, p: ProjPoint) -> bool:
         return self.evaluate(p) == 0
-
-    def __str__(self):
-        parts = []
-        for c, name in zip(self.coefficients, _NAMES):
-            if c:
-                sign = "+" if c > 0 else "-"
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                parts.append(f"{sign} {mag}{name}")
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
 def monomial_row(p: ProjPoint) -> list[int]:

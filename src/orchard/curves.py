@@ -1,21 +1,18 @@
-"""Collinear triples across three algebraic curves, counted directly.
+"""Exact line counts on lifted curve samples: the degree dichotomy.
 
-Sample x-values are lifted to exact rational points of each curve and
-the cross-curve collinear triples are read off the member lists of the
-lines through three or more of them (richlines' row enumeration).
-This computes the same count a resultant elimination would, without
-ever forming the eliminated surface.  The dichotomy, quadruple-line
-and direction experiments for the degree-3-vs-other gap live here too;
-their sub-quadratic thresholds are recorded oracle baselines, evidence
-rather than verification.
+Sample x-values are lifted to exact rational points of a curve, and
+each experiment counts the lines through k or more of them as
+richlines' row enumeration streams them by.  A counted line holds its
+collinear lifted points outright, so no resultant is ever formed.  Each
+counted line is held to Bezout's bound.  The sub-quadratic thresholds
+of the dichotomy, quadruple-line and direction experiments are
+recorded oracle baselines, evidence rather than verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
-from math import comb, prod
 from typing import Callable, Iterable
 
 from .projective import ProjPoint, Rat, mk_point
@@ -43,85 +40,41 @@ def graph_power(d: int) -> CurveSpec:
     return CurveSpec(d, lambda x: [mk_point(x, x ** d)], f"y=x^{d}")
 
 
-@dataclass(frozen=True)
-class TripartiteExperiment:
-    curves: tuple[CurveSpec, CurveSpec, CurveSpec]
-    samples: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(
-            tuple(Fraction(x) for x in xs) for xs in self.samples))
-        if len(self.curves) != 3 or len(self.samples) != 3:
-            raise ValueError("three curves and three sample sets required")
-
-
-@dataclass(frozen=True)
-class TripartiteCounts:
-    collinear_triples: int
-    distinct_lines: int
-    lift_failures: tuple[tuple[int, Fraction], ...]   # (part, x) not lifted
+def _lifted(name: str, curve: CurveSpec,
+            xs: Iterable[Rat]) -> list[ProjPoint]:
+    """The distinct points lifted from xs, sorted by coordinates.  A
+    sample must lift to two or more points to span a line."""
+    pts = sorted({p for x in xs for p in curve.lift(x)}, key=lambda p: p.h)
+    if len(pts) < 2:
+        raise ValueError(f"{name} needs a sample that lifts to >= 2 points, "
+                         f"not {len(pts)}")
+    return pts
 
 
-def _matchable(m1: int, m2: int, m3: int) -> bool:
-    """Can three points with these part-masks be assigned to parts 1,2,3?"""
-    return any(m1 & (1 << (p1 - 1)) and m2 & (1 << (p2 - 1))
-               and m3 & (1 << (p3 - 1))
-               for p1, p2, p3 in permutations((1, 2, 3)))
-
-
-def _triples_for_masks(counts: dict[int, int]) -> int:
-    """Triples with one point per part, from counts of points per mask."""
-    return sum(prod(comb(counts[m], ms.count(m)) for m in set(ms))
-               for ms in combinations_with_replacement(sorted(counts), 3)
-               if _matchable(*ms))
-
-
-def tripartite_curve_count(e: TripartiteExperiment) -> TripartiteCounts:
-    """Exact count of collinear cross-curve point triples and of the
-    distinct lines carrying at least one of them.
-
-    A triple is three distinct lifted points assignable one-to-each
-    part (points shared between parts count once).  Lines on which a
-    part-curve exceeds its degree in lifted points violate the
-    intersection bound and abort the experiment.
-    """
-    masks: dict[ProjPoint, int] = {}
-    failures = []
-    for part, (curve, xs) in enumerate(zip(e.curves, e.samples), start=1):
-        for x in xs:
-            pts = curve.lift(x)
-            if not pts:
-                failures.append((part, x))
-            for p in pts:
-                masks[p] = masks.get(p, 0) | (1 << (part - 1))
-    points = sorted(masks, key=lambda p: p.h)
-    hs = [p.h for p in points]
-    triples = lines = 0
+def _rich_line_count(name: str, curve: CurveSpec, xs: Iterable[Rat],
+                     k: int) -> int:
+    """Lines through k or more lifted sample points, each checked
+    against the degree bound as it is counted."""
+    hs = [p.h for p in _lifted(name, curve, xs)]
+    count = 0
     for idxs in _rich_lines(hs):
-        cnt: dict[int, int] = {}
-        for i in idxs:
-            m = masks[points[i]]
-            cnt[m] = cnt.get(m, 0) + 1
-        for part, curve in enumerate(e.curves):
-            _check_degree_bound(curve, hs, idxs, sum(
-                c for m, c in cnt.items() if m >> part & 1))
-        t = _triples_for_masks(cnt)
-        if t:
-            triples += t
-            lines += 1
-    return TripartiteCounts(triples, lines, tuple(failures))
+        if len(idxs) >= k:
+            _check_degree_bound(curve, hs, idxs)
+            count += 1
+    return count
 
 
-def _check_degree_bound(curve, hs, idxs, on_curve):
+def _check_degree_bound(curve, hs, idxs):
     """Bezout sanity: an irreducible degree-d curve distinct from the
-    line through the points idxs of hs, on_curve of which lie on the
-    curve, meets it in at most d points."""
-    if on_curve > curve.degree:
+    line through the curve points idxs of hs meets it in at most d
+    points."""
+    if len(idxs) > curve.degree:
         line_key = _line(hs, idxs[0], idxs[1])
         if not _line_is(curve, line_key):
             raise InvariantViolation(
-                f"degree bound: line {line_key} carries {on_curve} points of "
-                f"the irreducible degree-{curve.degree} curve {curve.label}")
+                f"degree bound: line {line_key} carries {len(idxs)} points "
+                f"of the irreducible degree-{curve.degree} curve "
+                f"{curve.label}")
 
 
 def _line_is(curve: CurveSpec, line_key) -> bool:
@@ -152,50 +105,24 @@ def dichotomy_experiment(degrees: Iterable[int],
     sub-quadratic (degree 4 is exactly 0: no line meets y = x^4 in
     three real points).
     """
+    sizes = list(sizes)
     rows = []
     for d in degrees:
         for n in sizes:
             if n < 1:
                 raise ValueError(f"dichotomy_experiment needs n >= 1, not {n}")
-            xs = tuple(Fraction(i) for i in range(-n, n + 1))
-            curve = graph_power(d)
-            counts = tripartite_curve_count(
-                TripartiteExperiment((curve, curve, curve), (xs, xs, xs)))
-            rows.append(DichotomyRow(d, n, counts.distinct_lines,
-                                     Fraction(counts.distinct_lines, n * n)))
+            count = _rich_line_count("dichotomy_experiment", graph_power(d),
+                                     range(-n, n + 1), 3)
+            rows.append(DichotomyRow(d, n, count, Fraction(count, n * n)))
     return rows
 
 
 def quadruple_experiment(curve: CurveSpec, xs: Iterable[Rat]) -> int:
     """Distinct lines containing at least four lifted sample points."""
-    pts: set[ProjPoint] = set()
-    for x in xs:
-        pts.update(curve.lift(x))
-    _check_sample("quadruple_experiment", pts)
-    hs = sorted(p.h for p in pts)
-    count = 0
-    for idxs in _rich_lines(hs):
-        if len(idxs) >= 4:
-            _check_degree_bound(curve, hs, idxs, len(idxs))
-            count += 1
-    return count
+    return _rich_line_count("quadruple_experiment", curve, xs, 4)
 
 
 def few_directions_experiment(curve: CurveSpec, xs: Iterable[Rat]) -> int:
     """Number of distinct directions spanned by the lifted sample."""
-    pts: list[ProjPoint] = []
-    seen = set()
-    for x in xs:
-        for p in curve.lift(x):
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
-    _check_sample("few_directions_experiment", pts)
-    return direction_count(PointSet(tuple(pts)))
-
-
-def _check_sample(name: str, pts) -> None:
-    """A sample must lift to two or more points to span a line."""
-    if len(pts) < 2:
-        raise ValueError(f"{name} needs a sample that lifts to >= 2 points, "
-                         f"not {len(pts)}")
+    return direction_count(PointSet(
+        _lifted("few_directions_experiment", curve, xs)))

@@ -2,16 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from orchard import (CurveSpec, InvariantViolation, TripartiteExperiment,
-                     WeierstrassCurve, dichotomy_experiment,
-                     few_directions_experiment, gen_cubic_power, graph_power,
-                     mk_point, quadruple_experiment, spanned_lines,
-                     triple_line_count, tripartite_curve_count)
+from orchard import (CurveSpec, InvariantViolation, WeierstrassCurve,
+                     dichotomy_experiment, few_directions_experiment,
+                     gen_cubic_power, graph_power, mk_point,
+                     quadruple_experiment, spanned_lines, triple_line_count)
 from oracles import brute_triple_lines
-
-
-def _xs(lo, hi):
-    return tuple(F(i) for i in range(lo, hi + 1))
 
 
 def row(k):
@@ -29,51 +24,17 @@ def test_lifting_rules():
     assert len(w.lift(-1)) == 2
 
 
-def test_same_curve_matches_richlines():
-    c = graph_power(3)
-    xs = _xs(-8, 8)
-    counts = tripartite_curve_count(
-        TripartiteExperiment((c, c, c), (xs, xs, xs)))
+def test_dichotomy_matches_richlines():
+    [r] = dichotomy_experiment([3], [8])
     ps = gen_cubic_power(8)
-    assert counts.distinct_lines == triple_line_count(spanned_lines(ps))
-    assert counts.distinct_lines == len(brute_triple_lines(list(ps.points)))
-    # every triple line of a cubic carries exactly one unordered triple
-    assert counts.collinear_triples == counts.distinct_lines
+    assert r.count == triple_line_count(spanned_lines(ps))
+    assert r.count == len(brute_triple_lines(list(ps.points)))
 
 
-def test_three_rows_closed_form():
-    rows = tuple(row(k) for k in (0, 1, 2))
-    xs = _xs(0, 5)
-    counts = tripartite_curve_count(TripartiteExperiment(rows, (xs, xs, xs)))
-    assert counts.distinct_lines == 18          # n^2/2 at n = 6
-    assert counts.collinear_triples >= counts.distinct_lines
-
-
-def test_quartic_has_no_collinear_triples():
-    q = graph_power(4)
-    xs = _xs(-20, 20)
-    counts = tripartite_curve_count(TripartiteExperiment((q, q, q),
-                                                         (xs, xs, xs)))
-    assert counts.collinear_triples == 0
-    assert counts.distinct_lines == 0
-
-
-def test_lift_failures_reported():
-    w = CurveSpec(3, WeierstrassCurve(0, 17).lift, "y^2=x^3+17")
-    e = TripartiteExperiment((w, w, w), (_xs(-2, 2),) * 3)
-    counts = tripartite_curve_count(e)
-    failed = {x for _, x in counts.lift_failures}
-    assert failed == {F(0), F(1)}      # 17 and 18 are not squares
-
-
-def test_monotonicity_in_samples():
-    c = graph_power(3)
-    small = tripartite_curve_count(
-        TripartiteExperiment((c, c, c), (_xs(-4, 4),) * 3))
-    big = tripartite_curve_count(
-        TripartiteExperiment((c, c, c), (_xs(-6, 6),) * 3))
-    assert big.collinear_triples >= small.collinear_triples
-    assert big.distinct_lines >= small.distinct_lines
+def test_dichotomy_reads_sizes_once():
+    rows = dichotomy_experiment([3, 4], iter([5, 6]))
+    assert [(r.degree, r.n) for r in rows] == [(3, 5), (3, 6), (4, 5), (4, 6)]
+    assert rows[:2] == dichotomy_experiment([3], [5, 6])
 
 
 def test_dichotomy_rows():
@@ -107,6 +68,15 @@ def test_degree_bound_guard():
     fake = CurveSpec(3, lambda x: [mk_point(x, 0)], "fake")
     with pytest.raises(InvariantViolation):
         quadruple_experiment(fake, range(6))
+
+
+def test_quadruple_experiment_checks_only_counted_lines():
+    # three points of a "conic" on y = 0 break the degree bound, but a
+    # line of 3 members is not counted, so it is not checked either
+    fake = CurveSpec(2, lambda x: [mk_point(x, 0)], "fake conic")
+    assert quadruple_experiment(fake, range(3)) == 0
+    with pytest.raises(InvariantViolation):
+        quadruple_experiment(fake, range(4))
 
 
 def test_degree_bound_guard_on_degree_one():

@@ -61,6 +61,10 @@ SUBCOMMANDS = {
                "--x", "3"], {"conic"}),
     "experiment": (["experiment", "--kind", "quadruple", "--degree", "3",
                     "--n", "3"], {"curves"}),
+    "experiment-dichotomy": (["experiment", "--kind", "dichotomy",
+                              "--degree", "3", "--n", "3"], {"curves"}),
+    "experiment-directions": (["experiment", "--kind", "directions",
+                               "--degree", "3", "--n", "3"], {"curves"}),
     "plot": (["plot", "--in", "{in}", "--out", "{out}",
               "--mark-triple-lines"], {"svg"}),
 }
@@ -138,9 +142,8 @@ EXPORTS = {
                 "three_lines_multiplicative_arcs verify_lattice",
     "conic": "ExternalPoint image_count involution_value "
              "parabola_collinear reps_collinear",
-    "curves": "CurveSpec TripartiteCounts TripartiteExperiment "
-              "dichotomy_experiment few_directions_experiment graph_power "
-              "quadruple_experiment tripartite_curve_count",
+    "curves": "CurveSpec dichotomy_experiment few_directions_experiment "
+              "graph_power quadruple_experiment",
 }
 
 
@@ -177,16 +180,18 @@ def _bound(fn) -> set[str]:
     return names
 
 
-def _reads(path: Path) -> set[str]:
-    """The names that the file reads, outside the definition of the name
-    itself: a bare name that no enclosing function binds, or an
+def _reads(path: Path) -> dict:
+    """The names that the file reads, by the top-level definition that
+    reads them (None for module-level code), outside the definition of
+    the name itself: a bare name that no enclosing function binds, or an
     attribute of a name bound to the package, the CLI or a submodule
     (orchard.x, _cli.x, richlines.x, ...)."""
     owners = {"orchard", "cli", "_cli", *set(orchard._EXPORTS.values())}
-    reads = set()
+    reads: dict = {}
 
-    def visit(node, inside, local):
+    def visit(node, top, inside, local):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            top = node.name if top is None else top
             inside = inside | {node.name}
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
             local = local | _bound(node)
@@ -199,13 +204,37 @@ def _reads(path: Path) -> set[str]:
         else:
             name = None
         if name is not None and name not in inside:
-            reads.add(name)
+            reads.setdefault(top, set()).add(name)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside, local)
+            visit(child, top, inside, local)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset(),
+    visit(ast.parse(path.read_text(encoding="utf-8")), None, frozenset(),
           frozenset())
     return reads
+
+
+def _reached(library: list[Path], readers: list[Path]) -> set[str]:
+    """The names that a reader file reads anywhere, or that a library
+    file reads in module-level code or in main, run or build_parser,
+    and, to a fixpoint, the names that a top-level library definition
+    reads once its own name is reached."""
+    todo: set = set()
+    for path in readers:
+        todo.update(*_reads(path).values())
+    defs: dict = {}
+    for path in library:
+        for top, names in _reads(path).items():
+            if top in (None, "main", "run", "build_parser"):
+                todo |= names
+            else:
+                defs.setdefault(top, set()).update(names)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo |= defs.get(name, set())
+    return reached
 
 
 def test_reads_skip_the_names_a_function_binds(tmp_path):
@@ -219,18 +248,42 @@ def test_reads_skip_the_names_a_function_binds(tmp_path):
         "shadow = lambda line_members: line_members\n"
         "def later():\n"
         "    return tripartite_count, line_members\n")
-    reads = _reads(snippet)
+    reads = set().union(*_reads(snippet).values())
     assert {"gen_grid", "k"}.isdisjoint(reads)
     assert {"spanned_lines", "gen_cubic_power", "tripartite_count",
             "line_members"} <= reads
 
 
+def test_reached_skips_what_only_an_unread_definition_reads(tmp_path):
+    # module-level code, run and a reader file reach names, and so do
+    # the definitions they reach (a class with its methods); a name that
+    # only an unread function reads is not reached
+    library = tmp_path / "library.py"
+    library.write_text(
+        "TABLE = {'grid': make}\n"
+        "def make():\n"
+        "    return Helper().go()\n"
+        "class Helper:\n"
+        "    def go(self):\n"
+        "        return gen_grid\n"
+        "def run():\n"
+        "    return orchard.spanned_lines\n"
+        "def unread():\n"
+        "    return gen_cubic_power, tripartite_count\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("def main():\n    return tripartite_count\n")
+    reached = _reached([library], [reader])
+    assert {"make", "Helper", "gen_grid", "spanned_lines",
+            "tripartite_count"} <= reached
+    assert {"unread", "gen_cubic_power"}.isdisjoint(reached)
+
+
 def test_every_export_has_a_reader():
-    """Each exported name is read by the library, the CLI, a script or
-    an acceptance test; a unit test of the name alone does not count."""
-    files = [*sorted((SRC / "orchard").glob("*.py")),
-             *sorted((ROOT / "scripts").glob("*.py")),
-             ROOT / "tests" / "test_acceptance.py"]
-    read = set().union(*(_reads(f) for f in files
-                         if f.name != "__init__.py"))
-    assert sorted(set(orchard._EXPORTS) - read) == []
+    """Each exported name is reached from a script, an acceptance test
+    or the library's own entry points; a unit test of the name alone,
+    or a library definition that nothing reaches, does not count."""
+    library = [f for f in sorted((SRC / "orchard").glob("*.py"))
+               if f.name != "__init__.py"]
+    readers = [*sorted((ROOT / "scripts").glob("*.py")),
+               ROOT / "tests" / "test_acceptance.py"]
+    assert sorted(set(orchard._EXPORTS) - _reached(library, readers)) == []
