@@ -66,13 +66,26 @@ def pointset_to_doc(ps: PointSet) -> dict:
 _INT_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+def _match(token):
+    """token's _INT_RATIO match; None if it does not match or is no str."""
+    return _INT_RATIO.fullmatch(token) if type(token) is str else None
+
+
+def _ratio(token: str, m: re.Match) -> tuple[int, int]:
+    """The numerator and denominator of a token that m, its _INT_RATIO
+    match, read; a zero denominator is refused as ValueError."""
+    p, q = int(m[1]), int(m[2] or 1)
+    if not q:
+        raise ValueError(f"{token!r} has a zero denominator")
+    return p, q
+
+
 def _rational(token: str) -> Fraction:
     """Fraction(token), with a zero denominator refused as ValueError."""
+    m = _match(token)
+    if m:
+        return Fraction(*_ratio(token, m))
     try:
-        m = _INT_RATIO.fullmatch(token) if type(token) is str else None
-        if m:
-            p, q = m.groups()
-            return Fraction(int(p), int(q or 1))
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"{token!r} has a zero denominator") from None
@@ -103,8 +116,13 @@ def pointset_from_doc(doc) -> PointSet:
                 raise ValueError("homogeneous entry needs three integers")
             pts.append(ProjPoint(tuple(_exact(v, int) for v in h)))
         elif "x" in entry and "y" in entry:
-            pts.append(mk_point(_exact(entry["x"], _rational),
-                                _exact(entry["y"], _rational)))
+            x, y = entry["x"], entry["y"]
+            mx, my = _match(x), _match(y)
+            if mx and my:       # (p1/q1, p2/q2) is (p1 q2 : p2 q1 : q1 q2)
+                (p1, q1), (p2, q2) = _ratio(x, mx), _ratio(y, my)
+                pts.append(ProjPoint((p1 * q2, p2 * q1, q1 * q2)))
+            else:
+                pts.append(mk_point(_exact(x, _rational), _exact(y, _rational)))
         else:
             raise ValueError(f"point entry {entry!r} needs 'x' and 'y', or 'h'")
     labels = doc.get("labels")

@@ -10,23 +10,20 @@ equivalent to plane collinearity of the external points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .projective import Rat
+from .projective import Rat, _Frozen
 
 
-@dataclass(frozen=True)
-class ExternalPoint:
-    a: Fraction
-    b: Fraction
+class ExternalPoint(_Frozen):
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b == self.a * self.a:
-            raise ValueError(f"({self.a}, {self.b}) lies on the parabola")
+    def __init__(self, a: Rat, b: Rat):
+        a, b = Fraction(a), Fraction(b)
+        if b == a * a:
+            raise ValueError(f"({a}, {b}) lies on the parabola")
+        super().__init__(a, b)
 
     def rep4(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, -self.b, Fraction(1), -self.a)

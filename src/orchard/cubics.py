@@ -9,25 +9,24 @@ exact nullspace computation; no ranks are estimated numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .projective import ProjLine, ProjPoint, Rat, canonical, integral
+from .projective import (ProjLine, ProjPoint, Rat, _Frozen, canonical,
+                         integral)
 
 MONOMIALS = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
              (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3))
 
 
-@dataclass(frozen=True)
-class CubicForm:
-    coefficients: tuple[int, ...]
+class CubicForm(_Frozen):
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        cs = tuple(int(c) for c in self.coefficients)
+    def __init__(self, coefficients: Sequence[int]):
+        cs = tuple(int(c) for c in coefficients)
         if len(cs) != 10:
             raise ValueError("a cubic form has 10 coefficients")
-        object.__setattr__(self, "coefficients", canonical(cs))
+        super().__init__(canonical(cs))
 
     @classmethod
     def from_rationals(cls, cs: Sequence[Rat]) -> "CubicForm":
@@ -138,10 +137,10 @@ def divide_by_line(coeffs: Sequence[Rat], degree: int,
     return [quot.get(e, Fraction(0)) for e in _degree_monomials(degree - 1)]
 
 
-@dataclass(frozen=True)
-class CubicClassification:
-    kind: str                      # three-lines | line-plus-conic | no-candidate-factor
-    line_factors: tuple[ProjLine, ...]
+class CubicClassification(_Frozen):
+    # kind is three-lines | line-plus-conic | no-candidate-factor, and
+    # line_factors the ProjLines peeled off
+    __slots__ = ("kind", "line_factors")
 
 
 def classify_with_candidates(f: CubicForm,

@@ -11,23 +11,19 @@ recorded oracle baselines, evidence rather than verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .projective import ProjPoint, Rat, mk_point
+from .projective import ProjPoint, Rat, _Frozen, mk_point
 from .richlines import (InvariantViolation, PointSet, _line, _rich_lines,
                         direction_count)
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """An irreducible plane curve with an exact point-lifting rule for
-    sample x-values."""
+class CurveSpec(_Frozen):
+    """An irreducible plane curve of the given degree whose lift_fn lifts
+    a sample x-value (a Fraction) to its exact points; label names it."""
 
-    degree: int
-    lift_fn: Callable[[Fraction], list[ProjPoint]]
-    label: str = ""
+    __slots__ = ("degree", "lift_fn", "label")
 
     def lift(self, x: Rat) -> list[ProjPoint]:
         return self.lift_fn(Fraction(x))
@@ -89,12 +85,8 @@ def _line_is(curve: CurveSpec, line_key) -> bool:
                                  for x, y, z in pts)
 
 
-@dataclass(frozen=True)
-class DichotomyRow:
-    degree: int
-    n: int
-    count: int
-    ratio_n2: Fraction      # count / n^2
+class DichotomyRow(_Frozen):
+    __slots__ = ("degree", "n", "count", "ratio_n2")    # ratio_n2 = count / n^2
 
 
 def dichotomy_experiment(degrees: Iterable[int],

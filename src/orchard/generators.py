@@ -7,11 +7,10 @@ chord {k,l} iff i+j = k+l mod n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .projective import (DegenerateError, ProjPoint, Rat, collinear,
+from .projective import (DegenerateError, ProjPoint, Rat, _Frozen, collinear,
                          mk_point, point_from_rationals, triangle_sides)
 from .richlines import PointSet
 
@@ -94,15 +93,15 @@ def gen_triangle_ratios(n: int,
     return PointSet(tuple(points), tuple(labels))
 
 
-@dataclass(frozen=True)
-class NgonConfig:
+class NgonConfig(_Frozen):
     """Regular n-gon chords, combinatorially: parallel iff same class."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __init__(self, n: int):
+        if n < 3:
             raise ValueError("NgonConfig needs n >= 3")
+        super().__init__(n)
 
     def direction_class(self, i: int, j: int) -> int:
         if i == j or not (0 <= i < self.n and 0 <= j < self.n):

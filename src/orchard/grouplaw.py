@@ -18,15 +18,15 @@ against the law itself.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cubics import CubicForm, cuspidal_form, weierstrass_form
-from .projective import (DegenerateError, ProjPoint, Rat, collinear, incident,
-                         join, mk_point, signed_ratio, triangle_sides)
+from .projective import (DegenerateError, ProjPoint, Rat, _Frozen, collinear,
+                         incident, join, mk_point, signed_ratio,
+                         triangle_sides)
 from .richlines import PointSet, _rich_lines
 
 ADDITIVE = "additive"
@@ -36,17 +36,16 @@ _LAWS = {ADDITIVE: (0, operator.add, operator.neg, " + "),
          MULTIPLICATIVE: (1, operator.mul, lambda v: 1 / Fraction(v), " * ")}
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    value: Fraction
-    operation: str
+class GroupElement(_Frozen):
+    __slots__ = ("value", "operation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.operation not in _LAWS:
-            raise ValueError(f"unknown group operation {self.operation!r}")
-        if self.operation == MULTIPLICATIVE and self.value == 0:
+    def __init__(self, value: Rat, operation: str):
+        value = Fraction(value)
+        if operation not in _LAWS:
+            raise ValueError(f"unknown group operation {operation!r}")
+        if operation == MULTIPLICATIVE and value == 0:
             raise ValueError("multiplicative group element cannot be 0")
+        super().__init__(value, operation)
 
     @property
     def is_identity(self) -> bool:
@@ -98,19 +97,19 @@ class CuspidalCubic:
 WEIERSTRASS_IDENTITY = ProjPoint((0, 1, 0))
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(_Frozen):
     """y^2 = x^3 + ax + b; form is its one equation, whose only point at
-    infinity, (0:1:0), is the group's identity."""
+    infinity, (0:1:0), is the group's identity.  form is derived from a
+    and b, so == and repr leave it out."""
 
-    a: Fraction
-    b: Fraction
-    form: CubicForm = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "form")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "form", weierstrass_form(self.a, self.b))
+    def __init__(self, a: Rat, b: Rat):
+        a, b = Fraction(a), Fraction(b)
+        super().__init__(a, b, weierstrass_form(a, b))
+
+    def _fields(self):
+        return self.a, self.b
 
     def contains(self, p: ProjPoint) -> bool:
         return self.form.contains(p)
@@ -180,16 +179,13 @@ def _conic_value(i: int, p: ProjPoint) -> Fraction:
     return -_slope_of_direction(p) if i == 3 else p.affine()[0]
 
 
-@dataclass(frozen=True)
-class GroupDescription:
-    """A parametrization bundle realizing collinearity as a group law."""
+class GroupDescription(_Frozen):
+    """A parametrization bundle realizing collinearity as a group law:
+    assign(p) gives the piece indices (a subset of 1, 2, 3) that p
+    belongs to and raises off the pieces; value(piece, p) is the exact
+    group value of p on that piece."""
 
-    kind: str
-    operation: str
-    # piece indices (subset of 1,2,3) a point belongs to; raises off-piece
-    assign: Callable[[ProjPoint], tuple[int, ...]]
-    # exact group value of a point on the given piece
-    value: Callable[[int, ProjPoint], Fraction]
+    __slots__ = ("kind", "operation", "assign", "value")
 
     def element(self, piece: int, p: ProjPoint) -> GroupElement:
         return GroupElement(self.value(piece, p), self.operation)
@@ -322,8 +318,7 @@ def conic_line_params(variant: str, p: ProjPoint, q: ProjPoint, d: ProjPoint
 
 # --- exhaustive verification -----------------------------------------------
 
-@dataclass(frozen=True)
-class LawWitness:
+class LawWitness(_Frozen):
     """Three distinct points, one on each of pieces 1, 2, 3, on which
     collinearity and the group law disagree.
 
@@ -333,11 +328,7 @@ class LawWitness:
     verdict is its negation.
     """
 
-    indices: tuple[int, int, int]
-    points: tuple[ProjPoint, ProjPoint, ProjPoint]
-    values: tuple[Fraction, Fraction, Fraction]
-    operation: str
-    collinear: bool
+    __slots__ = ("indices", "points", "values", "operation", "collinear")
 
     def __str__(self) -> str:
         identity, _, _, op = _LAWS[self.operation]

@@ -45,11 +45,7 @@ class PointSet(_Frozen):
                 raise ValueError("PointSet: labels must cover all indices")
             if any(g not in (1, 2, 3) for g in labels):
                 raise ValueError("PointSet: labels must be in {1, 2, 3}")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "labels", labels)
-
-    def _fields(self):
-        return self.points, self.labels
+        super().__init__(points, labels)
 
     @property
     def n(self) -> int:
@@ -57,9 +53,6 @@ class PointSet(_Frozen):
 
     def raw(self) -> list[tuple[int, int, int]]:
         return [p.h for p in self.points]
-
-    def __repr__(self):
-        return f"PointSet(points={self.points!r}, labels={self.labels!r})"
 
 
 class RichLineTable:

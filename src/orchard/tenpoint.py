@@ -17,15 +17,14 @@ existence argument on continuous arcs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .cubics import fit_cubics
 from .grouplaw import (ADDITIVE, CuspidalCubic, LawWitness, WeierstrassCurve,
                        WEIERSTRASS_IDENTITY, _law_witness)
-from .projective import (DegenerateError, ProjPoint, Rat, collinear, join,
-                         meet)
+from .projective import (DegenerateError, ProjPoint, Rat, _Frozen, collinear,
+                         join, meet)
 
 POINT_NAMES = ("A0", "A1", "A2", "B1", "B2", "B3", "B4", "C0", "C1", "C2")
 
@@ -34,21 +33,11 @@ class ConvergenceError(RuntimeError):
     """The halving bisection failed to reach its tolerance."""
 
 
-@dataclass(frozen=True)
-class TenPointConfig:
-    a0: ProjPoint
-    a1: ProjPoint
-    a2: ProjPoint
-    b1: ProjPoint
-    b2: ProjPoint
-    b3: ProjPoint
-    b4: ProjPoint
-    c0: ProjPoint
-    c1: ProjPoint
-    c2: ProjPoint
+class TenPointConfig(_Frozen):
+    __slots__ = tuple(name.lower() for name in POINT_NAMES)
 
     def as_dict(self) -> dict[str, ProjPoint]:
-        return {name: getattr(self, name.lower()) for name in POINT_NAMES}
+        return dict(zip(POINT_NAMES, self._fields()))
 
     def lattice_points(self) -> tuple[dict[int, ProjPoint],
                                       dict[int, ProjPoint],
@@ -58,14 +47,12 @@ class TenPointConfig:
                 {0: self.c0, 1: self.c1, 2: self.c2})
 
     def points(self) -> list[ProjPoint]:
-        return [getattr(self, n.lower()) for n in POINT_NAMES]
+        return list(self._fields())
 
 
-@dataclass(frozen=True)
-class Cantilever:
-    a_seq: tuple[ProjPoint, ...]          # A_0 .. A_{M+2}
-    b_seq: tuple[ProjPoint, ...]          # B_1 .. B_{M+4}
-    c_seq: tuple[ProjPoint, ...]          # C_0 .. C_{M+2}
+class Cantilever(_Frozen):
+    # the point tuples A_0 .. A_{M+2}, B_1 .. B_{M+4} and C_0 .. C_{M+2}
+    __slots__ = ("a_seq", "b_seq", "c_seq")
 
     def lattice_points(self):
         return ({i: p for i, p in enumerate(self.a_seq)},
@@ -95,7 +82,7 @@ def _config_from(pts: dict[str, ProjPoint]) -> TenPointConfig:
                if list(pts.values()).count(pts[n]) > 1]
         raise DegenerateError(f"coincident derived points {dup}; "
                               "the step is too special for this base")
-    return TenPointConfig(**{n.lower(): pts[n] for n in POINT_NAMES})
+    return TenPointConfig(*[pts[n] for n in POINT_NAMES])
 
 
 def build_tenpoint_cuspidal(a0: Rat, b0: Rat, c0: Rat,
@@ -256,17 +243,15 @@ def nine_point_check(cfg: TenPointConfig) -> bool:
 
 # --- continuous-arc demo ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SampledArc:
+class SampledArc(_Frozen):
     """Graph of a continuous function on an interval containing 0."""
 
-    fn: Callable[[float], float]
-    lo: float
-    hi: float
+    __slots__ = ("fn", "lo", "hi")
 
-    def __post_init__(self):
-        if not (self.lo < 0.0 < self.hi):
+    def __init__(self, fn: Callable[[float], float], lo: float, hi: float):
+        if not (lo < 0.0 < hi):
             raise ValueError("arc interval must contain 0")
+        super().__init__(fn, lo, hi)
 
     def inside(self, x: float) -> bool:
         return self.lo <= x <= self.hi

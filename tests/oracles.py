@@ -15,7 +15,8 @@ shortcuts, so that agreement is meaningful:
 - apply_transform moves points by a projective map, for the tests of
   invariance under such maps;
 - InlineContext stands in for a multiprocessing context, so that a
-  multi-worker call starts no process.
+  multi-worker call starts no process;
+- replaced copies a frozen value with some fields changed.
 """
 
 from fractions import Fraction
@@ -180,3 +181,15 @@ class InlineContext:
 
     def starmap(self, fn, args):
         return [fn(*a) for a in args]
+
+
+def replaced(obj, **changes):
+    """obj's class called again on obj's fields, in __slots__ order,
+    with the named ones changed (dataclasses.replace for orchard's
+    frozen values)."""
+    names = obj.__slots__[:len(obj._fields())]
+    unknown = set(changes) - set(names)
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} has no fields {sorted(unknown)}")
+    return type(obj)(*[changes.get(name, value)
+                       for name, value in zip(names, obj._fields())])

@@ -5,7 +5,6 @@ import json
 import multiprocessing
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -18,7 +17,7 @@ from orchard import (GroupDescription, PointSet, ProjPoint, collinear,
                      mk_point, richlines, spanned_lines, triple_line_count,
                      tripartite_count)
 from orchard.cli import pointset_from_doc, pointset_to_doc, run
-from oracles import InlineContext, brute_multiplicities
+from oracles import InlineContext, brute_multiplicities, replaced
 
 
 def run_capture(capsys, argv):
@@ -448,7 +447,7 @@ def test_lattice_failure_names_witness(monkeypatch, capsys):
 
     def b3_replaced_by_b4(*args):
         cfg = build(*args)
-        return replace(cfg, b3=cfg.b4)
+        return replaced(cfg, b3=cfg.b4)
 
     monkeypatch.setattr(cli, "build_tenpoint_cuspidal", b3_replaced_by_b4)
     assert run(TENPOINT) == 3
@@ -471,7 +470,7 @@ def test_weierstrass_lattice_failure_names_witness(monkeypatch, capsys):
         big.append(max(abs(c) for p in can.points() for c in p.h))
         b = list(can.b_seq)
         b[5], b[6] = b[6], b[5]
-        return replace(can, b_seq=tuple(b))
+        return replaced(can, b_seq=tuple(b))
 
     monkeypatch.setattr(cli, "extend_cantilever", b6_b7_swapped)
     assert run(CANTILEVER) == 3
@@ -491,7 +490,7 @@ def test_cantilever_checks_before_it_prints(monkeypatch, capsys):
         can = extend(cfg, m)
         c = list(can.c_seq)
         c[9], c[10] = c[10], c[9]
-        return replace(can, c_seq=tuple(c))
+        return replaced(can, c_seq=tuple(c))
 
     argv = CANTILEVER[:-1] + ["30"]
     assert run(argv) == 0
@@ -515,7 +514,7 @@ def test_tenpoint_membership_checked_before_printing(monkeypatch, capsys):
         for name, p in cfg.as_dict().items():
             x, y, z = p.h
             mapped[name.lower()] = ProjPoint((x, y, x + z))
-        return replace(cfg, **mapped)
+        return replaced(cfg, **mapped)
 
     monkeypatch.setattr(cli, "build_tenpoint_cuspidal", moved)
     assert run(TENPOINT) == 3

@@ -69,12 +69,6 @@ SUBCOMMANDS = {
               "--mark-triple-lines"], {"svg"}),
 }
 
-# the calls that load neither dataclasses nor the inspect module that
-# it imports: their classes are plain, and both cost set-up time
-WITHOUT_DATACLASSES = {"count", "count-tripartite", "count-workers",
-                       "directions", "bound", "plot"}
-
-
 @pytest.fixture(scope="module")
 def points_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("points") / "in.json"
@@ -100,14 +94,12 @@ def test_subcommand_in_fresh_interpreter(case, points_file, tmp_path,
                            timeout=60)
     assert child.returncode == 0, child.stderr
     assert "Traceback" not in child.stderr
+    # no call loads dataclasses, nor the inspect module that it imports:
+    # orchard's value classes are plain, and both cost set-up time
     loaded = set(child.stderr.splitlines()[-1].split())
-    heavy = loaded & {"dataclasses", "inspect"}
-    assert loaded - heavy == ({"orchard", "orchard.projective",
-                               "orchard.richlines"}
-                              | {m if m == "multiprocessing" else f"orchard.{m}"
-                                 for m in extra})
-    if case in WITHOUT_DATACLASSES:
-        assert not heavy
+    assert loaded == ({"orchard", "orchard.projective", "orchard.richlines"}
+                      | {m if m == "multiprocessing" else f"orchard.{m}"
+                         for m in extra})
 
     assert cli.run(argv(tmp_path / "run.svg")) == 0
     assert child.stdout == capsys.readouterr().out

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +15,7 @@ from orchard import (ConvergenceError, CuspidalCubic, DegenerateError,
                      weierstrass_form)
 from orchard.tenpoint import (describe_lattice_witness, lattice_witness,
                               middle_offset_multiplicative)
-from oracles import brute_lattice, brute_law_witness
+from oracles import brute_lattice, brute_law_witness, replaced
 
 CURVE = WeierstrassCurve(0, 17)
 W_BASE = (mk_point(-2, 3), mk_point(-1, 4), mk_point(4, 9))
@@ -64,7 +63,7 @@ def test_build_rejects_bad_bases():
 def test_verify_lattice_and_breakage():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
     assert verify_lattice(cfg)
-    broken = replace(cfg, b3=cfg.b4)
+    broken = replaced(cfg, b3=cfg.b4)
     # B4 in the B3 slot: the non-defining line A2 B3 C1 now fails
     assert not verify_lattice(broken)
 
@@ -104,7 +103,7 @@ def test_nine_point_check_cuspidal():
 
 def test_nine_point_check_detects_perturbation():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
-    broken = replace(cfg, b3=mk_point(F(3, 10), F(28, 1000)))
+    broken = replaced(cfg, b3=mk_point(F(3, 10), F(28, 1000)))
     assert not nine_point_check(broken)
 
 
@@ -132,12 +131,12 @@ def _cuspidal_cantilever():
 def _swap_b(cant, j1, j2):
     b = list(cant.b_seq)
     b[j1 - 1], b[j2 - 1] = b[j2 - 1], b[j1 - 1]
-    return replace(cant, b_seq=tuple(b))
+    return replaced(cant, b_seq=tuple(b))
 
 
 def _b3_replaced_by_b4():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
-    return replace(cfg, b3=cfg.b4)
+    return replaced(cfg, b3=cfg.b4)
 
 
 def _assert_lattice_witness_fails(obj, w):
@@ -162,7 +161,7 @@ def test_verify_lattice_matches_brute(make):
 
 def _b4_moved_off_every_line():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
-    return replace(cfg, b4=mk_point(F(1, 3), 7))
+    return replaced(cfg, b4=mk_point(F(1, 3), 7))
 
 
 @pytest.mark.parametrize("make, on_line", [
