@@ -686,6 +686,50 @@ def test_rational_agrees_with_fraction(token):
         assert type(cli._rational(token)) is F
 
 
+def _point_or_error(x, y):
+    """mk_point(Fraction(x), Fraction(y)), or (ValueError, the message
+    that the points-file reader gives for the first bad coordinate)."""
+    for v in (x, y):
+        if isinstance(v, bool) or not isinstance(v, (int, str)):
+            return ValueError, (f"coordinate {v!r} must be an integer or a "
+                                f"string such as \"-3/4\"")
+        try:
+            F(v)
+        except ZeroDivisionError:
+            return ValueError, f"{v!r} has a zero denominator"
+        except ValueError as e:
+            return ValueError, str(e)
+    return mk_point(F(x), F(y))
+
+
+def _read_point_or_error(x, y):
+    try:
+        return pointset_from_doc({"points": [{"x": x, "y": y}]}).points[0]
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+SIGNED_RATIOS = st.builds(
+    lambda sign, p, q: sign + p + q,
+    st.sampled_from(["", "-", "+"]),
+    st.from_regex(r"0{0,3}[0-9]{1,20}", fullmatch=True),
+    st.one_of(st.just(""), st.sampled_from(["/0", "/000"]),
+              st.from_regex(r"/0{0,3}[0-9]{1,20}", fullmatch=True)))
+COORD_TOKENS = st.one_of(SIGNED_RATIOS, st.sampled_from(
+    ["+3", " 3/4", "1_0", "\u0663", "-5/-3", "-0", "1" * 5000,
+     "1" * 5000 + "/0"]))
+JSON_NUMBERS = st.one_of(st.integers(), st.booleans(), st.floats())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.tuples(COORD_TOKENS, COORD_TOKENS),
+                 st.tuples(JSON_NUMBERS, COORD_TOKENS),
+                 st.tuples(COORD_TOKENS, JSON_NUMBERS)))
+def test_affine_entry_agrees_with_fraction(xy):
+    # the reader builds a point from two p/q tokens with no Fraction
+    assert _read_point_or_error(*xy) == _point_or_error(*xy)
+
+
 # --- every subcommand, argv built from the parser's own actions ----------------
 
 def _options():

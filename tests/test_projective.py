@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, assume
 import hypothesis.strategies as st
 
-from orchard import (DegenerateError, ProjLine, ProjPoint, collinear,
+from orchard import (Cantilever, CubicForm, DegenerateError, GroupDescription,
+                     GroupElement, LawWitness, NgonConfig, ProjLine, ProjPoint,
+                     SampledArc, TenPointConfig, WeierstrassCurve, collinear,
                      gen_triangle_ratios, incident, join, meet, mk_point,
                      ratio_point, signed_ratio, triangle_description,
-                     triangle_ratio_set)
-from orchard.projective import canonical, integral
-from oracles import apply_transform
+                     triangle_ratio_set, weierstrass_form)
+from orchard.conic import ExternalPoint
+from orchard.cubics import CubicClassification
+from orchard.curves import CurveSpec, DichotomyRow
+from orchard.projective import _Frozen, canonical, integral
+from oracles import apply_transform, replaced
 
 LINE_AT_INFINITY = ProjLine((0, 0, 1))
 
@@ -78,6 +83,100 @@ def test_point_and_line_pickle_and_deepcopy(value):
         assert clone == value and hash(clone) == hash(value)
         with pytest.raises(AttributeError):
             clone.z = 1
+
+
+def _fn(x):
+    return x
+
+
+def _piece(p):
+    return (1,)
+
+
+def _value(piece, p):
+    return F(0)
+
+
+TEN = [mk_point(i, i * i) for i in range(10)]
+# every value class built on _Frozen but ProjPoint, ProjLine and
+# PointSet (tested on their own), and its repr as a frozen dataclass
+# printed it
+FROZEN_VALUES = [
+    (CubicForm((2, 0, 0, 0, 0, 0, 0, 0, -4, 0)),
+     "CubicForm(coefficients=(1, 0, 0, 0, 0, 0, 0, 0, -2, 0))"),
+    (CubicClassification("three-lines", (ProjLine((1, 0, 0)),
+                                         ProjLine((0, 1, 0)))),
+     "CubicClassification(kind='three-lines', line_factors=(ProjLine(1, 0, 0),"
+     " ProjLine(0, 1, 0)))"),
+    (GroupElement(2, "multiplicative"),
+     "GroupElement(value=Fraction(2, 1), operation='multiplicative')"),
+    (WeierstrassCurve(F(-1, 2), 3),
+     "WeierstrassCurve(a=Fraction(-1, 2), b=Fraction(3, 1))"),
+    (GroupDescription("cuspidal", "additive", _piece, _value),
+     f"GroupDescription(kind='cuspidal', operation='additive', "
+     f"assign={_piece!r}, value={_value!r})"),
+    (LawWitness((0, 1, 2), tuple(TEN[:3]), (F(0), F(1), F(-1, 3)),
+                "additive", True),
+     "LawWitness(indices=(0, 1, 2), points=(ProjPoint(0, 0, 1), "
+     "ProjPoint(1, 1, 1), ProjPoint(2, 4, 1)), values=(Fraction(0, 1), "
+     "Fraction(1, 1), Fraction(-1, 3)), operation='additive', "
+     "collinear=True)"),
+    (TenPointConfig(*TEN),
+     "TenPointConfig(a0=ProjPoint(0, 0, 1), a1=ProjPoint(1, 1, 1), "
+     "a2=ProjPoint(2, 4, 1), b1=ProjPoint(3, 9, 1), b2=ProjPoint(4, 16, 1), "
+     "b3=ProjPoint(5, 25, 1), b4=ProjPoint(6, 36, 1), c0=ProjPoint(7, 49, 1), "
+     "c1=ProjPoint(8, 64, 1), c2=ProjPoint(9, 81, 1))"),
+    (Cantilever(tuple(TEN[:1]), tuple(TEN[1:3]), tuple(TEN[3:4])),
+     "Cantilever(a_seq=(ProjPoint(0, 0, 1),), b_seq=(ProjPoint(1, 1, 1), "
+     "ProjPoint(2, 4, 1)), c_seq=(ProjPoint(3, 9, 1),))"),
+    (SampledArc(_fn, -1.0, 2.5),
+     f"SampledArc(fn={_fn!r}, lo=-1.0, hi=2.5)"),
+    (ExternalPoint(1, F(2, 3)),
+     "ExternalPoint(a=Fraction(1, 1), b=Fraction(2, 3))"),
+    (CurveSpec(2, _fn, "y=x^2"),
+     f"CurveSpec(degree=2, lift_fn={_fn!r}, label='y=x^2')"),
+    (DichotomyRow(3, 10, 42, F(21, 50)),
+     "DichotomyRow(degree=3, n=10, count=42, ratio_n2=Fraction(21, 50))"),
+    (NgonConfig(7), "NgonConfig(n=7)"),
+]
+
+
+@pytest.mark.parametrize("value, expected_repr", FROZEN_VALUES,
+                         ids=[type(v).__name__ for v, _ in FROZEN_VALUES])
+def test_frozen_value_semantics(value, expected_repr):
+    cls, fields = type(value), value._fields()
+    assert repr(value) == expected_repr
+    # a fresh object on equal fields is equal and hashes alike; an
+    # object of another class on the same fields, or the fields' tuple,
+    # is not equal
+    twin = replaced(value)
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    names = cls.__slots__[:len(fields)]
+    other = type("Other", (_Frozen,), {"__slots__": names})(*fields)
+    assert value != other and other != value and value != fields
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    for args in (fields[:-1], fields + (fields[-1],)):
+        with pytest.raises(TypeError):
+            cls(*args)
+    if not any(callable(f) for f in fields):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and type(back) is cls
+        back = copy.deepcopy(value)
+        assert back == value and type(back) is cls
+        assert repr(back) == expected_repr
+
+
+def test_weierstrass_curve_compares_without_its_form():
+    curve, other = WeierstrassCurve(0, 17), WeierstrassCurve(0, 17)
+    object.__setattr__(other, "form", weierstrass_form(1, 1))
+    assert curve == other and hash(curve) == hash(other)
+    assert "form" not in repr(other)
+    assert copy.deepcopy(other).form == curve.form
 
 
 def test_mk_point_takes_ints_fractions_and_other_rationals():
