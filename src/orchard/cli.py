@@ -177,6 +177,10 @@ def cmd_count(args) -> int:
         raise ValueError("--k and --exactly do not apply to --tripartite")
     ps = _cli._load_pointset(args.infile)
     if args.tripartite is not None:
+        if not re.fullmatch(r"[123](,?[123]){2}", args.tripartite):
+            raise ValueError(f"--tripartite {args.tripartite!r}: a pattern "
+                             "is three labels 1-3 with optional commas, "
+                             "e.g. 1,2,3 or 112")
         pattern = [int(t) for t in args.tripartite.replace(",", "")]
         print(_cli.tripartite_count(ps, pattern, workers=args.workers))
         return 0

@@ -250,8 +250,10 @@ def _mod_row(hs: Sequence[tuple[int, int, int]],
 def _row_lines(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
                step: int = 1,
                hp: Optional[Sequence[tuple[int, int, int]]] = None,
-               shift: Optional[int] = None) -> Iterator[RowLines]:
-    """Rows stripe, stripe + step, ..., built one at a time.
+               shift: Optional[int] = None,
+               stop: Optional[int] = None) -> Iterator[RowLines]:
+    """Rows stripe, stripe + step, ... below stop (default len(hs)),
+    built one at a time.
 
     Row i groups the joins (i, j), j > i, by line: it is the number of
     distinct lines and the sorted members [i, j...] of those through
@@ -265,7 +267,7 @@ def _row_lines(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
     - exact: otherwise (no shift and no hp, an anchor at infinity, or a
       join 0 mod _P) every join is made canonical.
     """
-    for i in range(stripe, len(hs), step):
+    for i in range(stripe, len(hs) if stop is None else stop, step):
         # each path keeps its row dicts local, so a row is freed before
         # the next is built (two live rows of 2,000 joins cost 0.4 MB)
         row = None
@@ -331,10 +333,15 @@ def _stripe(*args) -> list[RowLines]:
             for count, rich in _row_lines(*args)]
 
 
-def _rich_lines(hs: Sequence[tuple[int, int, int]],
-                workers: int = 1) -> LineStream:
+def _rich_lines(hs: Sequence[tuple[int, int, int]], workers: int = 1,
+                rows: Optional[int] = None) -> LineStream:
     """The sorted members of each line through >= 3 points, as a stream
     that returns the number of lines through exactly 2 (_drain).
+
+    With rows, only the rows 0 .. rows - 1 are read: the stream holds
+    just the lines whose lowest member is below rows, each whole, and
+    the 2-point count it returns is not defined (it is only one for a
+    full enumeration).
 
     The largest coordinate fixes the regime at the call (see _row_lines
     for the paths): up to _BIG_BITS bits an affine anchor keys its row
@@ -345,7 +352,7 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
     multi-thousand-bit joins.  Every path streams the same lines in the
     same order as the all-exact _stream(_row_lines(hs)): by (first,
     second member); serially, each before the next row is built.
-    workers > 1 forks min(workers, len(hs)) processes at the call, one
+    workers > 1 forks min(workers, rows) processes at the call, one
     per stripe of interleaved rows, and the parent streams all their
     rows, held at once, in serial order.  Fork, not spawn: a spawned
     worker starts a fresh interpreter and imports orchard (a two-worker
@@ -360,16 +367,17 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]],
         hp = [(x % _P, y % _P, z % _P) for x, y, z in hs]
     else:
         shift = _slope_shift(bits)
-    stripes = min(workers, len(hs))     # no process without a row
+    rows = len(hs) if rows is None else rows
+    stripes = min(workers, rows)        # no process without a row
     if stripes <= 1:
-        return _stream(_row_lines(hs, 0, 1, hp, shift))
+        return _stream(_row_lines(hs, 0, 1, hp, shift, rows))
     import multiprocessing   # only a multi-worker call loads it
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(stripes) as pool:
-        parts = pool.starmap(_stripe, [(hs, w, stripes, hp, shift)
+        parts = pool.starmap(_stripe, [(hs, w, stripes, hp, shift, rows)
                                        for w in range(stripes)])
     # row i is row i // stripes of stripe i % stripes
-    return _stream(parts[i % stripes][i // stripes] for i in range(len(hs)))
+    return _stream(parts[i % stripes][i // stripes] for i in range(rows))
 
 
 def spanned_lines(ps: PointSet, workers: int = 1) -> RichLineTable:
@@ -416,25 +424,41 @@ def tripartite_count(ps: PointSet, pattern: Iterable[int],
 
     pattern is a multiset over {1,2,3} of size 3; e.g. (1,2,3) asks for
     one point of each group, (1,1,2) for two of group 1 and one of
-    group 2.  A line's label counts are one packed sum: a point of group
-    g weighs 1 << (f * (g - 1)), and a field of f = n.bit_length() + 1
-    bits holds any count up to n, so no field carries into the next.
-    With workers > 1 the rows are enumerated in separate processes; the
-    count is the single-worker one.
+    group 2.
+
+    Every matching line holds a point of each group the pattern names,
+    so the points of the other groups are dropped, and the points of
+    the smallest named group (the lower label on a tie) go first, each
+    part in set order.  Each matching line then has its lowest member
+    in that group and arrives whole in its row, so only the rows of
+    that group are read (_rich_lines with rows); their 2-point count is
+    never read.  With workers > 1 those rows are enumerated in
+    min(workers, rows) separate processes; the count is the
+    single-worker one.
+
+    A line's label counts are one packed sum: a point of group g weighs
+    1 << (f * (g - 1)), and a field of f = n.bit_length() + 1 bits, for
+    the n points kept, holds any count up to n, so no field carries
+    into the next.
     """
     if ps.labels is None:
         raise ValueError("tripartite_count needs a labelled PointSet")
     pat = sorted(pattern)
     if len(pat) != 3 or any(g not in (1, 2, 3) for g in pat):
         raise ValueError("pattern must be a size-3 multiset over {1,2,3}")
-    missing = set(pat) - set(ps.labels)
+    sizes = {g: ps.labels.count(g) for g in pat}
+    missing = [g for g in sizes if not sizes[g]]
     if missing:
-        raise ValueError(f"pattern references missing group {sorted(missing)}")
+        raise ValueError(f"pattern references missing group {missing}")
     n1, n2, n3 = (pat.count(g) for g in (1, 2, 3))
-    f = ps.n.bit_length() + 1
+    lead = min(sizes, key=lambda g: (sizes[g], g))
+    keep = sorted((i for i, g in enumerate(ps.labels) if g in sizes),
+                  key=lambda i: ps.labels[i] != lead)
+    f = len(keep).bit_length() + 1
     mask = (1 << f) - 1
-    weight = [1 << (f * (g - 1)) for g in ps.labels].__getitem__
-    sums = (sum(map(weight, m)) for m in _rich_lines(ps.raw(), workers))
+    weight = [1 << (f * (ps.labels[i] - 1)) for i in keep].__getitem__
+    lines = _rich_lines([ps.points[i].h for i in keep], workers, sizes[lead])
+    sums = (sum(map(weight, m)) for m in lines)
     return sum(1 for s in sums if (s & mask) >= n1
                and (s >> f & mask) >= n2 and (s >> 2 * f) >= n3)
 

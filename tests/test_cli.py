@@ -353,13 +353,37 @@ def test_tripartite_runs_on_the_given_workers(tmp_path, capsys, monkeypatch):
     aps.write_text(json.dumps(pointset_to_doc(gen_parallel_aps(12))))
     seen = []
     rich_lines = richlines._rich_lines
-    monkeypatch.setattr(richlines, "_rich_lines", lambda hs, workers=1:
-                        seen.append(workers) or rich_lines(hs, workers))
+    monkeypatch.setattr(richlines, "_rich_lines",
+                        lambda hs, workers=1, rows=None:
+                        seen.append(workers) or rich_lines(hs, workers, rows))
     argv = ["count", "--in", str(aps), "--tripartite", "1,2,3", "--workers"]
     # rows x1 + x3 = 2 * x2 of 0..11: 6 * 6 pairs (x1, x3) of each parity
     assert run_capture(capsys, argv + ["1"]) == (0, "72\n")
     assert run_capture(capsys, argv + ["2"]) == (0, "72\n")
     assert seen == [1, 2]
+
+
+@pytest.mark.parametrize("pattern", [" 1,2,3", "1;2;3", "a", "\u0661\u0662\u0663",
+                                     "1,2", "1,2,3,1", "1,,2,3", ",123",
+                                     "123,", "1,2,4", "1,2,3\n"])
+def test_tripartite_pattern_is_parsed_strictly(tmp_path, capsys, pattern):
+    aps = tmp_path / "aps.json"
+    aps.write_text(json.dumps(pointset_to_doc(gen_parallel_aps(3))))
+    assert run(["count", "--in", str(aps), "--tripartite", pattern]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: --tripartite {pattern!r}: ")
+
+
+def test_tripartite_pattern_commas_are_optional(tmp_path, capsys):
+    ps = gen_parallel_aps(3)
+    aps = tmp_path / "aps.json"
+    aps.write_text(json.dumps(pointset_to_doc(ps)))
+    for text, pattern in [("1,2,3", (1, 2, 3)), ("123", (1, 2, 3)),
+                          ("3,21", (1, 2, 3)), ("1,12", (1, 1, 2))]:
+        argv = ["count", "--in", str(aps), "--tripartite", text]
+        assert run_capture(capsys, argv) == \
+            (0, f"{tripartite_count(ps, pattern)}\n")
 
 
 def test_count_k_defaults_to_3(tmp_path, capsys):

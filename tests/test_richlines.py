@@ -131,7 +131,7 @@ def test_workers_beyond_the_rows_start_no_idle_process(monkeypatch):
     assert ctx.sizes == [9]                 # one stripe per row, not 5000
     assert table == serial and list(table.entries) == list(serial.entries)
     assert tripartite_count(gen_parallel_aps(4), (1, 2, 3), workers=50) == 8
-    assert ctx.sizes == [9, 12]
+    assert ctx.sizes == [9, 4]              # one stripe per group-1 row
 
 
 def test_row_sighting_must_be_suffix():
@@ -317,6 +317,62 @@ def test_packed_label_counts_with_workers():
     mixed = _mixed_labels(_with_infinity(), 0)
     assert [tripartite_count(mixed, p, workers=2) for p in PACKED_PATTERNS] \
         == [tripartite_count(mixed, p) for p in PACKED_PATTERNS]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("pattern", [(1, 1, 2), (2, 2, 1), (3, 3, 3),
+                                     (1, 2, 3)])
+@pytest.mark.parametrize("make", [lambda: gen_grid(5).points,
+                                  lambda: _with_infinity()],
+                         ids=["grid", "infinity"])
+def test_tripartite_reads_only_the_rows_of_its_smallest_group(
+        monkeypatch, make, pattern, workers):
+    # group 3 is in every set, but joined only if the pattern names it
+    ps = _mixed_labels(make(), 1)
+    ctx = InlineContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    anchors, joined = [], set()
+
+    def spy(row):
+        def built(hs, i, *args):
+            anchors.append(hs[i])
+            joined.update(hs)
+            return row(hs, i, *args)
+        return built
+    for name in ("_slope_row", "_exact_row"):
+        monkeypatch.setattr(richlines, name, spy(getattr(richlines, name)))
+    assert tripartite_count(ps, pattern, workers) == brute_tripartite(
+        list(ps.points), list(ps.labels), pattern)
+    group = {g: [p.h for p, h in zip(ps.points, ps.labels) if h == g]
+             for g in (1, 2, 3)}
+    lead = min(set(pattern), key=lambda g: (len(group[g]), g))
+    assert sorted(anchors) == sorted(group[lead])
+    assert joined <= {h for g in pattern for h in group[g]}
+    assert ctx.sizes == ([] if workers == 1 else [2])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("make", [lambda: gen_grid(5).points,
+                                  lambda: _with_infinity()],
+                         ids=["grid", "infinity"])
+def test_tripartite_in_the_mod_kernel_matches_brute(monkeypatch, make, seed,
+                                                    workers):
+    # labels shuffled over the points, every row keyed mod _P
+    labels = list(_mixed_labels(make(), seed).labels)
+    random.Random(seed).shuffle(labels)
+    ps = PointSet(make(), labels)
+    monkeypatch.setattr(richlines, "_BIG_BITS", 0)
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: InlineContext())
+    mod_rows = []
+    mod_row = richlines._mod_row
+    monkeypatch.setattr(richlines, "_mod_row", lambda hs, hp, i:
+                        mod_rows.append(i) or mod_row(hs, hp, i))
+    for pattern in PACKED_PATTERNS:
+        assert tripartite_count(ps, pattern, workers) == brute_tripartite(
+            list(ps.points), labels, pattern)
+    assert mod_rows
 
 
 def test_direction_count_examples():
