@@ -363,9 +363,9 @@ def test_tripartite_runs_on_the_given_workers(tmp_path, capsys, monkeypatch):
     assert seen == [1, 2]
 
 
-@pytest.mark.parametrize("pattern", [" 1,2,3", "1;2;3", "a", "\u0661\u0662\u0663",
-                                     "1,2", "1,2,3,1", "1,,2,3", ",123",
-                                     "123,", "1,2,4", "1,2,3\n"])
+@pytest.mark.parametrize("pattern", [
+    " 1,2,3", "1;2;3", "a", "\u0661\u0662\u0663", "1,2", "1,2,3,1", "1,,2,3",
+    ",123", "123,", "1,2,4", "1,2,3\n"])
 def test_tripartite_pattern_is_parsed_strictly(tmp_path, capsys, pattern):
     aps = tmp_path / "aps.json"
     aps.write_text(json.dumps(pointset_to_doc(gen_parallel_aps(3))))
