@@ -45,6 +45,8 @@ def gen_parallel_aps(n: int, dense_middle: bool = False) -> PointSet:
 
 def parallel_aps_closed_form(n: int) -> int:
     """Lines meeting all three rows: pairs (x1, x3) with x1 + x3 even."""
+    if n < 1:
+        raise ValueError("parallel_aps_closed_form needs n >= 1")
     return ((n + 1) // 2) ** 2 + (n // 2) ** 2
 
 

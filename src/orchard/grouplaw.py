@@ -100,12 +100,15 @@ WEIERSTRASS_IDENTITY = ProjPoint((0, 1, 0))
 class WeierstrassCurve(_Frozen):
     """y^2 = x^3 + ax + b; form is its one equation, whose only point at
     infinity, (0:1:0), is the group's identity.  form is derived from a
-    and b, so == and repr leave it out."""
+    and b, so == and repr leave it out.  A singular curve (4a^3 + 27b^2
+    = 0) has no group law on all its points and is refused."""
 
     __slots__ = ("a", "b", "form")
 
     def __init__(self, a: Rat, b: Rat):
         a, b = Fraction(a), Fraction(b)
+        if 4 * a ** 3 + 27 * b ** 2 == 0:
+            raise ValueError(f"y^2 = x^3 + {a}x + {b} is singular")
         super().__init__(a, b, weierstrass_form(a, b))
 
     def _fields(self):

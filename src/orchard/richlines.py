@@ -9,13 +9,14 @@ its lowest member and is streamed to its consumer there.  Only lines of
 4+ members are remembered, to know their later sightings; 2-point lines
 are counted, never stored.  No O(n^3) pass and no floating slope
 buckets anywhere: a row groups its joins by exact integer slope codes,
-by lines mod a prime, or by canonical lines (see _row_lines).  A line's
+by lines mod a prime, or by canonical lines (see _row).  A line's
 canonical form is built, from its first two members, only for a caller
 that reads keys (spanned_lines, line_members).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 from typing import (Callable, Generator, Iterable, Iterator, Optional,
                     Sequence)
@@ -43,7 +44,7 @@ class PointSet(_Frozen):
             labels = tuple(labels)
             if len(labels) != len(points):
                 raise ValueError("PointSet: labels must cover all indices")
-            if any(g not in (1, 2, 3) for g in labels):
+            if any(type(g) is not int or g not in (1, 2, 3) for g in labels):
                 raise ValueError("PointSet: labels must be in {1, 2, 3}")
         super().__init__(points, labels)
 
@@ -132,43 +133,44 @@ RowLines = tuple[int, Lines]
 LineStream = Generator[list[int], None, int]
 
 
-def _slope_row(hs: Sequence[tuple[int, int, int]], i: int,
-               shift: int) -> RowLines:
-    """Row i, for an affine point i, grouped by slope code (_slopes).
+def _group(i: int, keys: Sequence) -> RowLines:
+    """Row i from the keys of its joins (i, j), j = i + 1, ...: the
+    number of distinct keys and [i, j...] for each key of two or more
+    joins, in order of first j.
 
-    A row of distinct codes holds no rich line and is counted by one
-    set.  Otherwise the row dict maps a code to its first j, and only a
-    repeated code builds a member list.
+    A row of distinct keys holds no rich line and is counted by one
+    set.  Otherwise the row dict maps a key to its first j, and only a
+    repeated key builds a member list.
     """
-    codes = _slopes(hs, i, shift)
-    count = len(set(codes))
-    if count == len(codes):
+    count = len(set(keys))
+    if count == len(keys):
         return count, []
-    first: dict[Optional[int], int] = {}
-    repeated: dict[Optional[int], list[int]] = {}
-    for j, code in enumerate(codes, i + 1):
-        f = first.setdefault(code, j)
+    first, repeated = {}, {}
+    for j, key in enumerate(keys, i + 1):
+        f = first.setdefault(key, j)
         if f != j:
-            members = repeated.get(code)
+            members = repeated.get(key)
             if members is None:
-                repeated[code] = [i, f, j]
+                repeated[key] = [i, f, j]
             else:
                 members.append(j)
     return count, sorted(repeated.values(), key=lambda m: m[1])
 
 
+def _slope_row(hs: Sequence[tuple[int, int, int]], i: int,
+               shift: int) -> RowLines:
+    """Row i, for an affine point i, grouped by slope code (_slopes)."""
+    return _group(i, _slopes(hs, i, shift))
+
+
 def _exact_row(hs: Sequence[tuple[int, int, int]], i: int) -> RowLines:
     """Row i with every join (i, j) made canonical."""
-    row: dict[tuple, list[int]] = {}
-    for j in range(i + 1, len(hs)):
-        row.setdefault(_line(hs, i, j), []).append(j)
-    return len(row), [[i, *js] for js in row.values() if len(js) > 1]
+    return _group(i, [_line(hs, i, j) for j in range(i + 1, len(hs))])
 
 
-def _mod_classes(hp: Sequence[tuple[int, int, int]],
-                 i: int) -> Optional[Iterable[list[int]]]:
-    """The joins (i, j), j > i, grouped by their line mod _P, or None if
-    one of them is (0, 0, 0) mod _P.
+def _mod_keys(hp: Sequence[tuple[int, int, int]], i: int) -> Optional[list]:
+    """The lines mod _P of the joins (i, j), j > i, or None if one of
+    them is (0, 0, 0) mod _P.
 
     hp holds the points reduced mod _P.  Each line is scaled by the
     inverse of its first nonzero entry; the row's inverses share one
@@ -193,22 +195,16 @@ def _mod_classes(hp: Sequence[tuple[int, int, int]],
         s = inv * prefix[k] % p        # 1 / lead k
         inv = inv * (a or b or c) % p
         keys[k] = (a * s % p, b * s % p, c * s % p)
-    classes: dict[tuple, list[int]] = {}
-    for j, key in enumerate(keys, i + 1):
-        classes.setdefault(key, []).append(j)
-    return classes.values()
+    return keys
 
 
 def _class_lines(hs: Sequence[tuple[int, int, int]], i: int,
                  js: list[int]) -> Lines:
     """The joins (i, j), j in js (ascending), split by exact line, in
-    order of first j.
-
-    js is one class of _mod_classes, almost always one line: every other
-    j is tested against the raw cross product of i and the first j (no
-    gcd) with one dot product.  The j off it (a mod-_P collision of
-    distinct lines) go round again.
-    """
+    order of first j.  js shares one key of _mod_keys, almost always
+    one line: every other j is tested against the raw cross product of
+    i and the first j (no gcd) with one dot product.  The j off it (a
+    mod-_P collision of distinct lines) go round again."""
     lines = []
     while js:
         a, b, c = _cross(hs[i], hs[js[0]])
@@ -223,59 +219,46 @@ def _class_lines(hs: Sequence[tuple[int, int, int]], i: int,
 
 def _mod_row(hs: Sequence[tuple[int, int, int]],
              hp: Sequence[tuple[int, int, int]], i: int) -> Optional[RowLines]:
-    """Row i from its mod-_P classes (_mod_classes), or None if a join of
-    the row is 0 mod _P.
-
-    Two joins of the row on one exact line are nonzero multiples of it
-    mod _P, so they share a class.  A class of one join is therefore one
-    exact line, counted without its big cross product; a larger class is
-    split exactly by _class_lines.
-    """
-    classes = _mod_classes(hp, i)
-    if classes is None:
+    """Row i from its mod-_P keys (_mod_keys), or None if a join is 0
+    mod _P.  Joins on one exact line share their key, so a key of one
+    join is one exact line, counted without its big cross product; a
+    repeated key is split exactly by _class_lines."""
+    keys = _mod_keys(hp, i)
+    if keys is None:
         return None
-    count, rich = 0, []
-    for js in classes:
-        if len(js) == 1:
-            count += 1
-            continue
-        for on in _class_lines(hs, i, js):
-            count += 1
-            if len(on) > 1:
-                rich.append([i, *on])
+    count, classes = _group(i, keys)
+    rich = []
+    for m in classes:
+        lines = _class_lines(hs, i, m[1:])
+        count += len(lines) - 1
+        rich += [[i, *on] for on in lines if len(on) > 1]
     rich.sort(key=lambda m: m[1])
     return count, rich
 
 
-def _row_lines(hs: Sequence[tuple[int, int, int]], stripe: int = 0,
-               step: int = 1,
-               hp: Optional[Sequence[tuple[int, int, int]]] = None,
-               shift: Optional[int] = None,
-               stop: Optional[int] = None) -> Iterator[RowLines]:
-    """Rows stripe, stripe + step, ... below stop (default len(hs)),
-    built one at a time.
+def _row(hs: Sequence[tuple[int, int, int]],
+         hp: Optional[Sequence[tuple[int, int, int]]],
+         shift: Optional[int], i: int) -> RowLines:
+    """Row i: the number of distinct lines through i and a later point,
+    and the sorted members [i, j...] of those through >= 3 points, in
+    order of their first j.  _rich_lines builds it in this process or
+    in a pool worker; either way it is freed once read.
 
-    Row i groups the joins (i, j), j > i, by line: it is the number of
-    distinct lines and the sorted members [i, j...] of those through
-    >= 3 points (two or more joins), in order of their first j.  A row
-    takes one of three paths, each giving the same row:
+    A row takes one of three paths, each giving the same row:
     - slope: with shift (see _slopes), an affine anchor keys its joins
       by an exact integer slope code, with no gcd;
-    - mod-_P: with hp (hs mod _P), the joins are grouped by line mod _P
-      and only a repeated class is joined exactly (_mod_row), unless a
+    - mod-_P: with hp (hs mod _P), the joins are keyed by line mod _P
+      and only a repeated key is joined exactly (_mod_row), unless a
       join is 0 mod _P;
-    - exact: otherwise (no shift and no hp, an anchor at infinity, or a
-      join 0 mod _P) every join is made canonical.
+    - exact: otherwise (an anchor at infinity, or a join 0 mod _P)
+      every join is made canonical.
     """
-    for i in range(stripe, len(hs) if stop is None else stop, step):
-        # each path keeps its row dicts local, so a row is freed before
-        # the next is built (two live rows of 2,000 joins cost 0.4 MB)
-        row = None
-        if shift is not None and hs[i][2]:
-            row = _slope_row(hs, i, shift)
-        elif hp is not None:
-            row = _mod_row(hs, hp, i)
-        yield row or _exact_row(hs, i)
+    row = None
+    if shift is not None and hs[i][2]:
+        row = _slope_row(hs, i, shift)
+    elif hp is not None:
+        row = _mod_row(hs, hp, i)
+    return row or _exact_row(hs, i)
 
 
 def _stream(rows: Iterable[RowLines]) -> LineStream:
@@ -326,11 +309,19 @@ def _drain(lines: LineStream, each: Callable[[list[int]], object]) -> int:
         each(members)
 
 
-def _stripe(*args) -> list[RowLines]:
-    """_row_lines(*args) less its later sightings: one worker's result."""
-    marks: dict[tuple[int, int], list[int]] = {}
-    return [(count, [m for m in rich if _store(marks, m)])
-            for count, rich in _row_lines(*args)]
+def _pooled(row: Callable[[int], RowLines], rows: int,
+            procs: int) -> Iterator[RowLines]:
+    """row(0), ..., row(rows - 1), each as soon as it and the rows before
+    it are built, by a fork pool of procs processes that opens at the
+    first read, in blocks of ceil(rows / (4 * procs)) rows."""
+    import multiprocessing   # only a multi-worker call loads it
+    try:
+        pool = multiprocessing.get_context("fork").Pool(procs)
+    except OSError as exc:
+        raise RuntimeError(f"a pool of {procs} worker processes could "
+                           f"not start: {exc}") from exc
+    with pool:
+        yield from pool.imap(row, range(rows), -(-rows // (4 * procs)))
 
 
 def _rich_lines(hs: Sequence[tuple[int, int, int]], workers: int = 1,
@@ -343,21 +334,20 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]], workers: int = 1,
     the 2-point count it returns is not defined (it is only one for a
     full enumeration).
 
-    The largest coordinate fixes the regime at the call (see _row_lines
-    for the paths): up to _BIG_BITS bits an affine anchor keys its row
-    by exact integer slope codes, which need no gcd (_slopes states the
+    The largest coordinate fixes the regime at the call (see _row for
+    the paths): up to _BIG_BITS bits an affine anchor keys its row by
+    exact integer slope codes, which need no gcd (_slopes states the
     bound that makes them exact), and an anchor at infinity makes every
     join canonical; above _BIG_BITS the points are reduced mod _P once
     and the rows key their joins mod _P, which skips the gcds of
     multi-thousand-bit joins.  Every path streams the same lines in the
-    same order as the all-exact _stream(_row_lines(hs)): by (first,
-    second member); serially, each before the next row is built.
-    workers > 1 forks min(workers, rows) processes at the call, one
-    per stripe of interleaved rows, and the parent streams all their
-    rows, held at once, in serial order.  Fork, not spawn: a spawned
-    worker starts a fresh interpreter and imports orchard (a two-worker
-    pool took 0.15 s to spawn against 0.02 s to fork), and orchard
-    starts no threads that a fork could leave in a broken state.
+    same order as the all-exact rows: by (first, second member), each
+    before the next row is read.  With one worker each row is built in
+    this process as the stream reads it; workers > 1 take the rows, in
+    the same order, from a pool of min(workers, rows) processes
+    (_pooled).  Fork, not spawn: a spawned worker imports orchard afresh
+    (0.15 s for two workers, against 0.02 s to fork), and orchard starts
+    no threads that a fork could leave in a broken state.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
@@ -368,16 +358,11 @@ def _rich_lines(hs: Sequence[tuple[int, int, int]], workers: int = 1,
     else:
         shift = _slope_shift(bits)
     rows = len(hs) if rows is None else rows
-    stripes = min(workers, rows)        # no process without a row
-    if stripes <= 1:
-        return _stream(_row_lines(hs, 0, 1, hp, shift, rows))
-    import multiprocessing   # only a multi-worker call loads it
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(stripes) as pool:
-        parts = pool.starmap(_stripe, [(hs, w, stripes, hp, shift, rows)
-                                       for w in range(stripes)])
-    # row i is row i // stripes of stripe i % stripes
-    return _stream(parts[i % stripes][i // stripes] for i in range(rows))
+    row = partial(_row, hs, hp, shift)
+    procs = min(workers, rows)          # no process without a row
+    if procs <= 1:
+        return _stream(map(row, range(rows)))
+    return _stream(_pooled(row, rows, procs))
 
 
 def spanned_lines(ps: PointSet, workers: int = 1) -> RichLineTable:

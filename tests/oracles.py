@@ -163,11 +163,13 @@ def apply_transform(m, p):
 
 class InlineContext:
     """A stand-in for multiprocessing.get_context("fork"): its pool runs
-    starmap in this process, starts no process, and records in sizes the
-    number of processes that each pool was asked for."""
+    imap lazily in this process and starts no process.  sizes records
+    the number of processes that each pool was asked for, and exits
+    counts the pools whose with block was left."""
 
     def __init__(self):
         self.sizes = []
+        self.exits = 0
 
     def Pool(self, processes):
         self.sizes.append(processes)
@@ -177,10 +179,11 @@ class InlineContext:
         return self
 
     def __exit__(self, *exc):
+        self.exits += 1
         return False
 
-    def starmap(self, fn, args):
-        return [fn(*a) for a in args]
+    def imap(self, fn, args, chunksize=1):
+        return map(fn, args)
 
 
 def replaced(obj, **changes):

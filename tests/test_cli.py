@@ -303,6 +303,9 @@ def test_points_file_schema_rejected(tmp_path, capsys, doc):
     ["tenpoint", "--curve", "cuspidal", "--base=1,-1,0", "--delta", "1/0"],
     ["cantilever", "--curve", "weierstrass:0,17", "--base=-2:3,-1:4",
      "--delta", "8:23", "--extend", "2"],
+    # collinear points of the cusp y^2 = x^3, whose chord law is no group
+    ["cantilever", "--curve", "weierstrass:0,0",
+     "--base=1:1,1/4:1/8,1/9:-1/27", "--delta", "16:64", "--extend", "2"],
     ["conic", "--mode", "involution", "--external", "0,-1", "--x", "1/0"],
     ["conic", "--mode", "collinear", "--x", "1", "--y", "2"],
     ["conic", "--mode", "collinear", "--external", "0,-1"],
@@ -361,6 +364,30 @@ def test_tripartite_runs_on_the_given_workers(tmp_path, capsys, monkeypatch):
     assert run_capture(capsys, argv + ["1"]) == (0, "72\n")
     assert run_capture(capsys, argv + ["2"]) == (0, "72\n")
     assert seen == [1, 2]
+
+
+class _NoPool(InlineContext):
+    """A context whose pool cannot start, as fork fails at a process
+    limit; no limit is touched."""
+
+    def Pool(self, processes):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("extra", [["--k", "3"], ["--tripartite", "1,2,3"]])
+def test_a_pool_that_cannot_start_is_an_internal_error(tmp_path, capsys,
+                                                       monkeypatch, extra):
+    # the OSError from fork is not bad input: exit 3, naming the pool
+    aps = tmp_path / "aps.json"
+    aps.write_text(json.dumps(pointset_to_doc(gen_parallel_aps(3))))
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: _NoPool())
+    argv = ["count", "--in", str(aps), "--workers", "2"] + extra
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: a pool of 2 worker "
+                          "processes could not start: ")
 
 
 @pytest.mark.parametrize("pattern", [

@@ -30,6 +30,14 @@ def test_parallel_aps_counts_small():
                                        (1, 2, 3))
 
 
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_parallel_aps_closed_form_needs_a_point_per_row(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        parallel_aps_closed_form(n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        gen_parallel_aps(n)
+
+
 def test_parallel_aps_dense_middle_variant():
     ps = gen_parallel_aps(3, dense_middle=True)
     assert ps.n == 3 + 6 + 3

@@ -67,6 +67,15 @@ def test_weierstrass_third_examples():
         CURVE.third(mk_point(0, 0), mk_point(2, 5))
 
 
+@pytest.mark.parametrize("a, b", [(0, 0), (-3, 2), (-3, -2),
+                                  (F(-3, 4), F(1, 4))])
+def test_singular_weierstrass_curve_rejected(a, b):
+    # 4a^3 + 27b^2 = 0: a cusp at (0, 0) or a node, where the chord
+    # and tangent law breaks down
+    with pytest.raises(ValueError, match="singular"):
+        WeierstrassCurve(a, b)
+
+
 def test_weierstrass_identity_and_inverse():
     for p in GENS:
         assert CURVE.add(p, WEIERSTRASS_IDENTITY) == p

@@ -36,6 +36,14 @@ def test_pointset_label_validation():
         PointSet(pts + (mk_point(1, 1),), (1, 2, 3))
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, F(2), "1"])
+def test_pointset_refuses_a_label_that_is_not_an_int(bad):
+    # each equals a label or prints as one; the points file refuses them
+    # too
+    with pytest.raises(ValueError, match=r"labels must be in \{1, 2, 3\}"):
+        PointSet((mk_point(0, 0), mk_point(1, 1)), (1, bad))
+
+
 def test_pointset_value_semantics():
     pts = (mk_point(0, 0), ProjPoint((1, 0, 0)))
     ps = PointSet(list(pts), [1, 2])
@@ -128,10 +136,33 @@ def test_workers_beyond_the_rows_start_no_idle_process(monkeypatch):
     ps = gen_grid(3)
     serial = spanned_lines(ps)
     table = spanned_lines(ps, workers=5000)
-    assert ctx.sizes == [9]                 # one stripe per row, not 5000
+    assert ctx.sizes == [9]                 # one process per row, not 5000
     assert table == serial and list(table.entries) == list(serial.entries)
     assert tripartite_count(gen_parallel_aps(4), (1, 2, 3), workers=50) == 8
-    assert ctx.sizes == [9, 4]              # one stripe per group-1 row
+    assert ctx.sizes == [9, 4]              # one process per group-1 row
+
+
+def test_pool_opens_at_the_first_read(monkeypatch):
+    ctx = InlineContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    hs = gen_grid(3).raw()
+    stream = richlines._rich_lines(hs, 2)
+    assert ctx.sizes == []
+    assert next(stream) == [0, 1, 2]
+    assert ctx.sizes == [2]
+    assert _read(stream) == ([[0, 3, 6], [0, 4, 8], [1, 4, 7], [2, 4, 6],
+                              [2, 5, 8], [3, 4, 5], [6, 7, 8]], 12)
+    assert ctx.sizes == [2] and ctx.exits == 1
+
+
+def test_closed_stream_leaves_the_pool(monkeypatch):
+    ctx = InlineContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    stream = richlines._rich_lines(gen_grid(4).raw(), 2)
+    next(stream)
+    assert ctx.exits == 0
+    stream.close()
+    assert ctx.exits == 1
 
 
 def test_row_sighting_must_be_suffix():
@@ -211,8 +242,8 @@ def _non_suffix_sighting(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_non_suffix_sighting_raises(monkeypatch, workers):
-    # serially the row of point 1 sights the marked line; with two
-    # workers the parent reads that row from the second stripe
+    # the row of point 1 sights the marked line; with two workers a
+    # pool process builds that row and the parent finds the sighting
     ps = _non_suffix_sighting(monkeypatch)
     with pytest.raises(InvariantViolation, match=r"\[1, 2, 4\]"):
         spanned_lines(ps, workers=workers)
@@ -442,9 +473,10 @@ def _read(stream):
 
 
 def _exact(hs):
-    """The serial all-exact kernel: the rows of _row_lines with neither
-    slope codes nor mod-_P keys, streamed as _rich_lines streams them."""
-    return _read(richlines._stream(richlines._row_lines(hs)))
+    """The serial all-exact kernel: the rows of _row with neither slope
+    codes nor mod-_P keys, streamed as _rich_lines streams them."""
+    return _read(richlines._stream(richlines._row(hs, None, None, i)
+                                   for i in range(len(hs))))
 
 
 def _kernels(hs, workers=1):
@@ -457,9 +489,9 @@ def _kernels(hs, workers=1):
     return slope, modp
 
 
-def _assert_stream_is_two_stripes(hs):
-    """The serial stream, read as a list, is the two-stripe result (its
-    stripes built in this process)."""
+def _assert_stream_is_two_workers(hs):
+    """The serial stream, read as a list, is the two-worker result (its
+    rows built in this process)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multiprocessing, "get_context",
                    lambda method: InlineContext())
@@ -519,10 +551,10 @@ def test_small_prime_makes_zero_rows_and_collisions(monkeypatch):
     # primes really produce joins that vanish mod p and mod-p classes
     # that hold more than one exact line
     seen = {"zero rows": 0, "collisions": 0}
-    classes, split = richlines._mod_classes, richlines._class_lines
+    keys, split = richlines._mod_keys, richlines._class_lines
 
-    def counted_classes(hp, i):
-        out = classes(hp, i)
+    def counted_keys(hp, i):
+        out = keys(hp, i)
         seen["zero rows"] += out is None
         return out
 
@@ -531,7 +563,7 @@ def test_small_prime_makes_zero_rows_and_collisions(monkeypatch):
         seen["collisions"] += len(out) > 1
         return out
 
-    monkeypatch.setattr(richlines, "_mod_classes", counted_classes)
+    monkeypatch.setattr(richlines, "_mod_keys", counted_keys)
     monkeypatch.setattr(richlines, "_class_lines", counted_split)
     for p in (3, 7):
         monkeypatch.setattr(richlines, "_P", p)
@@ -565,7 +597,7 @@ def big_point_sets(draw):
 def test_mod_kernel_on_big_coordinates(points):
     assert max(abs(c) for p in points for c in p.h).bit_length() >= 500
     _assert_kernels_agree(points)
-    _assert_stream_is_two_stripes([p.h for p in points])
+    _assert_stream_is_two_workers([p.h for p in points])
 
 
 def test_mod_kernel_workers_match_serial():
@@ -752,7 +784,7 @@ def test_slope_kernel_on_farey_directions(data):
     assert richlines._coord_bits(hs) <= richlines._BIG_BITS
     if len(hs) >= 2:
         _assert_matches_exact(points, _read(richlines._rich_lines(hs)))
-        _assert_stream_is_two_stripes(hs)
+        _assert_stream_is_two_workers(hs)
 
 
 @settings(max_examples=150, deadline=None)
