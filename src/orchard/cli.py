@@ -126,10 +126,9 @@ def pointset_from_doc(doc) -> PointSet:
         else:
             raise ValueError(f"point entry {entry!r} needs 'x' and 'y', or 'h'")
     labels = doc.get("labels")
-    if labels is not None and not (isinstance(labels, list) and
-                                   all(type(g) is int for g in labels)):
+    if labels is not None and not isinstance(labels, list):
         raise ValueError("'labels' must be a list of integers")
-    return PointSet(tuple(pts), tuple(labels) if labels else None)
+    return PointSet(pts, labels)
 
 
 def _load_pointset(path: str) -> PointSet:

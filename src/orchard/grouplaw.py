@@ -24,8 +24,8 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from .cubics import CubicForm, cuspidal_form, weierstrass_form
-from .projective import (DegenerateError, ProjPoint, Rat, _Frozen, collinear,
-                         incident, join, mk_point, signed_ratio,
+from .projective import (DegenerateError, ProjPoint, Rat, _Frozen, _fraction,
+                         collinear, incident, join, mk_point, signed_ratio,
                          triangle_sides)
 from .richlines import PointSet, _rich_lines
 
@@ -40,7 +40,7 @@ class GroupElement(_Frozen):
     __slots__ = ("value", "operation")
 
     def __init__(self, value: Rat, operation: str):
-        value = Fraction(value)
+        value = value if isinstance(value, Fraction) else _fraction(value)
         if operation not in _LAWS:
             raise ValueError(f"unknown group operation {operation!r}")
         if operation == MULTIPLICATIVE and value == 0:

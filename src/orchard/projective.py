@@ -34,9 +34,18 @@ def canonical(cs: Sequence[int]) -> tuple[int, ...]:
     return tuple([c // g for c in cs])
 
 
+def _fraction(x) -> Fraction:
+    """Fraction(x) for a value that is not an int or a Fraction.  A float
+    is refused: it is a binary fraction, not the decimal it prints as
+    (0.1 is 3602879701896397 / 2**55)."""
+    if isinstance(x, float):
+        raise ValueError(f"{x!r} is a float, not an exact rational")
+    return Fraction(x)
+
+
 def integral(rs: Sequence[Rat]) -> list[int]:
     """The rationals rs times the lcm of their denominators."""
-    fs = [Fraction(r) for r in rs]
+    fs = [r if isinstance(r, (int, Fraction)) else _fraction(r) for r in rs]
     m = lcm(*(f.denominator for f in fs))
     return [f.numerator * (m // f.denominator) for f in fs]
 
@@ -132,8 +141,8 @@ class ProjLine(_Frozen):
 
 def mk_point(x: Rat, y: Rat) -> ProjPoint:
     """Affine point (x, y) as a canonical projective point."""
-    fx = x if isinstance(x, (int, Fraction)) else Fraction(x)
-    fy = y if isinstance(y, (int, Fraction)) else Fraction(y)
+    fx = x if isinstance(x, (int, Fraction)) else _fraction(x)
+    fy = y if isinstance(y, (int, Fraction)) else _fraction(y)
     return ProjPoint((fx.numerator * fy.denominator,
                       fy.numerator * fx.denominator,
                       fx.denominator * fy.denominator))

@@ -8,10 +8,12 @@ line, so a line through m >= 3 points shows up complete in the row of
 its lowest member and is streamed to its consumer there.  Only lines of
 4+ members are remembered, to know their later sightings; 2-point lines
 are counted, never stored.  No O(n^3) pass and no floating slope
-buckets anywhere: a row groups its joins by exact integer slope codes,
+buckets anywhere: a row keys its joins by exact integer slope codes,
 by lines mod a prime, or by canonical lines (see _row).  A line's
 canonical form is built, from its first two members, only for a caller
-that reads keys (spanned_lines, line_members).
+that reads keys (spanned_lines, line_members).  A tripartite count
+reads no line at all: each row of one label group counts its lines by
+set operations on the keys of its joins (_tripartite_row).
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from typing import (Callable, Generator, Iterable, Iterator, Optional,
                     Sequence)
 
 from .projective import ProjPoint, _cross, _Frozen, canonical
+
+Triple = tuple[int, int, int]           # a point or a line, homogeneous
+Triples = Sequence[Triple]
 
 
 class InvariantViolation(RuntimeError):
@@ -52,7 +57,7 @@ class PointSet(_Frozen):
     def n(self) -> int:
         return len(self.points)
 
-    def raw(self) -> list[tuple[int, int, int]]:
+    def raw(self) -> list[Triple]:
         return [p.h for p in self.points]
 
 
@@ -88,13 +93,12 @@ _P = 2 ** 61 - 1
 _BIG_BITS = 256
 
 
-def _line(hs: Sequence[tuple[int, int, int]], i: int, j: int
-          ) -> tuple[int, int, int]:
+def _line(hs: Triples, i: int, j: int) -> Triple:
     """The canonical line through the points i and j of hs."""
     return canonical(_cross(hs[i], hs[j]))
 
 
-def _coord_bits(hs: Sequence[tuple[int, int, int]]) -> int:
+def _coord_bits(hs: Triples) -> int:
     """The bit length of the largest coordinate in absolute value."""
     return max((abs(c) for h in hs for c in h), default=0).bit_length()
 
@@ -104,13 +108,12 @@ def _slope_shift(bits: int) -> int:
     return 4 * bits + 2
 
 
-def _slopes(hs: Sequence[tuple[int, int, int]], i: int,
-            shift: int) -> list[Optional[int]]:
-    """The slope codes of the joins (i, j), j > i, for an affine point i.
+def _slopes(anchor: Triple, pts: Triples, shift: int) -> list[Optional[int]]:
+    """The slope codes of the joins from an affine anchor to pts.
 
-    The code of (i, j) is floor(dy * 2**shift / dx) for the direction
-    dx = x2*z1 - x1*z2, dy = y2*z1 - y1*z2 of i -> j, and None when
-    dx = 0 (the vertical line through i).  With every coordinate below
+    The code of a join is floor(dy * 2**shift / dx) for its direction
+    dx = x2*z1 - x1*z2, dy = y2*z1 - y1*z2, and None when dx = 0 (the
+    vertical line through the anchor).  With every coordinate below
     2**bits in absolute value and shift = 4 * bits + 2 (_slope_shift),
     equal codes mean equal slopes: each of dx, dy is a difference of two
     products below 2**(2*bits), so |dx|, |dy| < D = 2**(2*bits + 1), and
@@ -118,13 +121,18 @@ def _slopes(hs: Sequence[tuple[int, int, int]], i: int,
     |dy*dx' - dy'*dx| / |dx*dx'| > 1/D**2; scaled by 2**shift = D**2
     they differ by more than 1, and so do their floors.  Equal slopes
     have equal floors, and negating (dx, dy) leaves the code alone.  A
-    line through i is fixed by its slope, so within a row a code is a
-    line; across rows it is a direction.
+    line through the anchor is fixed by its slope, so within a row a
+    code is a line; across rows it is a direction.
     """
-    x1, y1, z1 = hs[i]
+    x1, y1, z1 = anchor
     return [((y2 * z1 - y1 * z2) << shift) // dx
             if (dx := x2 * z1 - x1 * z2) else None
-            for x2, y2, z2 in hs[i + 1:]]
+            for x2, y2, z2 in pts]
+
+
+def _lines(anchor: Triple, pts: Triples) -> list[Triple]:
+    """The canonical lines joining the anchor to each of pts."""
+    return [canonical(_cross(anchor, h)) for h in pts]
 
 
 Lines = list[list[int]]
@@ -136,11 +144,9 @@ LineStream = Generator[list[int], None, int]
 def _group(i: int, keys: Sequence) -> RowLines:
     """Row i from the keys of its joins (i, j), j = i + 1, ...: the
     number of distinct keys and [i, j...] for each key of two or more
-    joins, in order of first j.
-
-    A row of distinct keys holds no rich line and is counted by one
-    set.  Otherwise the row dict maps a key to its first j, and only a
-    repeated key builds a member list.
+    joins, in order of first j.  A row of distinct keys holds no rich
+    line and is counted by one set.  Otherwise the row dict maps a key
+    to its first j, and only a repeated key builds a member list.
     """
     count = len(set(keys))
     if count == len(keys):
@@ -157,29 +163,26 @@ def _group(i: int, keys: Sequence) -> RowLines:
     return count, sorted(repeated.values(), key=lambda m: m[1])
 
 
-def _slope_row(hs: Sequence[tuple[int, int, int]], i: int,
-               shift: int) -> RowLines:
+def _slope_row(hs: Triples, i: int, shift: int) -> RowLines:
     """Row i, for an affine point i, grouped by slope code (_slopes)."""
-    return _group(i, _slopes(hs, i, shift))
+    return _group(i, _slopes(hs[i], hs[i + 1:], shift))
 
 
-def _exact_row(hs: Sequence[tuple[int, int, int]], i: int) -> RowLines:
+def _exact_row(hs: Triples, i: int) -> RowLines:
     """Row i with every join (i, j) made canonical."""
-    return _group(i, [_line(hs, i, j) for j in range(i + 1, len(hs))])
+    return _group(i, _lines(hs[i], hs[i + 1:]))
 
 
-def _mod_keys(hp: Sequence[tuple[int, int, int]], i: int) -> Optional[list]:
-    """The lines mod _P of the joins (i, j), j > i, or None if one of
-    them is (0, 0, 0) mod _P.
-
-    hp holds the points reduced mod _P.  Each line is scaled by the
-    inverse of its first nonzero entry; the row's inverses share one
-    pow (Montgomery's batch inversion).
-    """
+def _mod_keys(anchor: Triple, pts: Triples) -> Optional[list]:
+    """The lines mod _P of the joins from the anchor to pts, all reduced
+    mod _P, or None if one of them is (0, 0, 0) mod _P.  Each line is
+    scaled by the inverse of its first nonzero entry, so joins on one
+    exact line share their key; the row's inverses share one pow
+    (Montgomery's batch inversion)."""
     p = _P
-    x1, y1, z1 = hp[i]
+    x1, y1, z1 = anchor
     lines, prefix, acc = [], [], 1
-    for x2, y2, z2 in hp[i + 1:]:
+    for x2, y2, z2 in pts:
         line = ((y1 * z2 - z1 * y2) % p, (z1 * x2 - x1 * z2) % p,
                 (x1 * y2 - y1 * x2) % p)
         lead = line[0] or line[1] or line[2]
@@ -198,60 +201,41 @@ def _mod_keys(hp: Sequence[tuple[int, int, int]], i: int) -> Optional[list]:
     return keys
 
 
-def _class_lines(hs: Sequence[tuple[int, int, int]], i: int,
-                 js: list[int]) -> Lines:
-    """The joins (i, j), j in js (ascending), split by exact line, in
-    order of first j.  js shares one key of _mod_keys, almost always
-    one line: every other j is tested against the raw cross product of
-    i and the first j (no gcd) with one dot product.  The j off it (a
-    mod-_P collision of distinct lines) go round again."""
-    lines = []
-    while js:
-        a, b, c = _cross(hs[i], hs[js[0]])
-        on, off = [js[0]], []
-        for j in js[1:]:
-            x, y, z = hs[j]
-            (on if a * x + b * y + c * z == 0 else off).append(j)
-        lines.append(on)
-        js = off
-    return lines
-
-
-def _mod_row(hs: Sequence[tuple[int, int, int]],
-             hp: Sequence[tuple[int, int, int]], i: int) -> Optional[RowLines]:
-    """Row i from its mod-_P keys (_mod_keys), or None if a join is 0
-    mod _P.  Joins on one exact line share their key, so a key of one
-    join is one exact line, counted without its big cross product; a
-    repeated key is split exactly by _class_lines."""
-    keys = _mod_keys(hp, i)
-    if keys is None:
-        return None
-    count, classes = _group(i, keys)
-    rich = []
+def _one_line_each(anchor: Triple, hs: Triples, classes: Lines) -> bool:
+    """True if, in each class [_, j...] of one mod-_P key (_group), the
+    joins from the anchor to the points j of hs lie on one exact line:
+    each j is tested against the raw cross product of the anchor and the
+    first j (no gcd) by one dot product; a j off it is a collision."""
     for m in classes:
-        lines = _class_lines(hs, i, m[1:])
-        count += len(lines) - 1
-        rich += [[i, *on] for on in lines if len(on) > 1]
-    rich.sort(key=lambda m: m[1])
-    return count, rich
+        a, b, c = _cross(anchor, hs[m[1]])
+        for j in m[2:]:
+            x, y, z = hs[j]
+            if a * x + b * y + c * z:
+                return False
+    return True
 
 
-def _row(hs: Sequence[tuple[int, int, int]],
-         hp: Optional[Sequence[tuple[int, int, int]]],
-         shift: Optional[int], i: int) -> RowLines:
+def _mod_row(hs: Triples, hp: Triples, i: int) -> Optional[RowLines]:
+    """Row i from its mod-_P keys (_mod_keys): a key of one join is one
+    exact line, counted without its big cross product.  None if a join
+    is 0 mod _P or a repeated key holds two exact lines
+    (_one_line_each)."""
+    keys = _mod_keys(hp[i], hp[i + 1:])
+    if keys is not None:
+        row = _group(i, keys)
+        if _one_line_each(hs[i], hs, row[1]):
+            return row
+    return None
+
+
+def _row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
+         i: int) -> RowLines:
     """Row i: the number of distinct lines through i and a later point,
     and the sorted members [i, j...] of those through >= 3 points, in
-    order of their first j.  _rich_lines builds it in this process or
-    in a pool worker; either way it is freed once read.
-
-    A row takes one of three paths, each giving the same row:
-    - slope: with shift (see _slopes), an affine anchor keys its joins
-      by an exact integer slope code, with no gcd;
-    - mod-_P: with hp (hs mod _P), the joins are keyed by line mod _P
-      and only a repeated key is joined exactly (_mod_row), unless a
-      join is 0 mod _P;
-    - exact: otherwise (an anchor at infinity, or a join 0 mod _P)
-      every join is made canonical.
+    order of their first j; freed once read.  One of three paths gives
+    it: with shift, an affine anchor keys its joins by exact slope codes
+    (_slope_row); with hp (hs mod _P), by lines mod _P (_mod_row);
+    otherwise, or on _mod_row's None, by canonical lines (_exact_row).
     """
     row = None
     if shift is not None and hs[i][2]:
@@ -309,11 +293,14 @@ def _drain(lines: LineStream, each: Callable[[list[int]], object]) -> int:
         each(members)
 
 
-def _pooled(row: Callable[[int], RowLines], rows: int,
-            procs: int) -> Iterator[RowLines]:
+def _pooled(row: Callable[[int], object], rows: int,
+            procs: int) -> Iterator:
     """row(0), ..., row(rows - 1), each as soon as it and the rows before
     it are built, by a fork pool of procs processes that opens at the
-    first read, in blocks of ceil(rows / (4 * procs)) rows."""
+    first read, in blocks of ceil(rows / (4 * procs)) rows.  Fork, not
+    spawn: a spawned worker imports orchard afresh (0.15 s for two
+    workers, against 0.02 s to fork), and orchard starts no threads that
+    a fork could leave in a broken state."""
     import multiprocessing   # only a multi-worker call loads it
     try:
         pool = multiprocessing.get_context("fork").Pool(procs)
@@ -324,45 +311,39 @@ def _pooled(row: Callable[[int], RowLines], rows: int,
         yield from pool.imap(row, range(rows), -(-rows // (4 * procs)))
 
 
-def _rich_lines(hs: Sequence[tuple[int, int, int]], workers: int = 1,
-                rows: Optional[int] = None) -> LineStream:
+def _each_row(row: Callable[[int], object], rows: int,
+              workers: int) -> Iterator:
+    """row(0), ..., row(rows - 1) in order: built in this process as they
+    are read with one worker, else by a pool of min(workers, rows)
+    processes (_pooled), so no process is without a row."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
+    procs = min(workers, rows)
+    return map(row, range(rows)) if procs <= 1 else _pooled(row, rows, procs)
+
+
+def _regime(hs: Triples) -> tuple:
+    """(hp, shift) for the rows of hs: above _BIG_BITS bits of coordinate
+    (hs mod _P, None), else (None, the shift of exact slope codes)."""
+    bits = _coord_bits(hs)
+    if bits > _BIG_BITS:
+        return [(x % _P, y % _P, z % _P) for x, y, z in hs], None
+    return None, _slope_shift(bits)
+
+
+def _rich_lines(hs: Triples, workers: int = 1) -> LineStream:
     """The sorted members of each line through >= 3 points, as a stream
     that returns the number of lines through exactly 2 (_drain).
 
-    With rows, only the rows 0 .. rows - 1 are read: the stream holds
-    just the lines whose lowest member is below rows, each whole, and
-    the 2-point count it returns is not defined (it is only one for a
-    full enumeration).
-
-    The largest coordinate fixes the regime at the call (see _row for
-    the paths): up to _BIG_BITS bits an affine anchor keys its row by
-    exact integer slope codes, which need no gcd (_slopes states the
-    bound that makes them exact), and an anchor at infinity makes every
-    join canonical; above _BIG_BITS the points are reduced mod _P once
-    and the rows key their joins mod _P, which skips the gcds of
-    multi-thousand-bit joins.  Every path streams the same lines in the
-    same order as the all-exact rows: by (first, second member), each
-    before the next row is read.  With one worker each row is built in
-    this process as the stream reads it; workers > 1 take the rows, in
-    the same order, from a pool of min(workers, rows) processes
-    (_pooled).  Fork, not spawn: a spawned worker imports orchard afresh
-    (0.15 s for two workers, against 0.02 s to fork), and orchard starts
-    no threads that a fork could leave in a broken state.
+    The largest coordinate fixes the regime at the call (_regime; _row
+    has the paths): up to _BIG_BITS bits, slope codes with no gcd; above
+    it, keys mod _P, which skip the gcds of multi-thousand-bit joins.
+    Every path streams the lines of the all-exact rows, in their order:
+    by (first, second member), each before the next row is read, with
+    one worker or a pool (_each_row).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, not {workers}")
-    bits = _coord_bits(hs)
-    hp = shift = None
-    if bits > _BIG_BITS:
-        hp = [(x % _P, y % _P, z % _P) for x, y, z in hs]
-    else:
-        shift = _slope_shift(bits)
-    rows = len(hs) if rows is None else rows
-    row = partial(_row, hs, hp, shift)
-    procs = min(workers, rows)          # no process without a row
-    if procs <= 1:
-        return _stream(map(row, range(rows)))
-    return _stream(_pooled(row, rows, procs))
+    row = partial(_row, hs, *_regime(hs))
+    return _stream(_each_row(row, len(hs), workers))
 
 
 def spanned_lines(ps: PointSet, workers: int = 1) -> RichLineTable:
@@ -403,6 +384,33 @@ def line_members(ps: PointSet) -> dict[tuple, list[int]]:
     return {_line(hs, m[0], m[1]): m for m in _rich_lines(hs)}
 
 
+def _tripartite_row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
+                    lead: int, cut: Optional[int], a: int) -> int:
+    """The matching lines whose lowest lead point is a: hs holds the
+    lead group at [0, lead), then the others.  With cut, pattern (g, h,
+    k) has blocks h = [lead, cut) and k = [cut, n); without, (g, g, h)
+    has the later lead points (a, lead) and h = [lead, n).  Such a line
+    holds a point of each block and no lead point before a, so the row
+    is |K_1 & K_2 - E| in the key sets of the joins from a to the two
+    blocks and to the earlier lead points.  A key is one exact line
+    through a: a slope code (_slopes) up to _BIG_BITS bits, a mod-_P key
+    (_mod_keys) above it if every repeated key is one line, else the
+    canonical line (an anchor at infinity, a join 0 mod _P, a split)."""
+    lo, cut = (lead, cut) if cut else (a + 1, lead)
+    anchor, pts = hs[a], hs[:a] + hs[lo:]
+    if shift is None:
+        keys = _mod_keys(hp[a], hp[:a] + hp[lo:])
+        # _group(-1, ...) numbers the joins 0, 1, ... as pts
+        if keys and not _one_line_each(anchor, pts, _group(-1, keys)[1]):
+            keys = None
+    else:
+        keys = _slopes(anchor, pts, shift) if anchor[2] else None
+    if keys is None:
+        keys = _lines(anchor, pts)
+    mid = a + cut - lo
+    return len(set(keys[a:mid]).intersection(keys[mid:]).difference(keys[:a]))
+
+
 def tripartite_count(ps: PointSet, pattern: Iterable[int],
                      workers: int = 1) -> int:
     """Lines containing three distinct points matching a label pattern.
@@ -411,20 +419,13 @@ def tripartite_count(ps: PointSet, pattern: Iterable[int],
     one point of each group, (1,1,2) for two of group 1 and one of
     group 2.
 
-    Every matching line holds a point of each group the pattern names,
-    so the points of the other groups are dropped, and the points of
-    the smallest named group (the lower label on a tie) go first, each
-    part in set order.  Each matching line then has its lowest member
-    in that group and arrives whole in its row, so only the rows of
-    that group are read (_rich_lines with rows); their 2-point count is
-    never read.  With workers > 1 those rows are enumerated in
-    min(workers, rows) separate processes; the count is the
-    single-worker one.
-
-    A line's label counts are one packed sum: a point of group g weighs
-    1 << (f * (g - 1)), and a field of f = n.bit_length() + 1 bits, for
-    the n points kept, holds any count up to n, so no field carries
-    into the next.
+    (g, g, g) counts the lines of _rich_lines over the points of g.
+    Otherwise only the named groups are kept: the lead first (g for (g,
+    g, h); the smallest, lower label on a tie, for (g, h, k)), then the
+    others, each contiguous and in set order.  Each lead row counts the
+    lines whose lowest lead point it is (_tripartite_row), with no
+    member list and no stored line, and the count is their sum; with
+    workers > 1, min(workers, rows) processes return one integer a row.
     """
     if ps.labels is None:
         raise ValueError("tripartite_count needs a labelled PointSet")
@@ -435,17 +436,15 @@ def tripartite_count(ps: PointSet, pattern: Iterable[int],
     missing = [g for g in sizes if not sizes[g]]
     if missing:
         raise ValueError(f"pattern references missing group {missing}")
-    n1, n2, n3 = (pat.count(g) for g in (1, 2, 3))
-    lead = min(sizes, key=lambda g: (sizes[g], g))
-    keep = sorted((i for i, g in enumerate(ps.labels) if g in sizes),
-                  key=lambda i: ps.labels[i] != lead)
-    f = len(keep).bit_length() + 1
-    mask = (1 << f) - 1
-    weight = [1 << (f * (ps.labels[i] - 1)) for i in keep].__getitem__
-    lines = _rich_lines([ps.points[i].h for i in keep], workers, sizes[lead])
-    sums = (sum(map(weight, m)) for m in lines)
-    return sum(1 for s in sums if (s & mask) >= n1
-               and (s >> f & mask) >= n2 and (s >> 2 * f) >= n3)
+    # pat[1] is g in (g, g, g) and in (g, g, h) in either order
+    lead = pat[1] if len(sizes) < 3 else min(sizes, key=sizes.get)
+    order = sorted(sizes, key=lambda g: (g != lead, g))
+    hs = [p.h for g in order for p, l in zip(ps.points, ps.labels) if l == g]
+    if len(sizes) == 1:
+        return sum(1 for _ in _rich_lines(hs, workers))
+    cut = sizes[lead] + sizes[order[1]] if len(sizes) == 3 else None
+    row = partial(_tripartite_row, hs, *_regime(hs), sizes[lead], cut)
+    return sum(_each_row(row, sizes[lead], workers))
 
 
 def direction_count(ps: PointSet) -> int:
@@ -458,7 +457,7 @@ def direction_count(ps: PointSet) -> int:
     shift = _slope_shift(_coord_bits(hs))
     # a direction is a slope, and a slope code is exact across rows
     return len({code for i in range(len(hs))
-                for code in _slopes(hs, i, shift)})
+                for code in _slopes(hs[i], hs[i + 1:], shift)})
 
 
 def green_tao_bound(n: int) -> int:

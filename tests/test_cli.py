@@ -285,6 +285,17 @@ def test_deeply_nested_points_file_is_bad_input(tmp_path, capsys, command):
 TWO_POINTS = [{"x": "1", "y": "2"}, {"x": "3", "y": "4"}]
 
 
+@pytest.mark.parametrize("extra", [["--k", "3"], ["--tripartite", "1,1,1"]])
+def test_empty_labels_do_not_cover_the_points(tmp_path, capsys, extra):
+    # "labels": [] is a label list, not "no labels": it misses both points
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"points": TWO_POINTS, "labels": []}))
+    assert run(["count", "--in", str(f)] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: PointSet: labels must cover all indices\n"
+
+
 @pytest.mark.parametrize("doc", [
     {"points": [5, 6]},
     {"points": [{"x": "1/0", "y": "1"}] + TWO_POINTS},
@@ -355,15 +366,17 @@ def test_tripartite_runs_on_the_given_workers(tmp_path, capsys, monkeypatch):
     aps = tmp_path / "aps.json"
     aps.write_text(json.dumps(pointset_to_doc(gen_parallel_aps(12))))
     seen = []
-    rich_lines = richlines._rich_lines
-    monkeypatch.setattr(richlines, "_rich_lines",
-                        lambda hs, workers=1, rows=None:
-                        seen.append(workers) or rich_lines(hs, workers, rows))
+    each_row = richlines._each_row
+    monkeypatch.setattr(richlines, "_each_row", lambda row, rows, workers:
+                        seen.append((row.func, rows, workers))
+                        or each_row(row, rows, workers))
     argv = ["count", "--in", str(aps), "--tripartite", "1,2,3", "--workers"]
     # rows x1 + x3 = 2 * x2 of 0..11: 6 * 6 pairs (x1, x3) of each parity
     assert run_capture(capsys, argv + ["1"]) == (0, "72\n")
     assert run_capture(capsys, argv + ["2"]) == (0, "72\n")
-    assert seen == [1, 2]
+    # the 12 rows of group 1 counted, by one process and then by two
+    assert seen == [(richlines._tripartite_row, 12, 1),
+                    (richlines._tripartite_row, 12, 2)]
 
 
 class _NoPool(InlineContext):

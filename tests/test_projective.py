@@ -11,8 +11,9 @@ from orchard import (Cantilever, CubicForm, DegenerateError, GroupDescription,
                      GroupElement, LawWitness, NgonConfig, ProjLine, ProjPoint,
                      SampledArc, TenPointConfig, WeierstrassCurve, collinear,
                      gen_triangle_ratios, incident, join, meet, mk_point,
-                     ratio_point, signed_ratio, triangle_description,
-                     triangle_ratio_set, weierstrass_form)
+                     point_from_rationals, ratio_point, signed_ratio,
+                     triangle_description, triangle_ratio_set,
+                     weierstrass_form)
 from orchard.conic import ExternalPoint
 from orchard.cubics import CubicClassification
 from orchard.curves import CurveSpec, DichotomyRow
@@ -182,11 +183,24 @@ def test_weierstrass_curve_compares_without_its_form():
 def test_mk_point_takes_ints_fractions_and_other_rationals():
     expected = mk_point(F(-3, 4), F(5))
     assert expected.h == (3, -20, -4)
-    for x, y in ((F(-3, 4), 5), ("-3/4", "5"), (-0.75, 5.0), (F(-6, 8), F(5))):
+    for x, y in ((F(-3, 4), 5), ("-3/4", "5"), (F(-6, 8), F(5))):
         assert mk_point(x, y) == expected
     assert mk_point(True, False) == mk_point(1, 0)
     with pytest.raises(ValueError):
         mk_point("1/x", 0)
+    with pytest.raises(ValueError, match="float"):
+        mk_point(-0.75, 5.0)          # a float, even an exact one, is refused
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mk_point(0.1, 0), lambda: mk_point(0, 0.1),
+    lambda: point_from_rationals(1, 0.1, 1),
+    lambda: GroupElement(0.1, "additive"),
+    lambda: GroupElement(0.5, "multiplicative")])
+def test_exact_constructors_refuse_floats(make):
+    # mk_point(0.1, 0) was the point (3602879701896397, 0) / 2**55
+    with pytest.raises(ValueError, match="0.[15] is a float"):
+        make()
 
 
 def test_collinear_cubic_parameter_sums():

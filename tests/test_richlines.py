@@ -1,4 +1,5 @@
 import copy
+import itertools
 import multiprocessing
 import pickle
 import random
@@ -138,8 +139,14 @@ def test_workers_beyond_the_rows_start_no_idle_process(monkeypatch):
     table = spanned_lines(ps, workers=5000)
     assert ctx.sizes == [9]                 # one process per row, not 5000
     assert table == serial and list(table.entries) == list(serial.entries)
+    counts = []                             # what the pool hands back
+    ctx.imap = lambda fn, args, chunksize=1: [counts.append(fn(i)) or
+                                              counts[-1] for i in args]
     assert tripartite_count(gen_parallel_aps(4), (1, 2, 3), workers=50) == 8
     assert ctx.sizes == [9, 4]              # one process per group-1 row
+    # each row returns one integer: its group-1 point x meets the group-3
+    # points x' of 0..3 with x + x' even, so the line holds (x + x')/2
+    assert counts == [2, 2, 2, 2]
 
 
 def test_pool_opens_at_the_first_read(monkeypatch):
@@ -358,27 +365,37 @@ def test_packed_label_counts_with_workers():
                          ids=["grid", "infinity"])
 def test_tripartite_reads_only_the_rows_of_its_smallest_group(
         monkeypatch, make, pattern, workers):
-    # group 3 is in every set, but joined only if the pattern names it
+    # every row keys its joins once, by slope code or canonical line, and
+    # only the lead group's rows are keyed: the smallest group of (1, 2,
+    # 3), the doubled one of (g, g, h) and (g, g, g).  Group 3 is in every
+    # set, but joined only if the pattern names it; only (g, g, g) reads
+    # a line stream.
     ps = _mixed_labels(make(), 1)
     ctx = InlineContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
-    anchors, joined = [], set()
+    anchors, joined, streams = [], set(), []
 
-    def spy(row):
-        def built(hs, i, *args):
-            anchors.append(hs[i])
-            joined.update(hs)
-            return row(hs, i, *args)
-        return built
-    for name in ("_slope_row", "_exact_row"):
+    def spy(keys):
+        def keyed(anchor, pts, *args):
+            anchors.append(anchor)
+            joined.update(pts)
+            return keys(anchor, pts, *args)
+        return keyed
+    for name in ("_slopes", "_lines"):
         monkeypatch.setattr(richlines, name, spy(getattr(richlines, name)))
+    stream = richlines._stream
+    monkeypatch.setattr(richlines, "_stream",
+                        lambda rows: streams.append(1) or stream(rows))
     assert tripartite_count(ps, pattern, workers) == brute_tripartite(
         list(ps.points), list(ps.labels), pattern)
     group = {g: [p.h for p, h in zip(ps.points, ps.labels) if h == g]
              for g in (1, 2, 3)}
-    lead = min(set(pattern), key=lambda g: (len(group[g]), g))
+    doubled = [g for g in pattern if pattern.count(g) > 1]
+    lead = doubled[0] if doubled else min(set(pattern),
+                                          key=lambda g: (len(group[g]), g))
     assert sorted(anchors) == sorted(group[lead])
     assert joined <= {h for g in pattern for h in group[g]}
+    assert streams == ([1] if len(set(pattern)) == 1 else [])
     assert ctx.sizes == ([] if workers == 1 else [2])
 
 
@@ -389,7 +406,8 @@ def test_tripartite_reads_only_the_rows_of_its_smallest_group(
                          ids=["grid", "infinity"])
 def test_tripartite_in_the_mod_kernel_matches_brute(monkeypatch, make, seed,
                                                     workers):
-    # labels shuffled over the points, every row keyed mod _P
+    # labels shuffled over the points, every row keyed mod _P, none by
+    # slope code
     labels = list(_mixed_labels(make(), seed).labels)
     random.Random(seed).shuffle(labels)
     ps = PointSet(make(), labels)
@@ -397,9 +415,10 @@ def test_tripartite_in_the_mod_kernel_matches_brute(monkeypatch, make, seed,
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: InlineContext())
     mod_rows = []
-    mod_row = richlines._mod_row
-    monkeypatch.setattr(richlines, "_mod_row", lambda hs, hp, i:
-                        mod_rows.append(i) or mod_row(hs, hp, i))
+    mod_keys = richlines._mod_keys
+    monkeypatch.setattr(richlines, "_mod_keys", lambda anchor, pts:
+                        mod_rows.append(anchor) or mod_keys(anchor, pts))
+    monkeypatch.setattr(richlines, "_slopes", None)
     for pattern in PACKED_PATTERNS:
         assert tripartite_count(ps, pattern, workers) == brute_tripartite(
             list(ps.points), labels, pattern)
@@ -551,24 +570,87 @@ def test_small_prime_makes_zero_rows_and_collisions(monkeypatch):
     # primes really produce joins that vanish mod p and mod-p classes
     # that hold more than one exact line
     seen = {"zero rows": 0, "collisions": 0}
-    keys, split = richlines._mod_keys, richlines._class_lines
+    keys, split = richlines._mod_keys, richlines._one_line_each
 
-    def counted_keys(hp, i):
-        out = keys(hp, i)
+    def counted_keys(anchor, pts):
+        out = keys(anchor, pts)
         seen["zero rows"] += out is None
         return out
 
-    def counted_split(hs, i, js):
-        out = split(hs, i, js)
-        seen["collisions"] += len(out) > 1
+    def counted_split(anchor, hs, classes):
+        out = split(anchor, hs, classes)
+        seen["collisions"] += not out
         return out
 
     monkeypatch.setattr(richlines, "_mod_keys", counted_keys)
-    monkeypatch.setattr(richlines, "_class_lines", counted_split)
+    monkeypatch.setattr(richlines, "_one_line_each", counted_split)
     for p in (3, 7):
         monkeypatch.setattr(richlines, "_P", p)
         _assert_kernels_agree(list(MOD_FIXTURES["cubic-power"]()))
     assert seen["zero rows"] > 0 and seen["collisions"] > 0
+
+
+def _mapped_aps():
+    """gen_parallel_aps(5) moved by an integer projective map with
+    300-bit entries: 15 points on 13 rich lines, above _BIG_BITS."""
+    rng = random.Random(4)
+    rows = [[rng.getrandbits(300) - 2 ** 299 for _ in range(3)]
+            for _ in range(3)]
+    points = [apply_transform(rows, p) for p in gen_parallel_aps(5).points]
+    assert richlines._coord_bits([p.h for p in points]) > richlines._BIG_BITS
+    return points
+
+
+# each regime of the tripartite row keys: its points and the richlines
+# constants it sets
+TRIPARTITE_REGIMES = {
+    "slope": (lambda: gen_grid(5).points, {}),
+    "infinity": (_with_infinity, {}),
+    "big-bits-0": (_with_infinity, {"_BIG_BITS": 0}),
+    "mapped-aps": (_mapped_aps, {}),
+    "small-p": (lambda: gen_cubic_power(6).points, {"_BIG_BITS": 0, "_P": 7}),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("regime", sorted(TRIPARTITE_REGIMES))
+def test_tripartite_patterns_in_every_regime(monkeypatch, regime, workers):
+    make, constants = TRIPARTITE_REGIMES[regime]
+    ps = _mixed_labels(make(), 2)
+    for name, value in constants.items():
+        monkeypatch.setattr(richlines, name, value)
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: InlineContext())
+    # how often a tripartite row fell back from its mod-_P keys
+    seen = {"zero rows": 0, "splits": 0}
+    keys, split = richlines._mod_keys, richlines._one_line_each
+    row = richlines._tripartite_row
+
+    def counted_row(*args):
+        monkeypatch.setattr(richlines, "_mod_keys", counted_keys)
+        monkeypatch.setattr(richlines, "_one_line_each", counted_split)
+        try:
+            return row(*args)
+        finally:
+            monkeypatch.setattr(richlines, "_mod_keys", keys)
+            monkeypatch.setattr(richlines, "_one_line_each", split)
+
+    def counted_keys(anchor, pts):
+        out = keys(anchor, pts)
+        seen["zero rows"] += out is None
+        return out
+
+    def counted_split(anchor, hs, classes):
+        out = split(anchor, hs, classes)
+        seen["splits"] += not out
+        return out
+
+    monkeypatch.setattr(richlines, "_tripartite_row", counted_row)
+    for pattern in itertools.combinations_with_replacement((1, 2, 3), 3):
+        assert tripartite_count(ps, pattern, workers) == brute_tripartite(
+            list(ps.points), list(ps.labels), pattern), pattern
+    if regime == "small-p":
+        assert seen["zero rows"] > 0 and seen["splits"] > 0
 
 
 @st.composite
@@ -710,11 +792,11 @@ def test_slope_row_with_one_vertical_join():
               mk_point(2, 3)]
     hs = [p.h for p in points]
     shift = richlines._slope_shift(richlines._coord_bits(hs))
-    assert richlines._slopes(hs, 0, shift).count(None) == 1
+    assert richlines._slopes(hs[0], hs[1:], shift).count(None) == 1
     assert richlines._slope_row(hs, 0, shift) == (4, [])
     points.append(mk_point(2, 2))           # on the line y = x of row 0
     hs = [p.h for p in points]
-    assert richlines._slopes(hs, 0, shift).count(None) == 1
+    assert richlines._slopes(hs[0], hs[1:], shift).count(None) == 1
     assert richlines._slope_row(hs, 0, shift) == (4, [[0, 2, 5]])
     _assert_rows_match_exact(points)
 

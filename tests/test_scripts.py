@@ -53,12 +53,14 @@ def test_census_classifies_each_family_cubic():
 
 
 def test_kernel_crossover_smoke():
-    """Both kernels read the whole line stream and agree on it."""
+    """Both kernels read the whole line stream and agree on it, and on
+    the tripartite count of the rich input."""
     out = _run_script(ROOT / "scripts" / "kernel_crossover.py",
                       "--bits", "32", "--reps", "1").splitlines()
-    assert out[0] == "bits,input,slope_s,mod_p_s,slope_over_mod_p"
-    assert [row.split(",")[:2] for row in out[1:]] == [["32", "random"],
-                                                      ["32", "rich"]]
+    assert out[0] == "bits,input,count,slope_s,mod_p_s,slope_over_mod_p"
+    assert [row.split(",")[:3] for row in out[1:]] == [
+        ["32", "random", "lines"], ["32", "rich", "lines"],
+        ["32", "rich", "tripartite"]]
 
 
 def _load_script(name):
