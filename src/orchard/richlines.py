@@ -396,7 +396,7 @@ def _tripartite_row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
     through a: a slope code (_slopes) up to _BIG_BITS bits, a mod-_P key
     (_mod_keys) above it if every repeated key is one line, else the
     canonical line (an anchor at infinity, a join 0 mod _P, a split)."""
-    lo, cut = (lead, cut) if cut else (a + 1, lead)
+    lo, hi = (lead, cut) if cut else (a + 1, lead)      # the first block
     anchor, pts = hs[a], hs[:a] + hs[lo:]
     if shift is None:
         keys = _mod_keys(hp[a], hp[:a] + hp[lo:])
@@ -407,7 +407,7 @@ def _tripartite_row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
         keys = _slopes(anchor, pts, shift) if anchor[2] else None
     if keys is None:
         keys = _lines(anchor, pts)
-    mid = a + cut - lo
+    mid = a + hi - lo
     return len(set(keys[a:mid]).intersection(keys[mid:]).difference(keys[:a]))
 
 

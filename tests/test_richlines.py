@@ -140,8 +140,8 @@ def test_workers_beyond_the_rows_start_no_idle_process(monkeypatch):
     assert ctx.sizes == [9]                 # one process per row, not 5000
     assert table == serial and list(table.entries) == list(serial.entries)
     counts = []                             # what the pool hands back
-    ctx.imap = lambda fn, args, chunksize=1: [counts.append(fn(i)) or
-                                              counts[-1] for i in args]
+    ctx.imap = lambda fn, args, chunksize=1: counts.extend(map(fn, args)) \
+        or counts
     assert tripartite_count(gen_parallel_aps(4), (1, 2, 3), workers=50) == 8
     assert ctx.sizes == [9, 4]              # one process per group-1 row
     # each row returns one integer: its group-1 point x meets the group-3
@@ -592,7 +592,7 @@ def test_small_prime_makes_zero_rows_and_collisions(monkeypatch):
 
 def _mapped_aps():
     """gen_parallel_aps(5) moved by an integer projective map with
-    300-bit entries: 15 points on 13 rich lines, above _BIG_BITS."""
+    300-bit entries: 15 points on 16 rich lines, above _BIG_BITS."""
     rng = random.Random(4)
     rows = [[rng.getrandbits(300) - 2 ** 299 for _ in range(3)]
             for _ in range(3)]
