@@ -22,15 +22,11 @@ MONOMIALS = ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
 class CubicForm(_Frozen):
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: Sequence[int]):
-        cs = tuple(int(c) for c in coefficients)
+    def __init__(self, coefficients: Sequence[Rat]):
+        cs = tuple(coefficients)
         if len(cs) != 10:
             raise ValueError("a cubic form has 10 coefficients")
-        super().__init__(canonical(cs))
-
-    @classmethod
-    def from_rationals(cls, cs: Sequence[Rat]) -> "CubicForm":
-        return cls(integral(cs))
+        super().__init__(canonical(integral(cs)))
 
     def evaluate(self, p: ProjPoint) -> int:
         x, y, z = p.h
@@ -179,5 +175,4 @@ def cuspidal_form() -> CubicForm:
 
 def weierstrass_form(a: Rat, b: Rat) -> CubicForm:
     """y^2 = x^3 + ax + b homogenized: -X^3 - aXZ^2 + Y^2Z - bZ^3."""
-    a, b = Fraction(a), Fraction(b)
-    return CubicForm.from_rationals((-1, 0, 0, 0, 0, -a, 0, 1, 0, -b))
+    return CubicForm((-1, 0, 0, 0, 0, -a, 0, 1, 0, -b))

@@ -51,9 +51,13 @@ def integral(rs: Sequence[Rat]) -> list[int]:
 
 
 def _triple(v: Sequence[int]) -> tuple[int, int, int]:
-    if len(v) != 3:
-        raise ValueError(f"{v!r} is not a homogeneous triple")
-    return canonical(v)
+    """canonical(v), for three integers v only."""
+    if len(v) == 3:
+        try:
+            return canonical(v)
+        except TypeError:           # gcd refuses a float or a Fraction
+            pass
+    raise ValueError(f"{v!r} is not a homogeneous triple of integers")
 
 
 class _Frozen:

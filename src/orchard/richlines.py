@@ -9,7 +9,7 @@ its lowest member and is streamed to its consumer there.  Only lines of
 4+ members are remembered, to know their later sightings; 2-point lines
 are counted, never stored.  No O(n^3) pass and no floating slope
 buckets anywhere: a row keys its joins by exact integer slope codes,
-by lines mod a prime, or by canonical lines (see _row).  A line's
+by lines mod a prime, or by canonical lines (see _keys).  A line's
 canonical form is built, from its first two members, only for a caller
 that reads keys (spanned_lines, line_members).  A tripartite count
 reads no line at all: each row of one label group counts its lines by
@@ -163,16 +163,6 @@ def _group(i: int, keys: Sequence) -> RowLines:
     return count, sorted(repeated.values(), key=lambda m: m[1])
 
 
-def _slope_row(hs: Triples, i: int, shift: int) -> RowLines:
-    """Row i, for an affine point i, grouped by slope code (_slopes)."""
-    return _group(i, _slopes(hs[i], hs[i + 1:], shift))
-
-
-def _exact_row(hs: Triples, i: int) -> RowLines:
-    """Row i with every join (i, j) made canonical."""
-    return _group(i, _lines(hs[i], hs[i + 1:]))
-
-
 def _mod_keys(anchor: Triple, pts: Triples) -> Optional[list]:
     """The lines mod _P of the joins from the anchor to pts, all reduced
     mod _P, or None if one of them is (0, 0, 0) mod _P.  Each line is
@@ -201,48 +191,47 @@ def _mod_keys(anchor: Triple, pts: Triples) -> Optional[list]:
     return keys
 
 
-def _one_line_each(anchor: Triple, hs: Triples, classes: Lines) -> bool:
+def _one_line_each(anchor: Triple, pts: Triples, classes: Lines) -> bool:
     """True if, in each class [_, j...] of one mod-_P key (_group), the
-    joins from the anchor to the points j of hs lie on one exact line:
+    joins from the anchor to the points j of pts lie on one exact line:
     each j is tested against the raw cross product of the anchor and the
     first j (no gcd) by one dot product; a j off it is a collision."""
     for m in classes:
-        a, b, c = _cross(anchor, hs[m[1]])
+        a, b, c = _cross(anchor, pts[m[1]])
         for j in m[2:]:
-            x, y, z = hs[j]
+            x, y, z = pts[j]
             if a * x + b * y + c * z:
                 return False
     return True
 
 
-def _mod_row(hs: Triples, hp: Triples, i: int) -> Optional[RowLines]:
-    """Row i from its mod-_P keys (_mod_keys): a key of one join is one
-    exact line, counted without its big cross product.  None if a join
-    is 0 mod _P or a repeated key holds two exact lines
-    (_one_line_each)."""
-    keys = _mod_keys(hp[i], hp[i + 1:])
-    if keys is not None:
-        row = _group(i, keys)
-        if _one_line_each(hs[i], hs, row[1]):
-            return row
-    return None
+def _keys(anchor: Triple, pts: Triples, mod: Optional[tuple[Triple, Triples]],
+          shift: Optional[int]) -> list:
+    """One key per join from the anchor to pts, equal for two joins
+    exactly when they lie on one line: with shift, an affine anchor's
+    slope codes (_slopes); with mod, the anchor and pts mod _P, their
+    lines mod _P (_mod_keys) if each repeated key is one exact line
+    (_one_line_each); otherwise, or on a join 0 mod _P or a split key,
+    the canonical lines (_lines)."""
+    if shift is not None and anchor[2]:
+        return _slopes(anchor, pts, shift)
+    if mod:
+        keys = _mod_keys(*mod)
+        # _group(-1, ...) numbers the joins 0, 1, ... as pts
+        if keys is not None and _one_line_each(anchor, pts,
+                                               _group(-1, keys)[1]):
+            return keys
+    return _lines(anchor, pts)
 
 
 def _row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
          i: int) -> RowLines:
     """Row i: the number of distinct lines through i and a later point,
     and the sorted members [i, j...] of those through >= 3 points, in
-    order of their first j; freed once read.  One of three paths gives
-    it: with shift, an affine anchor keys its joins by exact slope codes
-    (_slope_row); with hp (hs mod _P), by lines mod _P (_mod_row);
-    otherwise, or on _mod_row's None, by canonical lines (_exact_row).
-    """
-    row = None
-    if shift is not None and hs[i][2]:
-        row = _slope_row(hs, i, shift)
-    elif hp is not None:
-        row = _mod_row(hs, hp, i)
-    return row or _exact_row(hs, i)
+    order of their first j; freed once read.  hp is hs mod _P or None
+    (_keys)."""
+    return _group(i, _keys(hs[i], hs[i + 1:], hp and (hp[i], hp[i + 1:]),
+                           shift))
 
 
 def _stream(rows: Iterable[RowLines]) -> LineStream:
@@ -335,7 +324,7 @@ def _rich_lines(hs: Triples, workers: int = 1) -> LineStream:
     """The sorted members of each line through >= 3 points, as a stream
     that returns the number of lines through exactly 2 (_drain).
 
-    The largest coordinate fixes the regime at the call (_regime; _row
+    The largest coordinate fixes the regime at the call (_regime; _keys
     has the paths): up to _BIG_BITS bits, slope codes with no gcd; above
     it, keys mod _P, which skip the gcds of multi-thousand-bit joins.
     Every path streams the lines of the all-exact rows, in their order:
@@ -392,21 +381,10 @@ def _tripartite_row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
     has the later lead points (a, lead) and h = [lead, n).  Such a line
     holds a point of each block and no lead point before a, so the row
     is |K_1 & K_2 - E| in the key sets of the joins from a to the two
-    blocks and to the earlier lead points.  A key is one exact line
-    through a: a slope code (_slopes) up to _BIG_BITS bits, a mod-_P key
-    (_mod_keys) above it if every repeated key is one line, else the
-    canonical line (an anchor at infinity, a join 0 mod _P, a split)."""
+    blocks and to the earlier lead points (_keys)."""
     lo, hi = (lead, cut) if cut else (a + 1, lead)      # the first block
-    anchor, pts = hs[a], hs[:a] + hs[lo:]
-    if shift is None:
-        keys = _mod_keys(hp[a], hp[:a] + hp[lo:])
-        # _group(-1, ...) numbers the joins 0, 1, ... as pts
-        if keys and not _one_line_each(anchor, pts, _group(-1, keys)[1]):
-            keys = None
-    else:
-        keys = _slopes(anchor, pts, shift) if anchor[2] else None
-    if keys is None:
-        keys = _lines(anchor, pts)
+    keys = _keys(hs[a], hs[:a] + hs[lo:], hp and (hp[a], hp[:a] + hp[lo:]),
+                 shift)
     mid = a + hi - lo
     return len(set(keys[a:mid]).intersection(keys[mid:]).difference(keys[:a]))
 

@@ -46,6 +46,11 @@ def test_canonical_coefficients():
     assert g == cuspidal_form()
     with pytest.raises(ValueError):
         CubicForm((0,) * 10)
+    # rational coefficients are scaled exactly, not truncated
+    assert CubicForm((F(3, 2), 0, 0, 0, 0, 0, 0, 0, -1, 0)) == \
+        CubicForm((3, 0, 0, 0, 0, 0, 0, 0, -2, 0)) != cuspidal_form()
+    assert weierstrass_form(F(1, 2), F(-1, 3)).coefficients == \
+        (6, 0, 0, 0, 0, 3, 0, -6, 0, -2)
 
 
 def test_contains():

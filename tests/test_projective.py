@@ -67,7 +67,9 @@ def test_point_and_line_are_immutable(value):
 @pytest.mark.parametrize("triple, message", [
     ((0, 0, 0), "the zero vector has no canonical form"),
     ((1, 2), r"\(1, 2\) is not a homogeneous triple"),
-    ((1, 2, 3, 4), "is not a homogeneous triple")])
+    ((1, 2, 3, 4), "is not a homogeneous triple"),
+    ((1.5, 0, 1), r"\(1.5, 0, 1\) is not a homogeneous triple of integers"),
+    ((F(1, 2), 0, 1), r"\(Fraction\(1, 2\), 0, 1\) is not a homogeneous")])
 def test_bad_triples_rejected(cls, triple, message):
     with pytest.raises(ValueError, match=message):
         cls(triple)
@@ -196,7 +198,8 @@ def test_mk_point_takes_ints_fractions_and_other_rationals():
     lambda: mk_point(0.1, 0), lambda: mk_point(0, 0.1),
     lambda: point_from_rationals(1, 0.1, 1),
     lambda: GroupElement(0.1, "additive"),
-    lambda: GroupElement(0.5, "multiplicative")])
+    lambda: GroupElement(0.5, "multiplicative"),
+    lambda: CubicForm((0.5, 0, 0, 0, 0, 0, 0, 0, -1, 0))])
 def test_exact_constructors_refuse_floats(make):
     # mk_point(0.1, 0) was the point (3602879701896397, 0) / 2**55
     with pytest.raises(ValueError, match="0.[15] is a float"):

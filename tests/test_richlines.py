@@ -200,17 +200,17 @@ def test_lines_stream_row_by_row(monkeypatch):
     # a line reaches the consumer in its lowest row, before the next
     # row is built, and only lines of 4+ members stay in the marks
     built, marks_seen = [], []
-    slope_row, store = richlines._slope_row, richlines._store
+    group, store = richlines._group, richlines._store
 
-    def spy_row(hs, i, shift):
+    def spy_group(i, keys):
         built.append(i)
-        return slope_row(hs, i, shift)
+        return group(i, keys)
 
     def spy_store(marks, members):
         marks_seen.append(marks)
         return store(marks, members)
 
-    monkeypatch.setattr(richlines, "_slope_row", spy_row)
+    monkeypatch.setattr(richlines, "_group", spy_group)
     monkeypatch.setattr(richlines, "_store", spy_store)
     ps = gen_parallel_aps(12)
     stream = richlines._rich_lines(ps.raw())
@@ -237,13 +237,13 @@ def test_workers_below_one_raise_at_the_call():
 def _non_suffix_sighting(monkeypatch):
     """Point 1's row sights the line {0, 1, 2, 3} of the grid's first
     column as [1, 2, 4]: the right first two members, a wrong tail."""
-    slope_row = richlines._slope_row
+    group = richlines._group
 
-    def corrupted(hs, i, shift):
-        count, rich = slope_row(hs, i, shift)
+    def corrupted(i, keys):
+        count, rich = group(i, keys)
         return count, [[1, 2, 4] if m[:2] == [1, 2] else m for m in rich]
 
-    monkeypatch.setattr(richlines, "_slope_row", corrupted)
+    monkeypatch.setattr(richlines, "_group", corrupted)
     return gen_grid(4)
 
 
@@ -651,6 +651,8 @@ def test_tripartite_patterns_in_every_regime(monkeypatch, regime, workers):
             list(ps.points), list(ps.labels), pattern), pattern
     if regime == "small-p":
         assert seen["zero rows"] > 0 and seen["splits"] > 0
+    else:               # mod 2**61 - 1 every row keeps its mod-_P keys
+        assert seen == {"zero rows": 0, "splits": 0}
 
 
 @st.composite
@@ -747,42 +749,57 @@ def test_keyed_tables_in_serial_order(make):
 
 
 def test_anchors_at_infinity_take_the_exact_row(monkeypatch):
+    points = _with_infinity()
+    index = {p.h: i for i, p in enumerate(points)}
     rows = {"slope": [], "exact": []}
-    slope_row, exact_row = richlines._slope_row, richlines._exact_row
 
-    def spy(name, row):
-        def counted(hs, i, *rest):
-            rows[name].append(i)
-            return row(hs, i, *rest)
+    def spy(name, keys):
+        def counted(anchor, pts, *rest):
+            rows[name].append(index[anchor])
+            return keys(anchor, pts, *rest)
         return counted
 
-    monkeypatch.setattr(richlines, "_slope_row", spy("slope", slope_row))
-    monkeypatch.setattr(richlines, "_exact_row", spy("exact", exact_row))
-    points = _with_infinity()
+    monkeypatch.setattr(richlines, "_slopes", spy("slope", richlines._slopes))
+    monkeypatch.setattr(richlines, "_lines", spy("exact", richlines._lines))
     out = _read(richlines._rich_lines([p.h for p in points]))
     assert rows["exact"] == [i for i, p in enumerate(points) if p.at_infinity]
     assert sorted(rows["slope"] + rows["exact"]) == list(range(len(points)))
     _assert_matches_exact(points, out)
 
 
-def _assert_rows_match_exact(points):
-    """Every row of the affine points, grouped by slope code, has the
-    all-exact row's count and member lists."""
+def _assert_rows_match_exact(points, a=0, lo=None):
+    """Every row of the affine points (the joins from i to hs[i + 1:]),
+    and with lo the tripartite row of a (the joins from a to hs[:a] +
+    hs[lo:]), grouped by slope code and by key mod _P (at _P and at 7),
+    has the all-exact row's count and member lists."""
     hs = [p.h for p in points]
     shift = richlines._slope_shift(richlines._coord_bits(hs))
-    for i in range(len(hs)):
-        assert richlines._slope_row(hs, i, shift) == \
-            richlines._exact_row(hs, i)
+    rows = [(hs[i], hs[i + 1:]) for i in range(len(hs))]
+    if lo is not None:
+        rows.append((hs[a], hs[:a] + hs[lo:]))
+    for anchor, pts in rows:
+        # _group(-1, ...) numbers the joins 0, 1, ... as pts
+        exact = richlines._group(-1, richlines._lines(anchor, pts))
+        assert richlines._group(-1, richlines._slopes(anchor, pts,
+                                                      shift)) == exact
+        for p in (richlines._P, 7):
+            mod = [tuple(c % p for c in h) for h in [anchor] + pts]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(richlines, "_P", p)
+                keys = richlines._keys(anchor, pts, (mod[0], mod[1:]), None)
+            assert richlines._group(-1, keys) == exact
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3),
                           st.integers(-4, 4), st.integers(1, 3)),
-                min_size=2, max_size=16))
-def test_slope_row_matches_exact_row(coords):
+                min_size=2, max_size=16), st.data())
+def test_slope_row_matches_exact_row(coords, data):
     points = list({mk_point(F(a, b), F(c, d)): None
                    for a, b, c, d in coords})
-    _assert_rows_match_exact(points)
+    a = data.draw(st.integers(0, len(points) - 1))
+    _assert_rows_match_exact(points, a,
+                             data.draw(st.integers(a + 1, len(points))))
 
 
 def test_slope_row_with_one_vertical_join():
@@ -793,11 +810,13 @@ def test_slope_row_with_one_vertical_join():
     hs = [p.h for p in points]
     shift = richlines._slope_shift(richlines._coord_bits(hs))
     assert richlines._slopes(hs[0], hs[1:], shift).count(None) == 1
-    assert richlines._slope_row(hs, 0, shift) == (4, [])
+    assert richlines._group(0, richlines._slopes(hs[0], hs[1:], shift)) == \
+        (4, [])
     points.append(mk_point(2, 2))           # on the line y = x of row 0
     hs = [p.h for p in points]
     assert richlines._slopes(hs[0], hs[1:], shift).count(None) == 1
-    assert richlines._slope_row(hs, 0, shift) == (4, [[0, 2, 5]])
+    assert richlines._group(0, richlines._slopes(hs[0], hs[1:], shift)) == \
+        (4, [[0, 2, 5]])
     _assert_rows_match_exact(points)
 
 
@@ -890,17 +909,20 @@ def _planted(rng, bits):
     return sorted({ProjPoint(h) for h in hs}, key=lambda p: p.h)
 
 
-@pytest.mark.parametrize("extra, path", [(0, "_slope_row"), (1, "_mod_row")])
+@pytest.mark.parametrize("extra, path", [(0, "_slopes"), (1, "_mod_keys")])
 def test_regime_boundary_at_big_bits(monkeypatch, extra, path):
     bits = richlines._BIG_BITS + extra
     points = _planted(random.Random(bits), bits)
     hs = [p.h for p in points]
     assert richlines._coord_bits(hs) == bits
-    calls = []
-    row = getattr(richlines, path)
+    calls, exact = [], []
+    keys, lines = getattr(richlines, path), richlines._lines
     monkeypatch.setattr(richlines, path,
-                        lambda *args: calls.append(1) or row(*args))
+                        lambda *args: calls.append(1) or keys(*args))
+    monkeypatch.setattr(richlines, "_lines",
+                        lambda *args: exact.append(1) or lines(*args))
     out = _read(richlines._rich_lines(hs))
-    assert len(calls) == len(hs) and out[0]      # the planted line
+    # every row keyed on the path, none made canonical; the planted line
+    assert len(calls) == len(hs) and not exact and out[0]
     _assert_matches_exact(points, out)
 
