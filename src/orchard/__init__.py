@@ -25,11 +25,12 @@ _EXPORTS = {name: module for module, names in (
                  "hyperbola_infinity_description menelaus_params "
                  "parabola_infinity_description parallel_lines_description "
                  "triangle_description verify_group_description"),
-    ("tenpoint", "Cantilever ConvergenceError SampledArc TenPointConfig "
-                 "build_tenpoint_cuspidal build_tenpoint_weierstrass "
-                 "extend_cantilever halve_parameter_demo lattice_witness "
-                 "nine_point_check parallel_lines_arcs standard_system_ok "
-                 "three_lines_multiplicative_arcs verify_lattice"),
+    ("tenpoint", "Cantilever build_tenpoint_cuspidal "
+                 "build_tenpoint_weierstrass extend_cantilever "
+                 "lattice_witness nine_point_check verify_lattice"),
+    ("halving", "ConvergenceError SampledArc halve_parameter_demo "
+                "parallel_lines_arcs standard_system_ok "
+                "three_lines_multiplicative_arcs"),
     ("conic", "ExternalPoint image_count involution_value "
               "parabola_collinear reps_collinear"),
     ("curves", "CurveSpec dichotomy_experiment few_directions_experiment "

@@ -63,7 +63,7 @@ class GroupElement(_Frozen):
 def cuspidal_third(p: Rat, q: Rat) -> Fraction:
     """Parameter of the third intersection of the chord through the
     curve points with parameters p and q on y = x^3."""
-    fp, fq = Fraction(p), Fraction(q)
+    fp, fq = _fraction(p), _fraction(q)
     if fp == fq:
         raise DegenerateError("cuspidal_third: tangent case p = q excluded")
     return -fp - fq
@@ -77,7 +77,7 @@ class CuspidalCubic:
     form = cuspidal_form()
 
     def lift(self, t: Rat) -> ProjPoint:
-        ft = Fraction(t)
+        ft = _fraction(t)
         return mk_point(ft, ft ** 3)
 
     def contains(self, p: ProjPoint) -> bool:
@@ -106,7 +106,7 @@ class WeierstrassCurve(_Frozen):
     __slots__ = ("a", "b", "form")
 
     def __init__(self, a: Rat, b: Rat):
-        a, b = Fraction(a), Fraction(b)
+        a, b = _fraction(a), _fraction(b)
         if 4 * a ** 3 + 27 * b ** 2 == 0:
             raise ValueError(f"y^2 = x^3 + {a}x + {b} is singular")
         super().__init__(a, b, weierstrass_form(a, b))
@@ -121,7 +121,7 @@ class WeierstrassCurve(_Frozen):
         """The 0, 1 or 2 rational points of the curve above x: (x, y)
         then (x, -y) for the exact rational square root y of the right
         side, if it has one."""
-        fx = Fraction(x)
+        fx = _fraction(x)
         y2 = fx ** 3 + self.a * fx + self.b
         n, d = isqrt(max(y2.numerator, 0)), isqrt(y2.denominator)
         if n * n != y2.numerator or d * d != y2.denominator:

@@ -61,26 +61,15 @@ class PointSet(_Frozen):
         return [p.h for p in self.points]
 
 
-class RichLineTable:
+class RichLineTable(_Frozen):
     """The lines through >= 3 set points, and how many lines hold exactly 2.
 
     entries maps each canonical line triple through m >= 3 set points
-    to m; two_point counts the lines that carry exactly two.
+    to m; two_point counts the lines that carry exactly two.  A table
+    is not hashable: entries is a dict.
     """
 
-    def __init__(self, entries: Optional[dict] = None, two_point: int = 0):
-        self.entries = {} if entries is None else entries
-        self.two_point = two_point
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.entries, self.two_point)
-                    == (other.entries, other.two_point))
-        return NotImplemented
-
-    def __repr__(self):
-        return (f"RichLineTable(entries={self.entries!r}, "
-                f"two_point={self.two_point!r})")
+    __slots__ = ("entries", "two_point")
 
     def pair_total(self) -> int:
         return self.two_point + sum(comb(m, 2) for m in self.entries.values())

@@ -32,7 +32,7 @@ from orchard import (PointSet, WeierstrassCurve, WEIERSTRASS_IDENTITY,
                      triple_line_count, tripartite_count,
                      verify_group_description, verify_lattice,
                      weierstrass_form)
-from orchard.tenpoint import middle_offset_multiplicative
+from orchard.halving import middle_offset_multiplicative
 from oracles import brute_tripartite, brute_triple_lines
 
 

@@ -511,7 +511,8 @@ def test_lattice_failure_names_witness(monkeypatch, capsys):
 
     def b3_replaced_by_b4(*args):
         cfg = build(*args)
-        return replaced(cfg, b3=cfg.b4)
+        b1, b2, _, b4 = cfg.b_seq
+        return replaced(cfg, b_seq=(b1, b2, b4, b4))
 
     monkeypatch.setattr(cli, "build_tenpoint_cuspidal", b3_replaced_by_b4)
     assert run(TENPOINT) == 3
@@ -572,13 +573,14 @@ def test_tenpoint_membership_checked_before_printing(monkeypatch, capsys):
     # but the mapped points leave y = x^3
     build = cli.build_tenpoint_cuspidal
 
+    def move(seq):
+        return tuple(ProjPoint((x, y, x + z))
+                     for x, y, z in (p.h for p in seq))
+
     def moved(*args):
         cfg = build(*args)
-        mapped = {}
-        for name, p in cfg.as_dict().items():
-            x, y, z = p.h
-            mapped[name.lower()] = ProjPoint((x, y, x + z))
-        return replaced(cfg, **mapped)
+        return replaced(cfg, a_seq=move(cfg.a_seq), b_seq=move(cfg.b_seq),
+                        c_seq=move(cfg.c_seq))
 
     monkeypatch.setattr(cli, "build_tenpoint_cuspidal", moved)
     assert run(TENPOINT) == 3

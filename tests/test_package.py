@@ -127,11 +127,12 @@ EXPORTS = {
                 "hyperbola_infinity_description menelaus_params "
                 "parabola_infinity_description parallel_lines_description "
                 "triangle_description verify_group_description",
-    "tenpoint": "Cantilever ConvergenceError SampledArc TenPointConfig "
-                "build_tenpoint_cuspidal build_tenpoint_weierstrass "
-                "extend_cantilever halve_parameter_demo lattice_witness "
-                "nine_point_check parallel_lines_arcs standard_system_ok "
-                "three_lines_multiplicative_arcs verify_lattice",
+    "tenpoint": "Cantilever build_tenpoint_cuspidal "
+                "build_tenpoint_weierstrass extend_cantilever "
+                "lattice_witness nine_point_check verify_lattice",
+    "halving": "ConvergenceError SampledArc halve_parameter_demo "
+               "parallel_lines_arcs standard_system_ok "
+               "three_lines_multiplicative_arcs",
     "conic": "ExternalPoint image_count involution_value "
              "parabola_collinear reps_collinear",
     "curves": "CurveSpec dichotomy_experiment few_directions_experiment "
@@ -279,3 +280,74 @@ def test_every_export_has_a_reader():
     readers = [*sorted((ROOT / "scripts").glob("*.py")),
                ROOT / "tests" / "test_acceptance.py"]
     assert sorted(set(orchard._EXPORTS) - _reached(library, readers)) == []
+
+
+# the modules allowed floating point: SVG rendering and the halving
+# demo on continuous arcs; every other module computes exactly
+FLOAT_MODULES = {"svg.py", "halving.py"}
+EXACT_MATH = {"gcd", "lcm", "comb", "isqrt"}
+
+
+def _float_uses(source: str) -> list[str]:
+    """What in source can bring floating point in: a float or complex
+    literal; the name float, unless it is the type argument of an
+    isinstance test whose if-branch raises (a refusal); import math;
+    and from math import of anything but gcd, lcm, comb and isqrt."""
+    tree = ast.parse(source)
+    refusals = set()
+    for node in ast.walk(tree):
+        test = node.test if isinstance(node, ast.If) else None
+        if (isinstance(test, ast.Call) and isinstance(test.func, ast.Name)
+                and test.func.id == "isinstance" and len(test.args) == 2
+                and isinstance(node.body[0], ast.Raise)):
+            kinds = test.args[1]
+            refusals.update(map(id, kinds.elts if isinstance(kinds, ast.Tuple)
+                                else [kinds]))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant)
+                and isinstance(node.value, (float, complex))):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        elif (isinstance(node, ast.Name) and node.id == "float"
+              and id(node) not in refusals):
+            found.append(f"line {node.lineno}: name float")
+        elif isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "math" for a in node.names):
+            found.append(f"line {node.lineno}: import math")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            extra = sorted({a.name for a in node.names} - EXACT_MATH)
+            if extra:
+                found.append(f"line {node.lineno}: from math import "
+                             + ", ".join(extra))
+    return found
+
+
+def test_float_uses_flags_each_way_in():
+    source = ("import math\n"
+              "from math import gcd, isqrt, sqrt\n"
+              "from math import comb, lcm\n"
+              "HALF = 0.5\n"
+              "ROOT = 1j\n"
+              "def f(x):\n"
+              "    if isinstance(x, float):\n"
+              "        raise ValueError(x)\n"
+              "    if isinstance(x, (int, float)):\n"
+              "        return float(x)\n"
+              "    return x if isinstance(x, float) else 2\n")
+    found = _float_uses(source)
+    assert len(found) == 7 and set(found) == {
+        "line 1: import math", "line 2: from math import sqrt",
+        "line 4: literal 0.5", "line 5: literal 1j",
+        "line 9: name float", "line 10: name float",
+        "line 11: name float"}
+
+
+def test_exact_modules_use_no_floating_point():
+    """Floating point only in SVG rendering and the halving demo."""
+    modules = sorted((SRC / "orchard").glob("*.py"))
+    assert FLOAT_MODULES <= {f.name for f in modules}
+    found = {f.name: _float_uses(f.read_text(encoding="utf-8"))
+             for f in modules if f.name not in FLOAT_MODULES}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    assert all(_float_uses((SRC / "orchard" / name).read_text(
+        encoding="utf-8")) for name in FLOAT_MODULES)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, assume
 import hypothesis.strategies as st
 
-from orchard import (Cantilever, CubicForm, DegenerateError, GroupDescription,
-                     GroupElement, LawWitness, NgonConfig, ProjLine, ProjPoint,
-                     SampledArc, TenPointConfig, WeierstrassCurve, collinear,
-                     gen_triangle_ratios, incident, join, meet, mk_point,
-                     point_from_rationals, ratio_point, signed_ratio,
-                     triangle_description, triangle_ratio_set,
+from orchard import (Cantilever, CubicForm, CuspidalCubic, DegenerateError,
+                     GroupDescription, GroupElement, LawWitness, NgonConfig,
+                     ProjLine, ProjPoint, RichLineTable, SampledArc,
+                     WeierstrassCurve, build_tenpoint_cuspidal, collinear,
+                     cuspidal_third, gen_triangle_ratios, incident, join,
+                     meet, mk_point, point_from_rationals, ratio_point,
+                     signed_ratio, triangle_description, triangle_ratio_set,
                      weierstrass_form)
 from orchard.conic import ExternalPoint
 from orchard.cubics import CubicClassification
@@ -124,11 +125,6 @@ FROZEN_VALUES = [
      "ProjPoint(1, 1, 1), ProjPoint(2, 4, 1)), values=(Fraction(0, 1), "
      "Fraction(1, 1), Fraction(-1, 3)), operation='additive', "
      "collinear=True)"),
-    (TenPointConfig(*TEN),
-     "TenPointConfig(a0=ProjPoint(0, 0, 1), a1=ProjPoint(1, 1, 1), "
-     "a2=ProjPoint(2, 4, 1), b1=ProjPoint(3, 9, 1), b2=ProjPoint(4, 16, 1), "
-     "b3=ProjPoint(5, 25, 1), b4=ProjPoint(6, 36, 1), c0=ProjPoint(7, 49, 1), "
-     "c1=ProjPoint(8, 64, 1), c2=ProjPoint(9, 81, 1))"),
     (Cantilever(tuple(TEN[:1]), tuple(TEN[1:3]), tuple(TEN[3:4])),
      "Cantilever(a_seq=(ProjPoint(0, 0, 1),), b_seq=(ProjPoint(1, 1, 1), "
      "ProjPoint(2, 4, 1)), c_seq=(ProjPoint(3, 9, 1),))"),
@@ -141,6 +137,8 @@ FROZEN_VALUES = [
     (DichotomyRow(3, 10, 42, F(21, 50)),
      "DichotomyRow(degree=3, n=10, count=42, ratio_n2=Fraction(21, 50))"),
     (NgonConfig(7), "NgonConfig(n=7)"),
+    (RichLineTable({(0, 1, 0): 3, (1, 0, -2): 4}, 2),
+     "RichLineTable(entries={(0, 1, 0): 3, (1, 0, -2): 4}, two_point=2)"),
 ]
 
 
@@ -153,7 +151,14 @@ def test_frozen_value_semantics(value, expected_repr):
     # object of another class on the same fields, or the fields' tuple,
     # is not equal
     twin = replaced(value)
-    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert twin is not value and twin == value
+    try:
+        fields_hash = hash(fields)
+    except TypeError:           # an unhashable field: RichLineTable's dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(twin) == hash(value) == fields_hash
     names = cls.__slots__[:len(fields)]
     other = type("Other", (_Frozen,), {"__slots__": names})(*fields)
     assert value != other and other != value and value != fields
@@ -199,7 +204,12 @@ def test_mk_point_takes_ints_fractions_and_other_rationals():
     lambda: point_from_rationals(1, 0.1, 1),
     lambda: GroupElement(0.1, "additive"),
     lambda: GroupElement(0.5, "multiplicative"),
-    lambda: CubicForm((0.5, 0, 0, 0, 0, 0, 0, 0, -1, 0))])
+    lambda: CubicForm((0.5, 0, 0, 0, 0, 0, 0, 0, -1, 0)),
+    lambda: WeierstrassCurve(0.1, 17),
+    lambda: WeierstrassCurve(0, 17).lift(0.5),
+    lambda: build_tenpoint_cuspidal(-1, 0, 1, 0.1),
+    lambda: CuspidalCubic().lift(0.5),
+    lambda: cuspidal_third(0.5, 1)])
 def test_exact_constructors_refuse_floats(make):
     # mk_point(0.1, 0) was the point (3602879701896397, 0) / 2**55
     with pytest.raises(ValueError, match="0.[15] is a float"):

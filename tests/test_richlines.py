@@ -70,16 +70,16 @@ def test_rich_line_table_value_semantics():
     table = spanned_lines(gen_grid(3))
     assert table == RichLineTable(dict(table.entries), 12)
     assert table != RichLineTable(dict(table.entries), 11)
-    assert RichLineTable() == RichLineTable({}, 0)
     assert repr(RichLineTable({(0, 1, 0): 3}, 2)) == \
         "RichLineTable(entries={(0, 1, 0): 3}, two_point=2)"
     with pytest.raises(TypeError):
         hash(table)
-    # mutable, and each default table owns its dict
-    empty = RichLineTable()
-    empty.entries[(1, 0, 0)] = 3
-    empty.two_point = 1
-    assert RichLineTable().entries == {} and empty.pair_total() == 4
+    # both fields are given; neither can be assigned
+    with pytest.raises(TypeError):
+        RichLineTable()
+    with pytest.raises(AttributeError, match="cannot assign to field"):
+        table.two_point = 1
+    assert RichLineTable({(1, 0, 0): 3}, 1).pair_total() == 4
     for back in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
         assert back == table and back.entries is not table.entries
 

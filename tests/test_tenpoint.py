@@ -8,13 +8,13 @@ from orchard import (ConvergenceError, CuspidalCubic, DegenerateError,
                      ProjPoint, SampledArc, WeierstrassCurve,
                      build_tenpoint_cuspidal, build_tenpoint_weierstrass,
                      collinear, cuspidal_form, extend_cantilever, fit_cubics,
-                     halve_parameter_demo, incident, join, meet, mk_point,
-                     nine_point_check, parallel_lines_arcs, projective,
-                     richlines, standard_system_ok, tenpoint,
+                     halve_parameter_demo, halving, incident, join, meet,
+                     mk_point, nine_point_check, parallel_lines_arcs,
+                     projective, richlines, standard_system_ok, tenpoint,
                      three_lines_multiplicative_arcs, verify_lattice,
                      weierstrass_form)
-from orchard.tenpoint import (describe_lattice_witness, lattice_witness,
-                              middle_offset_multiplicative)
+from orchard.halving import middle_offset_multiplicative
+from orchard.tenpoint import describe_lattice_witness, lattice_witness
 from oracles import brute_lattice, brute_law_witness, replaced
 
 CURVE = WeierstrassCurve(0, 17)
@@ -26,28 +26,37 @@ def w_config():
     return build_tenpoint_weierstrass(CURVE, *W_BASE, W_DELTA)
 
 
+def _with_b(cfg, j, p):
+    """cfg with the point B_j replaced by p."""
+    b = list(cfg.b_seq)
+    b[j - 1] = p
+    return replaced(cfg, b_seq=tuple(b))
+
+
 def test_build_cuspidal_points():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
-    assert cfg.b3 == mk_point(F(3, 10), F(27, 1000))
+    assert cfg.b_seq[2] == mk_point(F(3, 10), F(27, 1000))      # B3
     assert mk_point(0, 0) not in cfg.points()      # B0 is not one of them
-    assert cfg.a2 == CuspidalCubic().lift(F(-12, 10))
+    assert cfg.a_seq[2] == CuspidalCubic().lift(F(-12, 10))     # A2
     # A2 carries parameter a0 - 2*step (integer step needs 3 to avoid
     # parameter collisions for this base)
     cfg2 = build_tenpoint_cuspidal(-1, 0, 1, 3)
-    assert cfg2.a2 == mk_point(-7, -343)
+    assert cfg2.a_seq[2] == mk_point(-7, -343)
 
 
 def test_defining_incidences():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
-    assert incident(cfg.a1, join(cfg.b1, cfg.c0))
-    assert incident(cfg.c1, join(cfg.b1, cfg.a0))
-    assert incident(cfg.b2, join(cfg.a1, cfg.c1))
-    assert incident(cfg.a2, join(cfg.b2, cfg.c0))
-    assert incident(cfg.c2, join(cfg.b2, cfg.a0))
-    assert incident(cfg.b3, join(cfg.a1, cfg.c2))
-    assert incident(cfg.b4, join(cfg.a2, cfg.c2))
+    (a0, a1, a2), (b1, b2, b3, b4), (c0, c1, c2) = (cfg.a_seq, cfg.b_seq,
+                                                    cfg.c_seq)
+    assert incident(a1, join(b1, c0))
+    assert incident(c1, join(b1, a0))
+    assert incident(b2, join(a1, c1))
+    assert incident(a2, join(b2, c0))
+    assert incident(c2, join(b2, a0))
+    assert incident(b3, join(a1, c2))
+    assert incident(b4, join(a2, c2))
     # the line A2 B3 C1 is not part of the definition yet must hold
-    assert collinear(cfg.a2, cfg.b3, cfg.c1)
+    assert collinear(a2, b3, c1)
 
 
 def test_build_rejects_bad_bases():
@@ -63,7 +72,7 @@ def test_build_rejects_bad_bases():
 def test_verify_lattice_and_breakage():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
     assert verify_lattice(cfg)
-    broken = replaced(cfg, b3=cfg.b4)
+    broken = _with_b(cfg, 3, cfg.b_seq[3])
     # B4 in the B3 slot: the non-defining line A2 B3 C1 now fails
     assert not verify_lattice(broken)
 
@@ -87,9 +96,10 @@ def test_cantilever_matches_parametrized_points():
 def test_cantilever_zero_extension_is_input():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 7))
     cant = extend_cantilever(cfg, 0)
-    assert list(cant.a_seq) == [cfg.a0, cfg.a1, cfg.a2]
-    assert list(cant.b_seq) == [cfg.b1, cfg.b2, cfg.b3, cfg.b4]
-    assert list(cant.c_seq) == [cfg.c0, cfg.c1, cfg.c2]
+    assert (len(cfg.a_seq), len(cfg.b_seq), len(cfg.c_seq)) == (3, 4, 3)
+    assert cant.a_seq == cfg.a_seq
+    assert cant.b_seq == cfg.b_seq
+    assert cant.c_seq == cfg.c_seq
 
 
 def test_nine_point_check_cuspidal():
@@ -103,8 +113,28 @@ def test_nine_point_check_cuspidal():
 
 def test_nine_point_check_detects_perturbation():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
-    broken = replaced(cfg, b3=mk_point(F(3, 10), F(28, 1000)))
+    broken = _with_b(cfg, 3, mk_point(F(3, 10), F(28, 1000)))
     assert not nine_point_check(broken)
+
+
+def test_nine_point_check_refuses_a_longer_cantilever():
+    # the nine point property is about the ten points (M = 0) only
+    cfg = build_tenpoint_cuspidal(-1, 0, 1, 3)
+    with pytest.raises(ValueError, match=r"cantilever with M = 2$"):
+        nine_point_check(extend_cantilever(cfg, 2))
+    assert nine_point_check(extend_cantilever(cfg, 0))
+
+
+def test_points_by_name():
+    cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
+    names = cfg.as_dict()
+    assert list(names) == ["A0", "A1", "A2", "B1", "B2", "B3", "B4",
+                           "C0", "C1", "C2"]
+    assert list(names.values()) == cfg.points()
+    assert names["B3"] == CuspidalCubic().lift(F(3, 10))
+    cant = extend_cantilever(cfg, 1)
+    assert list(cant.as_dict())[2:5] == ["A2", "A3", "B1"]
+    assert list(cant.as_dict())[-2:] == ["C2", "C3"]
 
 
 def test_weierstrass_configuration():
@@ -136,7 +166,7 @@ def _swap_b(cant, j1, j2):
 
 def _b3_replaced_by_b4():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
-    return replaced(cfg, b3=cfg.b4)
+    return _with_b(cfg, 3, cfg.b_seq[3])
 
 
 def _assert_lattice_witness_fails(obj, w):
@@ -161,7 +191,7 @@ def test_verify_lattice_matches_brute(make):
 
 def _b4_moved_off_every_line():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
-    return replaced(cfg, b4=mk_point(F(1, 3), 7))
+    return _with_b(cfg, 4, mk_point(F(1, 3), 7))
 
 
 @pytest.mark.parametrize("make, on_line", [
@@ -233,7 +263,8 @@ def test_lattice_witness_on_perturbed_roles_matches_brute(monkeypatch,
 def test_weierstrass_rejects_special_step():
     # delta = A0 - C0 collides A1 with C0
     bad = CURVE.add(W_BASE[0], CURVE.neg(W_BASE[2]))
-    with pytest.raises(DegenerateError):
+    with pytest.raises(DegenerateError, match=r"coincident derived points "
+                       r"\['A1', 'A2', 'C0', 'C1'\]"):
         build_tenpoint_weierstrass(CURVE, *W_BASE, bad)
 
 
@@ -272,7 +303,7 @@ def test_halving_out_of_range():
 
 
 def test_first_root_skips_undefined_samples():
-    first_root = tenpoint._first_root
+    first_root = halving._first_root
     # g undefined left of 0.3; its first root on [-1, 1] is 0.6
     g = lambda x: None if x < 0.3 else (x - 0.6) * (x - 0.9)
     assert abs(first_root(g, -1.0, 1.0, 200) - 0.6) < 1e-13
