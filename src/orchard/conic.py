@@ -13,14 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .projective import Rat, _Frozen
+from .projective import Rat, _Frozen, _fraction
 
 
 class ExternalPoint(_Frozen):
     __slots__ = ("a", "b")
 
     def __init__(self, a: Rat, b: Rat):
-        a, b = Fraction(a), Fraction(b)
+        a, b = _fraction(a), _fraction(b)
         if b == a * a:
             raise ValueError(f"({a}, {b}) lies on the parabola")
         super().__init__(a, b)
@@ -31,7 +31,7 @@ class ExternalPoint(_Frozen):
 
 def parabola_collinear(x: Rat, y: Rat, e: ExternalPoint) -> bool:
     """True iff (x, x^2), (y, y^2) and E are collinear (x != y)."""
-    fx, fy = Fraction(x), Fraction(y)
+    fx, fy = _fraction(x), _fraction(y)
     if fx == fy:
         raise ValueError("parabola_collinear needs distinct parabola points")
     return fx * fy - e.a * fx - e.a * fy + e.b == 0
@@ -39,7 +39,7 @@ def parabola_collinear(x: Rat, y: Rat, e: ExternalPoint) -> bool:
 
 def involution_value(e: ExternalPoint, x: Rat) -> Fraction:
     """The unique y with (x,x^2), (y,y^2), E collinear; pole at x = a."""
-    fx = Fraction(x)
+    fx = _fraction(x)
     if fx == e.a:
         raise ValueError(f"involution has a pole at x = {e.a}")
     return (e.a * fx - e.b) / (fx - e.a)
@@ -51,7 +51,7 @@ def image_count(e: ExternalPoint, xs: Iterable[Rat]) -> int:
     Fixed points are excluded (a collinear triple needs two distinct
     parabola points), as is the pole x = a.
     """
-    xset = {Fraction(x) for x in xs}
+    xset = {_fraction(x) for x in xs}
     count = 0
     for x in xset:
         if x == e.a:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .projective import ProjPoint, Rat, _Frozen, mk_point
+from .projective import ProjPoint, Rat, _Frozen, _fraction, mk_point
 from .richlines import (InvariantViolation, PointSet, _line, _rich_lines,
                         direction_count)
 
@@ -26,7 +26,7 @@ class CurveSpec(_Frozen):
     __slots__ = ("degree", "lift_fn", "label")
 
     def lift(self, x: Rat) -> list[ProjPoint]:
-        return self.lift_fn(Fraction(x))
+        return self.lift_fn(_fraction(x))
 
 
 def graph_power(d: int) -> CurveSpec:

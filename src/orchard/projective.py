@@ -161,7 +161,7 @@ def direction_point(slope: Rat | None) -> ProjPoint:
     """Point at infinity of all lines with the given slope (None = vertical)."""
     if slope is None:
         return ProjPoint((0, 1, 0))
-    s = Fraction(slope)
+    s = _fraction(slope)
     return ProjPoint((s.denominator, s.numerator, 0))
 
 

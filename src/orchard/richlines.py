@@ -75,11 +75,17 @@ class RichLineTable(_Frozen):
         return self.two_point + sum(comb(m, 2) for m in self.entries.values())
 
 
-# 2**61 - 1 is prime.  Big-coordinate rows key their joins by line mod _P.
-_P = 2 ** 61 - 1
+# Big-coordinate rows key their joins by line mod _P, the largest prime
+# below 2**30: every residue, product factor and divisor of _mod_keys is
+# one 30-bit digit of a CPython int.  Keys are points of P^2(F_P), so a
+# row of m joins repeats a key by chance with odds near m**2 / 2**61;
+# _one_line_each catches each such split key.
+_P = 2 ** 30 - 35
 # An input with a coordinate of more bits than this takes the mod-_P
-# keys; set from the measured crossover of the two kernels (CHANGES.md).
-_BIG_BITS = 256
+# keys: the smallest size at which they were no slower than slope codes
+# for the line stream and the tripartite count, on random and on rich
+# inputs (scripts/kernel_crossover.py; the table is in CHANGES.md).
+_BIG_BITS = 192
 
 
 def _line(hs: Triples, i: int, j: int) -> Triple:
@@ -181,36 +187,39 @@ def _mod_keys(anchor: Triple, pts: Triples) -> Optional[list]:
 
 
 def _one_line_each(anchor: Triple, pts: Triples, classes: Lines) -> bool:
-    """True if, in each class [_, j...] of one mod-_P key (_group), the
-    joins from the anchor to the points j of pts lie on one exact line:
-    each j is tested against the raw cross product of the anchor and the
-    first j (no gcd) by one dot product; a j off it is a collision."""
-    for m in classes:
-        a, b, c = _cross(anchor, pts[m[1]])
-        for j in m[2:]:
-            x, y, z = pts[j]
+    """True if, in each class [i, j...] of one mod-_P key (_group(i,
+    ...), which numbers the joins to pts from i + 1), the joins from the
+    anchor to those points lie on one exact line: each is tested against
+    the raw cross product of the anchor and the first (no gcd) by one
+    dot product; a point off it is a collision."""
+    for i, f, *rest in classes:
+        a, b, c = _cross(anchor, pts[f - i - 1])
+        for j in rest:
+            x, y, z = pts[j - i - 1]
             if a * x + b * y + c * z:
                 return False
     return True
 
 
 def _keys(anchor: Triple, pts: Triples, mod: Optional[tuple[Triple, Triples]],
-          shift: Optional[int]) -> list:
+          shift: Optional[int],
+          i: int = -1) -> tuple[list, Optional[RowLines]]:
     """One key per join from the anchor to pts, equal for two joins
-    exactly when they lie on one line: with shift, an affine anchor's
-    slope codes (_slopes); with mod, the anchor and pts mod _P, their
-    lines mod _P (_mod_keys) if each repeated key is one exact line
+    exactly when they lie on one line, and the row _group(i, keys) if it
+    was built: with shift, an affine anchor's slope codes (_slopes);
+    with mod, the anchor and pts mod _P, their lines mod _P (_mod_keys)
+    and their row, if each repeated key is one exact line
     (_one_line_each); otherwise, or on a join 0 mod _P or a split key,
     the canonical lines (_lines)."""
     if shift is not None and anchor[2]:
-        return _slopes(anchor, pts, shift)
+        return _slopes(anchor, pts, shift), None
     if mod:
         keys = _mod_keys(*mod)
-        # _group(-1, ...) numbers the joins 0, 1, ... as pts
-        if keys is not None and _one_line_each(anchor, pts,
-                                               _group(-1, keys)[1]):
-            return keys
-    return _lines(anchor, pts)
+        if keys is not None:
+            row = _group(i, keys)
+            if _one_line_each(anchor, pts, row[1]):
+                return keys, row
+    return _lines(anchor, pts), None
 
 
 def _row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
@@ -218,9 +227,10 @@ def _row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
     """Row i: the number of distinct lines through i and a later point,
     and the sorted members [i, j...] of those through >= 3 points, in
     order of their first j; freed once read.  hp is hs mod _P or None
-    (_keys)."""
-    return _group(i, _keys(hs[i], hs[i + 1:], hp and (hp[i], hp[i + 1:]),
-                           shift))
+    (_keys, whose mod-_P row is grouped once)."""
+    keys, row = _keys(hs[i], hs[i + 1:], hp and (hp[i], hp[i + 1:]), shift,
+                      i)
+    return row or _group(i, keys)
 
 
 def _stream(rows: Iterable[RowLines]) -> LineStream:
@@ -373,7 +383,7 @@ def _tripartite_row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
     blocks and to the earlier lead points (_keys)."""
     lo, hi = (lead, cut) if cut else (a + 1, lead)      # the first block
     keys = _keys(hs[a], hs[:a] + hs[lo:], hp and (hp[a], hp[:a] + hp[lo:]),
-                 shift)
+                 shift)[0]
     mid = a + hi - lo
     return len(set(keys[a:mid]).intersection(keys[mid:]).difference(keys[:a]))
 

@@ -163,13 +163,13 @@ def extend_cantilever(cfg: Cantilever, m: int) -> Cantilever:
 
     A new point is the meet of two distinct lines A_x B_j C_k
     (x + k = j) through it whose other two points are already built.
-    Normally these are the lines anchored at indices 0 and 1, as in
-    the plain recursion; but when the sequences revisit a curve point
-    the anchor pair degenerates (or two candidate lines collapse into
-    one), so construction proceeds as a fixpoint over all pending
-    indices, building whichever points currently have two good
-    defining lines.  If the fixpoint stalls, the remaining indices are
-    reported.
+    Normally these are the first two such lines, and the order of the
+    pending points builds each on the first pass, from two joins; but
+    when the sequences revisit a curve point the anchor pair
+    degenerates (or two candidate lines collapse into one), so
+    construction proceeds as a fixpoint over all pending indices,
+    building whichever points currently have two good defining lines.
+    If the fixpoint stalls, the remaining indices are reported.
     """
     if m < 0:
         raise ValueError("extension length must be >= 0")
@@ -186,12 +186,13 @@ def extend_cantilever(cfg: Cantilever, m: int) -> Cantilever:
                 if idx - x in cmap)
 
     target = {"A": amap, "B": bmap, "C": cmap}
-    pending = ([("A", i) for i in range(3, m + 3)]
-               + [("C", i) for i in range(3, m + 3)]
-               + [("B", j) for j in range(5, m + 5)])
+    # A_i and C_i need B_i and B_{i+1}; B_{i+2} then meets A_2 C_i and
+    # A_3 C_{i-1}
+    pending = [(fam, i + 2 * (fam == "B")) for i in range(3, m + 3)
+               for fam in "ACB"]
     while pending:
         stuck = []
-        for fam, idx in sorted(pending, key=lambda t: (t[1], t[0])):
+        for fam, idx in pending:
             try:
                 target[fam][idx] = _incidence_meet(pairs_for(fam, idx),
                                                    f"{fam}_{idx}")

@@ -15,10 +15,11 @@ from orchard import (Cantilever, CubicForm, CuspidalCubic, DegenerateError,
                      meet, mk_point, point_from_rationals, ratio_point,
                      signed_ratio, triangle_description, triangle_ratio_set,
                      weierstrass_form)
-from orchard.conic import ExternalPoint
+from orchard.conic import (ExternalPoint, image_count, involution_value,
+                          parabola_collinear)
 from orchard.cubics import CubicClassification
-from orchard.curves import CurveSpec, DichotomyRow
-from orchard.projective import _Frozen, canonical, integral
+from orchard.curves import CurveSpec, DichotomyRow, graph_power
+from orchard.projective import _Frozen, canonical, direction_point, integral
 from oracles import apply_transform, replaced
 
 LINE_AT_INFINITY = ProjLine((0, 0, 1))
@@ -209,9 +210,16 @@ def test_mk_point_takes_ints_fractions_and_other_rationals():
     lambda: WeierstrassCurve(0, 17).lift(0.5),
     lambda: build_tenpoint_cuspidal(-1, 0, 1, 0.1),
     lambda: CuspidalCubic().lift(0.5),
-    lambda: cuspidal_third(0.5, 1)])
+    lambda: cuspidal_third(0.5, 1),
+    lambda: direction_point(0.1),
+    lambda: ExternalPoint(0.5, 0.1),
+    lambda: involution_value(ExternalPoint(1, 2), 0.1),
+    lambda: parabola_collinear(0.5, 2, ExternalPoint(0, -1)),
+    lambda: image_count(ExternalPoint(0, -1), [2, 0.5]),
+    lambda: graph_power(2).lift(0.1)])
 def test_exact_constructors_refuse_floats(make):
-    # mk_point(0.1, 0) was the point (3602879701896397, 0) / 2**55
+    # mk_point(0.1, 0) was the point (3602879701896397, 0) / 2**55, and
+    # direction_point(0.1) the point (2**55, 3602879701896397, 0)
     with pytest.raises(ValueError, match="0.[15] is a float"):
         make()
 

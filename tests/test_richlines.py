@@ -3,8 +3,9 @@ import itertools
 import multiprocessing
 import pickle
 import random
+import sys
 from fractions import Fraction as F
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -558,7 +559,9 @@ MOD_FIXTURES = {
 }
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 101, richlines._P])
+# the tiny primes make zero rows and split keys; 2**61 - 1 gives keys
+# of three CPython digits, _P of one
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 2 ** 61 - 1, richlines._P])
 @pytest.mark.parametrize("fixture", sorted(MOD_FIXTURES))
 def test_mod_kernel_matches_exact(monkeypatch, p, fixture):
     monkeypatch.setattr(richlines, "_P", p)
@@ -651,7 +654,7 @@ def test_tripartite_patterns_in_every_regime(monkeypatch, regime, workers):
             list(ps.points), list(ps.labels), pattern), pattern
     if regime == "small-p":
         assert seen["zero rows"] > 0 and seen["splits"] > 0
-    else:               # mod 2**61 - 1 every row keeps its mod-_P keys
+    else:               # mod _P every row keeps its mod-_P keys
         assert seen == {"zero rows": 0, "splits": 0}
 
 
@@ -703,16 +706,92 @@ def test_mod_kernel_workers_match_serial():
     _assert_kernels_agree(list(ps.points), workers=2)
 
 
-def _cantilever_points():
-    """The distinct points of a Weierstrass cantilever, M = 6: 28
-    points of up to 444 bits on 59 rich lines."""
+def _cantilever(m):
+    """The Weierstrass cantilever of the lattice-verify benchmark call,
+    extended by m."""
     curve = WeierstrassCurve(0, 17)
     cfg = build_tenpoint_weierstrass(curve, mk_point(-2, 3), mk_point(-1, 4),
                                      mk_point(4, 9), mk_point(8, 23))
-    pts = set(extend_cantilever(cfg, 6).points())
+    return extend_cantilever(cfg, m)
+
+
+def _cantilever_points():
+    """The distinct points of a Weierstrass cantilever, M = 6: 28
+    points of up to 444 bits on 59 rich lines."""
+    pts = set(_cantilever(6).points())
     assert max(abs(c) for p in pts for c in p.h).bit_length() > \
         richlines._BIG_BITS
     return PointSet(tuple(sorted(pts, key=lambda p: p.h)))
+
+
+def _families(cant):
+    """The points of a cantilever labelled by family: A 1, B 2, C 3."""
+    return PointSet(cant.points(), [1] * len(cant.a_seq)
+                    + [2] * len(cant.b_seq) + [3] * len(cant.c_seq))
+
+
+def test_mod_prime_is_one_digit():
+    # every residue, product factor and divisor of the mod-_P keys is
+    # one digit of a CPython int; _P is the largest such prime
+    def prime(q):
+        return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+    digit = sys.int_info.bits_per_digit
+    assert richlines._P.bit_length() <= digit and prime(richlines._P)
+    assert not any(prime(q) for q in range(richlines._P + 1, 2 ** digit))
+
+
+def _at_both_primes(monkeypatch, count):
+    """count() with the mod-_P keys taken mod 2**61 - 1 and mod _P."""
+    outs = []
+    for p in (2 ** 61 - 1, richlines._P):
+        monkeypatch.setattr(richlines, "_P", p)
+        outs.append(count())
+    return outs
+
+
+def _big_counts(ps):
+    """The line stream of ps and its tripartite count for each pattern."""
+    return (_read(richlines._rich_lines(ps.raw())),
+            [tripartite_count(ps, pattern) for pattern in
+             itertools.combinations_with_replacement((1, 2, 3), 3)])
+
+
+def test_both_primes_give_the_cantilever_stream_and_counts(monkeypatch):
+    # the lattice-verify points, M = 30: 100 points of up to 4,714
+    # bits, every row keyed mod p at either prime
+    ps = _families(_cantilever(30))
+    assert ps.n == 100 and richlines._coord_bits(ps.raw()) == 4714
+    lines = richlines._lines
+    monkeypatch.setattr(richlines, "_lines", lambda *args: pytest.fail(
+        "a cantilever row fell back to canonical lines"))
+    old, new = _at_both_primes(monkeypatch, lambda: _big_counts(ps))
+    assert new == old
+    assert len(new[0][0]) == 623 and new[0][1] == 3081
+    monkeypatch.setattr(richlines, "_lines", lines)
+    assert new[0] == _exact(ps.raw())
+
+
+@settings(max_examples=20, deadline=None)
+@given(big_point_sets(), st.integers(0, 3))
+def test_both_primes_give_the_same_big_point_counts(points, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        old, new = _at_both_primes(
+            mp, lambda: _big_counts(_mixed_labels(points, seed)))
+    assert new == old
+
+
+def test_a_mod_p_row_is_grouped_once(monkeypatch):
+    # the row that checked its mod-_P keys (_one_line_each) is the row
+    # that is streamed: one _group call for each of the 100 rows
+    hs = [p.h for p in _cantilever(30).points()]
+    calls, group = [], richlines._group
+    monkeypatch.setattr(richlines, "_group",
+                        lambda i, keys: calls.append(i) or group(i, keys))
+    monkeypatch.setattr(richlines, "_lines", lambda *args: pytest.fail(
+        "a cantilever row fell back to canonical lines"))
+    out = _read(richlines._rich_lines(hs))
+    assert calls == list(range(len(hs)))
+    assert len(out[0]) == 623
 
 
 @pytest.mark.parametrize("make", [lambda: gen_grid(4),
@@ -786,8 +865,10 @@ def _assert_rows_match_exact(points, a=0, lo=None):
             mod = [tuple(c % p for c in h) for h in [anchor] + pts]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(richlines, "_P", p)
-                keys = richlines._keys(anchor, pts, (mod[0], mod[1:]), None)
+                keys, row = richlines._keys(anchor, pts, (mod[0], mod[1:]),
+                                            None)
             assert richlines._group(-1, keys) == exact
+            assert row in (None, exact)
 
 
 @settings(max_examples=150, deadline=None)

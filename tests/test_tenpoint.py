@@ -152,6 +152,27 @@ def test_weierstrass_cantilever_membership():
     assert verify_lattice(cant)
 
 
+def test_cantilever_builds_each_point_from_two_joins(monkeypatch):
+    # A_i and C_i are built before B_{i+2}, so each of the 90 points
+    # of M = 30 is the meet of the first two lines tried: 180 joins
+    joins = []
+    monkeypatch.setattr(tenpoint, "join",
+                        lambda p, q: joins.append(1) or join(p, q))
+    cant = extend_cantilever(w_config(), 30)
+    assert len(joins) == 2 * 90
+    # the points of the group law: A_i = A_0 - i D, B_j = B_0 + j D and
+    # C_k = C_0 - k D for the step D
+    minus = mk_point(8, -23)
+    for seq, start, step in ((cant.a_seq, W_BASE[0], minus),
+                             (cant.b_seq, CURVE.add(W_BASE[1], W_DELTA),
+                              W_DELTA),
+                             (cant.c_seq, W_BASE[2], minus)):
+        p = start
+        for q in seq:
+            assert q == p
+            p = CURVE.add(p, step)
+
+
 def _cuspidal_cantilever():
     cant = extend_cantilever(build_tenpoint_cuspidal(-1, 0, 1, F(1, 10)), 20)
     assert cant.b_seq[8] == cant.c_seq[1]      # revisits curve points
