@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from math import comb, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from orchard import (InvariantViolation, PointSet, ProjPoint,
@@ -774,6 +774,7 @@ def test_both_primes_give_the_cantilever_stream_and_counts(monkeypatch):
 @settings(max_examples=20, deadline=None)
 @given(big_point_sets(), st.integers(0, 3))
 def test_both_primes_give_the_same_big_point_counts(points, seed):
+    assume(len(points) >= 3)        # a point for each label
     with pytest.MonkeyPatch.context() as mp:
         old, new = _at_both_primes(
             mp, lambda: _big_counts(_mixed_labels(points, seed)))
