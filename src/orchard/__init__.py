@@ -17,14 +17,16 @@ _EXPORTS = {name: module for module, names in (
     ("generators", "NgonConfig gen_cubic_power gen_grid gen_ngon_directions "
                    "gen_parabola_ap gen_parallel_aps gen_triangle_ratios "
                    "parallel_aps_closed_form ratio_point triangle_ratio_set"),
-    ("cubics", "CubicForm classify_with_candidates cuspidal_form fit_cubics "
-               "weierstrass_form"),
-    ("grouplaw", "CuspidalCubic GroupDescription GroupElement LawWitness "
-                 "WeierstrassCurve WEIERSTRASS_IDENTITY conic_line_params "
-                 "cuspidal_description cuspidal_third description_witness "
-                 "hyperbola_infinity_description menelaus_params "
-                 "parabola_infinity_description parallel_lines_description "
-                 "triangle_description verify_group_description"),
+    ("cubics", "CubicForm cuspidal_form weierstrass_form"),
+    ("fitting", "classify_with_candidates fit_cubics"),
+    ("grouplaw", "CuspidalCubic GroupElement LawWitness WeierstrassCurve "
+                 "WEIERSTRASS_IDENTITY cuspidal_third"),
+    ("descriptions", "GroupDescription conic_line_params "
+                     "cuspidal_description description_witness "
+                     "hyperbola_infinity_description menelaus_params "
+                     "parabola_infinity_description "
+                     "parallel_lines_description triangle_description "
+                     "verify_group_description"),
     ("tenpoint", "Cantilever build_tenpoint_cuspidal "
                  "build_tenpoint_weierstrass extend_cantilever "
                  "lattice_witness nine_point_check verify_lattice"),

@@ -12,27 +12,24 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
-import random
 import re
 import sys
 from fractions import Fraction
 
 from . import _EXPORTS
-from .projective import (DegenerateError, ProjPoint, join, meet, mk_point,
-                         point_from_rationals, triangle_sides)
+from .projective import ProjPoint, mk_point
 from .richlines import (InvariantViolation, PointSet, direction_count,
                         green_tao_bound, k_rich_count, spanned_lines,
                         tripartite_count)
 
-# Every name of the package's export table, and two names that it does
+# Every name of the package's export table, and three names that it does
 # not export, is imported from its module on first use by __getattr__,
 # so that a call loads only the modules its subcommand runs.  Code here
 # calls these names, and the ones a tracer replaces, as _cli.<name>: a
 # bare lazy name would not reach __getattr__, and a name replaced on
 # this module (by a test or a tracer) is then the one called.
 _LAZY = {**_EXPORTS, "describe_lattice_witness": "tenpoint",
-         "render_pointset": "svg"}
+         "group_check_cases": "descriptions", "render_pointset": "svg"}
 _cli = sys.modules[__name__]
 
 
@@ -132,6 +129,7 @@ def pointset_from_doc(doc) -> PointSet:
 
 
 def _load_pointset(path: str) -> PointSet:
+    import json     # only a call that reads or writes a points file loads it
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -151,6 +149,7 @@ def _emit(text: str, out: str | None):
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    import json
     if args.example == "ngon":
         cfg = _cli.gen_ngon_directions(args.n)
         doc = {"kind": "ngon", "n": cfg.n,
@@ -208,66 +207,10 @@ def cmd_fit_cubic(args) -> int:
             raise ValueError(f"--indices must lie in 0..{len(pts) - 1}")
         pts = [pts[i] for i in idx]
     basis = _cli.fit_cubics(pts)
-    print("coefficients(X^3,X^2Y,X^2Z,XY^2,XYZ,XZ^2,Y^3,Y^2Z,YZ^2,Z^3)")
-    for f in basis:
-        print(",".join(str(c) for c in f.coefficients))
-    if not basis:
-        print("none")
+    rows = [",".join(map(str, f.coefficients)) for f in basis] or ["none"]
+    sys.stdout.write("coefficients(X^3,X^2Y,X^2Z,XY^2,XYZ,XZ^2,Y^3,Y^2Z,YZ^2,"
+                     "Z^3)\n" + "".join(row + "\n" for row in rows))
     return 0
-
-
-def _random_fraction(rng: random.Random, span: int = 12) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, 6))
-
-
-def _nonzero(rng: random.Random) -> Fraction:
-    while True:
-        f = _random_fraction(rng)
-        if f not in (0, -1):
-            return f
-
-
-_TRIANGLE = (mk_point(0, 0), mk_point(4, 0), mk_point(1, 3))
-
-
-def _triangle_cases(trials: int, rng: random.Random):
-    """One point per side of _TRIANGLE, for each trial that is not
-    degenerate: at random ratios on even trials, cut by a random line
-    (so collinear) on odd ones."""
-    sides = triangle_sides(*_TRIANGLE)
-    for t in range(trials):
-        if t % 2 == 0:
-            xs = [_cli.ratio_point(a, b, _nonzero(rng)) for a, b in sides]
-        else:
-            q1 = mk_point(_random_fraction(rng), _random_fraction(rng))
-            q2 = mk_point(_random_fraction(rng) + 20, _random_fraction(rng))
-            line = join(q1, q2)
-            try:
-                xs = [meet(line, join(a, b)) for a, b in sides]
-            except DegenerateError:
-                continue
-            if any(x in _TRIANGLE for x in xs):
-                continue
-        yield PointSet(xs)
-
-
-def _conic_cases(parabola: bool, trials: int, rng: random.Random):
-    """Two points of y = x^2 (or xy = 1) and a direction, for each trial
-    that is not degenerate: the chord's direction on even trials, a
-    perturbed one on odd trials."""
-    for t in range(trials):
-        p = _nonzero(rng)
-        q = _nonzero(rng)
-        if p == q:
-            continue
-        if parabola:
-            pt1, pt2 = mk_point(p, p * p), mk_point(q, q * q)
-            s = p + q if t % 2 == 0 else p + q + _nonzero(rng)
-        else:
-            pt1, pt2 = mk_point(p, 1 / p), mk_point(q, 1 / q)
-            s = -1 / (p * q) if t % 2 == 0 else -1 / (p * q) * _nonzero(rng)
-        if s != 0:
-            yield PointSet((pt1, pt2, point_from_rationals(1, s, 0)))
 
 
 def cmd_group_check(args) -> int:
@@ -275,22 +218,7 @@ def cmd_group_check(args) -> int:
     exhaustive = name in ("example1", "example4")
     if not exhaustive and args.trials < 1:
         raise ValueError(f"--trials must be at least 1, not {args.trials}")
-    rng = random.Random(args.seed)
-    if name == "example1":
-        desc = _cli.parallel_lines_description()
-        cases = [_cli.gen_parallel_aps(args.n)]
-    elif name == "example4":
-        desc = _cli.cuspidal_description()
-        cases = [_cli.gen_cubic_power(args.n)]
-    elif name == "triangle":
-        desc = _cli.triangle_description(*_TRIANGLE)
-        cases = _triangle_cases(args.trials, rng)
-    elif name == "parabola-inf":
-        desc = _cli.parabola_infinity_description()
-        cases = _conic_cases(True, args.trials, rng)
-    else:
-        desc = _cli.hyperbola_infinity_description()
-        cases = _conic_cases(False, args.trials, rng)
+    desc, cases = _cli.group_check_cases(name, args.n, args.trials, args.seed)
     witnesses = [w for w in (_cli.description_witness(ps, desc)
                              for ps in cases) if w is not None]
     if exhaustive:
@@ -346,12 +274,15 @@ def _tenpoint_common(args) -> int:
     for p in obj.points():
         if not curve.form.contains(p):
             raise InvariantViolation(f"curve membership: {p} left the curve")
-    print("name,X,Y,Z")
+    # the whole table is formatted before one write, so an error while
+    # formatting it leaves stdout empty, as a refused call does
+    table = ["name,X,Y,Z\n"]
     amap, bmap, cmap = obj.lattice_points()
     for fam, mp in (("A", amap), ("B", bmap), ("C", cmap)):
         for i in sorted(mp):
             x, y, z = mp[i].h
-            print(f"{fam}{i},{x},{y},{z}")
+            table.append(f"{fam}{i},{x},{y},{z}\n")
+    sys.stdout.write("".join(table))
     return 0
 
 
@@ -509,12 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    """Run one call; return its exit code.  The call's int <-> str
+    conversions take integers of any size: CPython's digit limit is
+    lifted for the call and restored after it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
         return args.func(args)
+    except SystemExit as exc:       # from the parser: --help, a usage error
+        return 0 if exc.code in (0, None) else 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -524,6 +459,8 @@ def run(argv: list[str]) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

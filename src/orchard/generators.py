@@ -10,8 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .projective import (DegenerateError, ProjPoint, Rat, _Frozen, collinear,
-                         mk_point, point_from_rationals, triangle_sides)
+from .projective import (DegenerateError, ProjPoint, Rat, _Frozen, _int_arg,
+                         collinear, mk_point, point_from_rationals,
+                         triangle_sides)
 from .richlines import PointSet
 
 DEFAULT_TRIANGLE = (mk_point(0, 0), mk_point(1, 0), mk_point(0, 1))
@@ -45,7 +46,7 @@ def gen_parallel_aps(n: int, dense_middle: bool = False) -> PointSet:
 
 def parallel_aps_closed_form(n: int) -> int:
     """Lines meeting all three rows: pairs (x1, x3) with x1 + x3 even."""
-    if n < 1:
+    if _int_arg(n, "parallel_aps_closed_form: n") < 1:
         raise ValueError("parallel_aps_closed_form needs n >= 1")
     return ((n + 1) // 2) ** 2 + (n // 2) ** 2
 
@@ -139,6 +140,6 @@ def gen_parabola_ap(n: int) -> PointSet:
 
 def gen_grid(k: int) -> PointSet:
     """The k x k integer grid [0,k)^2."""
-    if k < 2:
+    if _int_arg(k, "gen_grid: k") < 2:
         raise ValueError("gen_grid needs k >= 2")
     return PointSet(tuple(mk_point(x, y) for x in range(k) for y in range(k)))

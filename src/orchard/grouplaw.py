@@ -1,18 +1,17 @@
-"""Abelian-group descriptions of collinearity on (degenerate) cubics.
+"""Collinearity as a group law on cubics: the curves, exact group
+elements, and the one exhaustive check of a law.
 
-Each description assigns to the points of three curve pieces values in
-an abelian group so that three distinct points, one per piece, are
-collinear exactly when their values combine to the identity.  Shipped
-families: the cuspidal cubic y = x^3, Weierstrass curves, three
-parallel lines, triangle sides (signed-ratio products), and a conic
-plus the line at infinity (parabola and hyperbola variants).
-
-Each description is the only definition of its law:
-menelaus_params and conic_line_params look one triple up through it,
-and description_witness is the one judge of it.
-All values are exact rationals; verification always runs against exact
-integer collinearity (the member lists of the rich lines), never
-against the law itself.
+CuspidalCubic (y = x^3, parametrized by x, where three distinct points
+are collinear exactly when their parameters sum to 0) and
+WeierstrassCurve (y^2 = x^3 + ax + b with its chord-tangent group) each
+hold their one equation as a CubicForm.  _law_witness checks a law on a
+point list with given (piece, value) roles and names the first triple
+on which collinearity and the law disagree (LawWitness); the ten point
+lattice (orchard.tenpoint) and the group descriptions of degenerate
+cubics (orchard.descriptions) are checked through it.  All values are
+exact rationals; verification always runs against exact integer
+collinearity (the member lists of the rich lines), never against the
+law itself.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from itertools import product
 from math import isqrt
 from typing import Optional, Sequence
 
-from .cubics import CubicForm, cuspidal_form, weierstrass_form
+from .cubics import cuspidal_form, weierstrass_form
 from .projective import (DegenerateError, ProjPoint, Rat, _Frozen, _fraction,
-                         collinear, incident, join, mk_point, signed_ratio,
-                         triangle_sides)
-from .richlines import PointSet, _rich_lines
+                         mk_point)
+from .richlines import _rich_lines
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -166,159 +164,6 @@ class WeierstrassCurve(_Frozen):
         return self.neg(self.third(p, q))
 
 
-# --- descriptions ----------------------------------------------------------
-
-def _slope_of_direction(d: ProjPoint) -> Fraction:
-    dx, dy, dz = d.h
-    if dz != 0:
-        raise ValueError(f"{d} is not a point at infinity")
-    if dx == 0:
-        raise ValueError("vertical direction has no finite slope")
-    return Fraction(dy, dx)
-
-
-def _conic_value(i: int, p: ProjPoint) -> Fraction:
-    """x on the conic (pieces 1, 2); minus the slope at infinity (piece 3)."""
-    return -_slope_of_direction(p) if i == 3 else p.affine()[0]
-
-
-class GroupDescription(_Frozen):
-    """A parametrization bundle realizing collinearity as a group law:
-    assign(p) gives the piece indices (a subset of 1, 2, 3) that p
-    belongs to and raises off the pieces; value(piece, p) is the exact
-    group value of p on that piece."""
-
-    __slots__ = ("kind", "operation", "assign", "value")
-
-    def element(self, piece: int, p: ProjPoint) -> GroupElement:
-        return GroupElement(self.value(piece, p), self.operation)
-
-
-def cuspidal_description() -> GroupDescription:
-    curve = CuspidalCubic()
-
-    def assign(p):
-        if not curve.contains(p):
-            raise ValueError(f"{p} not on y = x^3")
-        return (1, 2, 3)
-
-    return GroupDescription("cuspidal-cubic", ADDITIVE, assign,
-                            lambda i, p: curve.param(p))
-
-
-def parallel_lines_description() -> GroupDescription:
-    def assign(p):
-        if not p.at_infinity:
-            x, y = p.affine()
-            if y in (0, 1, 2):
-                return (int(y) + 1,)
-        raise ValueError(f"{p} not on the rows y = 0, 1, 2")
-
-    def value(i, p):
-        x, y = p.affine()
-        if int(y) + 1 != i:
-            raise ValueError(f"{p} not on row {i}")
-        return x if i != 2 else -2 * x
-
-    return GroupDescription("three-parallel-lines", ADDITIVE, assign, value)
-
-
-def triangle_description(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint
-                         ) -> GroupDescription:
-    if collinear(p1, p2, p3):
-        raise DegenerateError("triangle_description: collinear vertices")
-    ends = dict(enumerate(triangle_sides(p1, p2, p3), 1))
-    sides = {i: join(*ends[i]) for i in (1, 2, 3)}
-
-    def assign(p):
-        if p in (p1, p2, p3):
-            raise ValueError("vertices are singular points of the side cubic")
-        on = tuple(i for i in (1, 2, 3) if incident(p, sides[i]))
-        if not on:
-            raise ValueError(f"{p} not on any triangle side")
-        return on
-
-    def value(i, p):
-        return -signed_ratio(p, *ends[i])
-
-    return GroupDescription("triangle-menelaus", MULTIPLICATIVE, assign, value)
-
-
-def parabola_infinity_description() -> GroupDescription:
-    def assign(p):
-        if p.at_infinity:
-            _slope_of_direction(p)   # vertical tangent direction excluded
-            return (3,)
-        x, y = p.affine()
-        if y == x * x:
-            return (1, 2)
-        raise ValueError(f"{p} not on y = x^2 or the line at infinity")
-
-    return GroupDescription("parabola-plus-infinity", ADDITIVE, assign,
-                            _conic_value)
-
-
-def hyperbola_infinity_description() -> GroupDescription:
-    def assign(p):
-        if p.at_infinity:
-            s = _slope_of_direction(p)
-            if s == 0:
-                raise ValueError("asymptotic direction excluded")
-            return (3,)
-        x, y = p.affine()
-        if x * y == 1:
-            return (1, 2)
-        raise ValueError(f"{p} not on xy = 1 or the line at infinity")
-
-    return GroupDescription("hyperbola-plus-infinity", MULTIPLICATIVE,
-                            assign, _conic_value)
-
-
-# --- one triple's parameters, looked up through its description --------------
-
-def _piece_element(desc: GroupDescription, k: int,
-                   p: ProjPoint) -> GroupElement:
-    if k not in desc.assign(p):
-        raise ValueError(f"{p} is not on piece {k} of {desc.kind}")
-    return desc.element(k, p)
-
-
-def menelaus_params(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint,
-                    x1: ProjPoint, x2: ProjPoint, x3: ProjPoint
-                    ) -> tuple[tuple[GroupElement, GroupElement, GroupElement], bool]:
-    """Multiplicative side parameters of three points on a triangle's sides.
-
-    u_i is the signed ratio of distances from X_i to the two vertices
-    on its side, oriented so that X_1, X_2, X_3 are collinear exactly
-    when u_1 u_2 u_3 = 1 (a convention locked by the determinant
-    oracle in the test suite).
-    """
-    desc = triangle_description(p1, p2, p3)
-    us = tuple(_piece_element(desc, k, x)
-               for k, x in enumerate((x1, x2, x3), 1))
-    return us, us[0].combine(us[1]).combine(us[2]).is_identity
-
-
-def conic_line_params(variant: str, p: ProjPoint, q: ProjPoint, d: ProjPoint
-                      ) -> tuple[GroupElement, GroupElement, GroupElement]:
-    """Parameters for two conic points plus a direction.
-
-    parabola: points (p, p^2), (q, q^2) and slope s map to p, q, -s in
-    the additive group (chord slope is p + q).
-    hyperbola: points (p, 1/p), (q, 1/q) and slope s map to p, q, -s in
-    the multiplicative group (chord slope is -1/(pq)).
-    """
-    descs = {"parabola": parabola_infinity_description,
-             "hyperbola": hyperbola_infinity_description}
-    if variant not in descs:
-        raise ValueError(f"unknown conic variant {variant!r}")
-    desc = descs[variant]()
-    e1, e2 = _piece_element(desc, 1, p), _piece_element(desc, 2, q)
-    if p == q:
-        raise DegenerateError("conic_line_params: equal conic points")
-    return e1, e2, _piece_element(desc, 3, d)
-
-
 # --- exhaustive verification -----------------------------------------------
 
 class LawWitness(_Frozen):
@@ -405,23 +250,3 @@ def _law_witness(points: Sequence[ProjPoint],
                     and not through[i1] & through[i2] & through[i3]):
                 return witness(r1, r2, (i3, need), False)
     return None
-
-
-def description_witness(ps: PointSet,
-                        desc: GroupDescription) -> Optional[LawWitness]:
-    """The first cross-piece triple of distinct points of ps on which
-    collinearity and the description's group law disagree, or None."""
-    roles = [[(i, desc.value(i, p)) for i in desc.assign(p)]
-             for p in ps.points]
-    return _law_witness(ps.points, roles, desc.operation)
-
-
-def verify_group_description(ps: PointSet, desc: GroupDescription) -> bool:
-    """Distinct cross-piece triples are collinear exactly when their
-    group values combine to the identity.
-
-    Exhaustive: O(n^2) joins, then the member lists of the rich lines
-    decide every triple (_law_witness).
-    """
-    return description_witness(ps, desc) is None
-

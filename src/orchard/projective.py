@@ -43,6 +43,14 @@ def _fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _int_arg(value, name: str) -> int:
+    """value, if it is an int and not a bool; else ValueError naming the
+    argument (a count or a size given as 2.5 or True)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    return value
+
+
 def integral(rs: Sequence[Rat]) -> list[int]:
     """The rationals rs times the lcm of their denominators."""
     fs = [r if isinstance(r, (int, Fraction)) else _fraction(r) for r in rs]

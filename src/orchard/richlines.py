@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from functools import partial
 from math import comb
+from operator import itemgetter
 from typing import (Callable, Generator, Iterable, Iterator, Optional,
                     Sequence)
 
-from .projective import ProjPoint, _cross, _Frozen, canonical
+from .projective import ProjPoint, _cross, _Frozen, _int_arg, canonical
 
 Triple = tuple[int, int, int]           # a point or a line, homogeneous
 Triples = Sequence[Triple]
@@ -77,9 +78,10 @@ class RichLineTable(_Frozen):
 
 # Big-coordinate rows key their joins by line mod _P, the largest prime
 # below 2**30: every residue, product factor and divisor of _mod_keys is
-# one 30-bit digit of a CPython int.  Keys are points of P^2(F_P), so a
-# row of m joins repeats a key by chance with odds near m**2 / 2**61;
-# _one_line_each catches each such split key.
+# one 30-bit digit of a CPython int.  A key is a point of the pencil
+# P^1(F_P) through the row's anchor, so a row of m joins repeats a key by
+# chance with odds near m**2 / 2**31; _one_line_each catches each such
+# split key.
 _P = 2 ** 30 - 35
 # An input with a coordinate of more bits than this takes the mod-_P
 # keys: the smallest size at which they were no slower than slope codes
@@ -158,78 +160,104 @@ def _group(i: int, keys: Sequence) -> RowLines:
     return count, sorted(repeated.values(), key=lambda m: m[1])
 
 
-def _mod_keys(anchor: Triple, pts: Triples) -> Optional[list]:
-    """The lines mod _P of the joins from the anchor to pts, all reduced
-    mod _P, or None if one of them is (0, 0, 0) mod _P.  Each line is
-    scaled by the inverse of its first nonzero entry, so joins on one
-    exact line share their key; the row's inverses share one pow
+def _mod_keys(anchor: Triple, pts: Triples) -> Optional[list[int]]:
+    """One residue per join from the anchor to pts, all reduced mod _P:
+    the join's line mod _P as a point of the pencil through the anchor,
+    or None if the anchor or a join is 0 mod _P.
+
+    A line through the anchor is fixed by two of its entries (u, v), the
+    two beside a coordinate of the anchor that is nonzero mod _P: the
+    third follows from the line's dot product with the anchor.  With
+    that coordinate turned last (a cyclic turn of all three turns the
+    cross product alike), u and v are the line's first two entries, and
+    the key is v / u mod _P, or _P when u = 0, so joins on one exact
+    line share their key.  The row's inverses share one pow
     (Montgomery's batch inversion)."""
     p = _P
     x1, y1, z1 = anchor
-    lines, prefix, acc = [], [], 1
-    for x2, y2, z2 in pts:
-        line = ((y1 * z2 - z1 * y2) % p, (z1 * x2 - x1 * z2) % p,
-                (x1 * y2 - y1 * x2) % p)
-        lead = line[0] or line[1] or line[2]
-        if not lead:
+    if not z1:
+        if y1:
+            turn = itemgetter(2, 0, 1)
+        elif x1:
+            turn = itemgetter(1, 2, 0)
+        else:
             return None
+        x1, y1, z1 = turn(anchor)
+        pts = map(turn, pts)
+    us, vs, prefix, acc = [], [], [], 1
+    for x2, y2, z2 in pts:
+        u = (y1 * z2 - z1 * y2) % p
+        v = (z1 * x2 - x1 * z2) % p
+        if not (u or v):
+            return None
+        us.append(u)
+        vs.append(v)
         prefix.append(acc)
-        acc = acc * lead % p
-        lines.append(line)
-    inv = pow(acc, -1, p)              # 1 / (product of the leads)
-    keys = [None] * len(lines)
-    for k in range(len(lines) - 1, -1, -1):
-        a, b, c = lines[k]
-        s = inv * prefix[k] % p        # 1 / lead k
-        inv = inv * (a or b or c) % p
-        keys[k] = (a * s % p, b * s % p, c * s % p)
+        if u:
+            acc = acc * u % p
+    inv = pow(acc, -1, p)              # 1 / (product of the nonzero u)
+    keys = [p] * len(us)
+    for k in range(len(us) - 1, -1, -1):
+        u = us[k]
+        if u:
+            keys[k] = vs[k] * inv * prefix[k] % p
+            inv = inv * u % p
     return keys
 
 
-def _one_line_each(anchor: Triple, pts: Triples, classes: Lines) -> bool:
-    """True if, in each class [i, j...] of one mod-_P key (_group(i,
-    ...), which numbers the joins to pts from i + 1), the joins from the
-    anchor to those points lie on one exact line: each is tested against
-    the raw cross product of the anchor and the first (no gcd) by one
-    dot product; a point off it is a collision."""
-    for i, f, *rest in classes:
-        a, b, c = _cross(anchor, pts[f - i - 1])
-        for j in rest:
-            x, y, z = pts[j - i - 1]
+def _one_line_each(points: Triples, sizes: Sequence[int],
+                   classes: Lines) -> bool:
+    """True if each class [i, j...] of one mod-_P key (_group(i, ...))
+    lies on one exact line, with points[m] the point and sizes[m] the
+    coordinate bits of member m: the raw cross product of the two
+    shortest members is dotted with each other one (no gcd); a point
+    off it is a collision.  The members are ordered by the sizes, read
+    from the list (a sort of a few keys in C costs less per class than
+    two min scans)."""
+    size = sizes.__getitem__
+    for members in classes:
+        first, second, *rest = sorted(members, key=size)
+        a, b, c = _cross(points[first], points[second])
+        for m in rest:
+            x, y, z = points[m]
             if a * x + b * y + c * z:
                 return False
     return True
 
 
-def _keys(anchor: Triple, pts: Triples, mod: Optional[tuple[Triple, Triples]],
+def _keys(anchor: Triple, pts: Triples, mod: Optional[tuple],
           shift: Optional[int],
           i: int = -1) -> tuple[list, Optional[RowLines]]:
     """One key per join from the anchor to pts, equal for two joins
     exactly when they lie on one line, and the row _group(i, keys) if it
     was built: with shift, an affine anchor's slope codes (_slopes);
-    with mod, the anchor and pts mod _P, their lines mod _P (_mod_keys)
-    and their row, if each repeated key is one exact line
-    (_one_line_each); otherwise, or on a join 0 mod _P or a split key,
-    the canonical lines (_lines)."""
+    with mod, which holds the anchor and pts mod _P and the points and
+    coordinate bits by the numbers of the row (the anchor is i, pts[k]
+    is i + 1 + k), their pencil keys mod _P (_mod_keys) and their row,
+    if each repeated key is one exact line (_one_line_each); otherwise,
+    or on a join 0 mod _P or a split key, the canonical lines
+    (_lines)."""
     if shift is not None and anchor[2]:
         return _slopes(anchor, pts, shift), None
     if mod:
-        keys = _mod_keys(*mod)
+        anchor_p, pts_p, points, sizes = mod
+        keys = _mod_keys(anchor_p, pts_p)
         if keys is not None:
             row = _group(i, keys)
-            if _one_line_each(anchor, pts, row[1]):
+            if _one_line_each(points, sizes, row[1]):
                 return keys, row
     return _lines(anchor, pts), None
 
 
-def _row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
-         i: int) -> RowLines:
+def _row(hs: Triples, hp: Optional[Triples], hb: Optional[list[int]],
+         shift: Optional[int], i: int) -> RowLines:
     """Row i: the number of distinct lines through i and a later point,
     and the sorted members [i, j...] of those through >= 3 points, in
-    order of their first j; freed once read.  hp is hs mod _P or None
-    (_keys, whose mod-_P row is grouped once)."""
-    keys, row = _keys(hs[i], hs[i + 1:], hp and (hp[i], hp[i + 1:]), shift,
-                      i)
+    order of their first j; freed once read.  hp is hs mod _P and hb the
+    coordinate bits of hs, or both None (_keys, whose mod-_P row is
+    grouped once)."""
+    keys, row = _keys(hs[i], hs[i + 1:], hp and (hp[i], hp[i + 1:], hs, hb),
+                      shift, i)
     return row or _group(i, keys)
 
 
@@ -304,19 +332,21 @@ def _each_row(row: Callable[[int], object], rows: int,
     """row(0), ..., row(rows - 1) in order: built in this process as they
     are read with one worker, else by a pool of min(workers, rows)
     processes (_pooled), so no process is without a row."""
-    if workers < 1:
+    if _int_arg(workers, "workers") < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
     procs = min(workers, rows)
     return map(row, range(rows)) if procs <= 1 else _pooled(row, rows, procs)
 
 
 def _regime(hs: Triples) -> tuple:
-    """(hp, shift) for the rows of hs: above _BIG_BITS bits of coordinate
-    (hs mod _P, None), else (None, the shift of exact slope codes)."""
+    """(hp, hb, shift) for the rows of hs: above _BIG_BITS bits of
+    coordinate (hs mod _P, the coordinate bits of each point, None),
+    else (None, None, the shift of exact slope codes)."""
     bits = _coord_bits(hs)
     if bits > _BIG_BITS:
-        return [(x % _P, y % _P, z % _P) for x, y, z in hs], None
-    return None, _slope_shift(bits)
+        return ([(x % _P, y % _P, z % _P) for x, y, z in hs],
+                [max(map(abs, h)).bit_length() for h in hs], None)
+    return None, None, _slope_shift(bits)
 
 
 def _rich_lines(hs: Triples, workers: int = 1) -> LineStream:
@@ -372,7 +402,8 @@ def line_members(ps: PointSet) -> dict[tuple, list[int]]:
     return {_line(hs, m[0], m[1]): m for m in _rich_lines(hs)}
 
 
-def _tripartite_row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
+def _tripartite_row(hs: Triples, hp: Optional[Triples],
+                    hb: Optional[list[int]], shift: Optional[int],
                     lead: int, cut: Optional[int], a: int) -> int:
     """The matching lines whose lowest lead point is a: hs holds the
     lead group at [0, lead), then the others.  With cut, pattern (g, h,
@@ -382,8 +413,10 @@ def _tripartite_row(hs: Triples, hp: Optional[Triples], shift: Optional[int],
     is |K_1 & K_2 - E| in the key sets of the joins from a to the two
     blocks and to the earlier lead points (_keys)."""
     lo, hi = (lead, cut) if cut else (a + 1, lead)      # the first block
-    keys = _keys(hs[a], hs[:a] + hs[lo:], hp and (hp[a], hp[:a] + hp[lo:]),
-                 shift)[0]
+    pts = hs[:a] + hs[lo:]
+    # numbered from 0 (_keys with i = -1), so the anchor is last
+    keys = _keys(hs[a], pts, hp and (hp[a], hp[:a] + hp[lo:], [*pts, hs[a]],
+                                     hb[:a] + hb[lo:] + [hb[a]]), shift)[0]
     mid = a + hi - lo
     return len(set(keys[a:mid]).intersection(keys[mid:]).difference(keys[:a]))
 
@@ -439,7 +472,7 @@ def direction_count(ps: PointSet) -> int:
 
 def green_tao_bound(n: int) -> int:
     """floor(n(n-3)/6) + 1, the sharp maximum of 3-rich lines."""
-    if n < 3:
+    if _int_arg(n, "green_tao_bound: n") < 3:
         raise ValueError("green_tao_bound needs n >= 3")
     return n * (n - 3) // 6 + 1
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .cubics import fit_cubics
 from .grouplaw import (ADDITIVE, CuspidalCubic, LawWitness, WeierstrassCurve,
                        WEIERSTRASS_IDENTITY, _law_witness)
 from .projective import (DegenerateError, ProjPoint, Rat, _Frozen, _fraction,
-                         collinear, join, meet)
+                         _int_arg, collinear, join, meet)
 
 
 class Cantilever(_Frozen):
@@ -171,7 +170,7 @@ def extend_cantilever(cfg: Cantilever, m: int) -> Cantilever:
     building whichever points currently have two good defining lines.
     If the fixpoint stalls, the remaining indices are reported.
     """
-    if m < 0:
+    if _int_arg(m, "extend_cantilever: m") < 0:
         raise ValueError("extension length must be >= 0")
     amap, bmap, cmap = cfg.lattice_points()
 
@@ -217,6 +216,7 @@ def nine_point_check(cfg: Cantilever) -> bool:
         raise ValueError("nine_point_check needs the ten points of a "
                          f"configuration (M = 0), not a cantilever with "
                          f"M = {m}")
+    from .fitting import fit_cubics    # a cantilever call never fits cubics
     (a0, a1, a2), (b1, b2, b3, b4), (c0, c1, c2) = (cfg.a_seq, cfg.b_seq,
                                                     cfg.c_seq)
     basis = fit_cubics([a0, a1, a2, b1, b2, b4, c0, c1, c2])

@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import re
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 
 import orchard.cli as cli
-from orchard import (GroupDescription, PointSet, ProjPoint, collinear,
-                     gen_grid, gen_parallel_aps, gen_triangle_ratios,
-                     mk_point, richlines, spanned_lines, triple_line_count,
-                     tripartite_count)
+import orchard.descriptions as descriptions
+from orchard import (Cantilever, GroupDescription, PointSet, ProjPoint,
+                     collinear, gen_grid, gen_parallel_aps,
+                     gen_triangle_ratios, mk_point, richlines, spanned_lines,
+                     triple_line_count, tripartite_count)
 from orchard.cli import pointset_from_doc, pointset_to_doc, run
 from oracles import InlineContext, brute_multiplicities, replaced
 
@@ -589,14 +591,64 @@ def test_tenpoint_membership_checked_before_printing(monkeypatch, capsys):
     assert err.startswith("invariant violation: curve membership: ")
 
 
+def test_cantilever_past_the_int_string_digit_limit(capsys):
+    # its largest coordinate has 4,351 digits and a sign, past CPython's
+    # default limit of 4,300 on int <-> str conversions; the call lifts
+    # the limit for itself and restores it after
+    limit = sys.get_int_max_str_digits()
+    assert run(CANTILEVER[:-1] + ["56"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and sys.get_int_max_str_digits() == limit
+    lines = out.splitlines()
+    assert len(lines) == 1 + 59 + 60 + 59 and lines[-1].startswith("C58,")
+    assert max(len(c.lstrip("-")) for line in lines[1:]
+               for c in line.split(",")[1:]) == 4351
+
+
+def test_points_file_with_a_4400_digit_coordinate(tmp_path, capsys):
+    # three points on the vertical line x = 10**4399 and the origin;
+    # the string is built without an int -> str conversion
+    big = "1" + "0" * 4399
+    doc = {"points": [{"x": big, "y": str(y)} for y in range(3)]
+           + [{"x": "0", "y": "0"}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["count", "--in", str(path), "--k", "3"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+
+
+def test_an_error_while_the_table_is_formatted_leaves_stdout_empty(
+        monkeypatch, capsys):
+    # the last point of the table cannot be formatted: the rows before
+    # it are not written either
+    class Unformatted:
+        @property
+        def h(self):
+            raise ValueError("a point that cannot be formatted")
+
+    lattice_points = Cantilever.lattice_points
+
+    def one_more_c(cfg):
+        amap, bmap, cmap = lattice_points(cfg)
+        return amap, bmap, {**cmap, max(cmap) + 1: Unformatted()}
+
+    monkeypatch.setattr(Cantilever, "lattice_points", one_more_c)
+    monkeypatch.setattr(cli, "verify_lattice", lambda obj: True)
+    assert run(TENPOINT) == 2
+    assert capsys.readouterr() == (
+        "", "error: a point that cannot be formatted\n")
+
+
 def test_group_check_failure_names_witness(monkeypatch, capsys):
-    desc = cli.cuspidal_description()
+    desc = descriptions.cuspidal_description()
 
     def shifted_at_one(i, p):
         return desc.value(i, p) + (1 if p == mk_point(1, 1) else 0)
 
-    monkeypatch.setattr(cli, "cuspidal_description", lambda: GroupDescription(
-        desc.kind, desc.operation, desc.assign, shifted_at_one))
+    # group-check takes its description from group_check_cases
+    shifted = GroupDescription(desc.kind, desc.operation, desc.assign,
+                               shifted_at_one)
+    monkeypatch.setattr(descriptions, "cuspidal_description", lambda: shifted)
     assert run(["group-check", "--config", "example4", "--n", "4"]) == 3
     out, err = capsys.readouterr()
     assert out == "example4 n=4 exhaustive: FAIL\n"
@@ -624,8 +676,8 @@ def _scaled_on_piece(desc, piece, factor):
 ])
 def test_sampled_group_check_failure_names_witness(monkeypatch, capsys,
                                                    config, factory):
-    build = getattr(cli, factory)
-    monkeypatch.setattr(cli, factory,
+    build = getattr(descriptions, factory)
+    monkeypatch.setattr(descriptions, factory,
                         lambda *a: _scaled_on_piece(build(*a), 3, 2))
     found = []
     judge = cli.description_witness

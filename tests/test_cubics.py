@@ -9,7 +9,8 @@ import hypothesis.strategies as st
 from orchard import (CubicForm, ProjLine, ProjPoint, classify_with_candidates,
                      cuspidal_form, fit_cubics, gen_cubic_power, gen_grid,
                      join, mk_point, weierstrass_form)
-from orchard.cubics import MONOMIALS, divide_by_line
+from orchard.cubics import MONOMIALS
+from orchard.fitting import divide_by_line
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 

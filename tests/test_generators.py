@@ -30,6 +30,16 @@ def test_parallel_aps_counts_small():
                                        (1, 2, 3))
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, F(5, 2), True])
+def test_sizes_that_are_not_an_int_raise_a_named_error(n):
+    # parallel_aps_closed_form(2.5) gave 2.0, a float answer from an
+    # exact count; gen_grid(2.5) raised a bare TypeError from range
+    with pytest.raises(ValueError, match="n must be an int"):
+        parallel_aps_closed_form(n)
+    with pytest.raises(ValueError, match="k must be an int"):
+        gen_grid(n)
+
+
 @pytest.mark.parametrize("n", [0, -1, -2])
 def test_parallel_aps_closed_form_needs_a_point_per_row(n):
     with pytest.raises(ValueError, match="n >= 1"):

@@ -23,35 +23,40 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 # Runs `python -m orchard.cli <argv>` and then prints, as the last line
-# of stderr, the orchard modules, multiprocessing, dataclasses and
-# inspect that the call loaded (orchard.cli itself runs as __main__).
+# of stderr, the orchard modules, multiprocessing, dataclasses, inspect
+# and json that the call loaded (orchard.cli itself runs as __main__).
 CHILD = """
 import runpy, sys
 try:
     runpy.run_module("orchard.cli", run_name="__main__", alter_sys=True)
 finally:
     print(*sorted(m for m in sys.modules
-                  if m in ("multiprocessing", "dataclasses", "inspect")
+                  if m in ("multiprocessing", "dataclasses", "inspect",
+                           "json")
                   or m.startswith("orchard")),
           file=sys.stderr)
 """
 
 # (argv, modules loaded besides orchard, orchard.projective and
 # orchard.richlines, which the CLI imports at its top); {in} and {out}
-# are a tiny labelled points file and an output path
+# are a tiny labelled points file and an output path.  json is loaded
+# only where a points file is read or written, the cubic fitting only by
+# fit-cubic and the group descriptions only by group-check: a tenpoint
+# or cantilever call compiles none of them.
 SUBCOMMANDS = {
     "generate": (["generate", "--example", "grid", "--n", "3"],
-                 {"generators"}),
-    "count": (["count", "--in", "{in}", "--k", "3"], set()),
+                 {"generators", "json"}),
+    "count": (["count", "--in", "{in}", "--k", "3"], {"json"}),
     "count-tripartite": (["count", "--in", "{in}", "--tripartite", "1,2,3"],
-                         set()),
+                         {"json"}),
     "count-workers": (["count", "--in", "{in}", "--workers", "2"],
-                      {"multiprocessing"}),
-    "directions": (["directions", "--in", "{in}"], set()),
+                      {"json", "multiprocessing"}),
+    "directions": (["directions", "--in", "{in}"], {"json"}),
     "bound": (["bound", "--n", "10"], set()),
-    "fit-cubic": (["fit-cubic", "--in", "{in}"], {"cubics"}),
+    "fit-cubic": (["fit-cubic", "--in", "{in}"],
+                  {"cubics", "fitting", "json"}),
     "group-check": (["group-check", "--config", "example1", "--n", "3"],
-                    {"cubics", "generators", "grouplaw"}),
+                    {"cubics", "descriptions", "generators", "grouplaw"}),
     "tenpoint": (["tenpoint", "--curve", "cuspidal", "--base=-1,0,1",
                   "--delta", "1/10"], {"cubics", "grouplaw", "tenpoint"}),
     "cantilever": (["cantilever", "--curve", "weierstrass:0,17",
@@ -66,7 +71,7 @@ SUBCOMMANDS = {
     "experiment-directions": (["experiment", "--kind", "directions",
                                "--degree", "3", "--n", "3"], {"curves"}),
     "plot": (["plot", "--in", "{in}", "--out", "{out}",
-              "--mark-triple-lines"], {"svg"}),
+              "--mark-triple-lines"], {"json", "svg"}),
 }
 
 @pytest.fixture(scope="module")
@@ -98,8 +103,8 @@ def test_subcommand_in_fresh_interpreter(case, points_file, tmp_path,
     # orchard's value classes are plain, and both cost set-up time
     loaded = set(child.stderr.splitlines()[-1].split())
     assert loaded == ({"orchard", "orchard.projective", "orchard.richlines"}
-                      | {m if m == "multiprocessing" else f"orchard.{m}"
-                         for m in extra})
+                      | {m if m in ("json", "multiprocessing")
+                         else f"orchard.{m}" for m in extra})
 
     assert cli.run(argv(tmp_path / "run.svg")) == 0
     assert child.stdout == capsys.readouterr().out
@@ -119,14 +124,15 @@ EXPORTS = {
     "generators": "NgonConfig gen_cubic_power gen_grid gen_ngon_directions "
                   "gen_parabola_ap gen_parallel_aps gen_triangle_ratios "
                   "parallel_aps_closed_form ratio_point triangle_ratio_set",
-    "cubics": "CubicForm classify_with_candidates cuspidal_form fit_cubics "
-              "weierstrass_form",
-    "grouplaw": "CuspidalCubic GroupDescription GroupElement LawWitness "
-                "WeierstrassCurve WEIERSTRASS_IDENTITY conic_line_params "
-                "cuspidal_description cuspidal_third description_witness "
-                "hyperbola_infinity_description menelaus_params "
-                "parabola_infinity_description parallel_lines_description "
-                "triangle_description verify_group_description",
+    "cubics": "CubicForm cuspidal_form weierstrass_form",
+    "fitting": "classify_with_candidates fit_cubics",
+    "grouplaw": "CuspidalCubic GroupElement LawWitness WeierstrassCurve "
+                "WEIERSTRASS_IDENTITY cuspidal_third",
+    "descriptions": "GroupDescription conic_line_params cuspidal_description "
+                    "description_witness hyperbola_infinity_description "
+                    "menelaus_params parabola_infinity_description "
+                    "parallel_lines_description triangle_description "
+                    "verify_group_description",
     "tenpoint": "Cantilever build_tenpoint_cuspidal "
                 "build_tenpoint_weierstrass extend_cantilever "
                 "lattice_witness nine_point_check verify_lattice",

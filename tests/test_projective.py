@@ -17,7 +17,7 @@ from orchard import (Cantilever, CubicForm, CuspidalCubic, DegenerateError,
                      weierstrass_form)
 from orchard.conic import (ExternalPoint, image_count, involution_value,
                           parabola_collinear)
-from orchard.cubics import CubicClassification
+from orchard.fitting import CubicClassification
 from orchard.curves import CurveSpec, DichotomyRow, graph_power
 from orchard.projective import _Frozen, canonical, direction_point, integral
 from oracles import apply_transform, replaced

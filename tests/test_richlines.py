@@ -446,6 +446,20 @@ def test_green_tao_bound_values():
         green_tao_bound(2)
 
 
+@pytest.mark.parametrize("n", [3.5, F(7, 2), True])
+def test_green_tao_bound_refuses_a_non_int(n):
+    # 3.5 gave 1.0, a float answer from an exact count
+    with pytest.raises(ValueError, match="n must be an int"):
+        green_tao_bound(n)
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, True])
+def test_workers_that_are_not_an_int_raise_a_named_error(workers):
+    # 1.5 reached the pool as its size, a bare TypeError
+    with pytest.raises(ValueError, match="workers must be an int"):
+        spanned_lines(gen_grid(3), workers=workers)
+
+
 def test_counts_invariant_under_projective_maps():
     ps = gen_grid(4)
     m = [[2, 1, 0], [0, 1, 1], [1, 0, 3]]     # det = 2*3 - 1*(-1) = 7
@@ -495,7 +509,7 @@ def _read(stream):
 def _exact(hs):
     """The serial all-exact kernel: the rows of _row with neither slope
     codes nor mod-_P keys, streamed as _rich_lines streams them."""
-    return _read(richlines._stream(richlines._row(hs, None, None, i)
+    return _read(richlines._stream(richlines._row(hs, None, None, None, i)
                                    for i in range(len(hs))))
 
 
@@ -580,8 +594,8 @@ def test_small_prime_makes_zero_rows_and_collisions(monkeypatch):
         seen["zero rows"] += out is None
         return out
 
-    def counted_split(anchor, hs, classes):
-        out = split(anchor, hs, classes)
+    def counted_split(*args):
+        out = split(*args)
         seen["collisions"] += not out
         return out
 
@@ -643,8 +657,8 @@ def test_tripartite_patterns_in_every_regime(monkeypatch, regime, workers):
         seen["zero rows"] += out is None
         return out
 
-    def counted_split(anchor, hs, classes):
-        out = split(anchor, hs, classes)
+    def counted_split(*args):
+        out = split(*args)
         seen["splits"] += not out
         return out
 
@@ -864,12 +878,66 @@ def _assert_rows_match_exact(points, a=0, lo=None):
                                                       shift)) == exact
         for p in (richlines._P, 7):
             mod = [tuple(c % p for c in h) for h in [anchor] + pts]
+            # numbered from 0, so the anchor, numbered -1, is last
+            numbered = [*pts, anchor]
+            bits = [max(map(abs, h)).bit_length() for h in numbered]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(richlines, "_P", p)
-                keys, row = richlines._keys(anchor, pts, (mod[0], mod[1:]),
-                                            None)
+                keys, row = richlines._keys(
+                    anchor, pts, (mod[0], mod[1:], numbered, bits), None)
             assert richlines._group(-1, keys) == exact
             assert row in (None, exact)
+
+
+def test_pencil_keys_reach_each_anchor_branch(monkeypatch):
+    # mod 7, (1, 1/7) = (7, 1, 7) is an anchor of the y branch and (1/7, 1)
+    # = (1, 7, 7) one of the x branch; the others take the z branch, and
+    # the horizontal joins of y = 0 have u = 0, the key _P
+    points = [mk_point(0, 0), mk_point(1, 0), mk_point(2, 0), mk_point(1, 2),
+              mk_point(3, 5), mk_point(1, F(1, 7)), mk_point(F(1, 7), 1),
+              mk_point(F(2, 7), 3)]
+    seen, keys = set(), richlines._mod_keys
+
+    def spy(anchor, pts):
+        out = keys(anchor, pts)
+        if richlines._P == 7 and out is not None:
+            x, y, z = anchor
+            seen.add("z" if z else "y" if y else "x")
+            if 7 in out:
+                seen.add("u = 0")
+        return out
+
+    monkeypatch.setattr(richlines, "_mod_keys", spy)
+    _assert_rows_match_exact(points)
+    assert seen == {"x", "y", "z", "u = 0"}
+
+
+def test_split_key_with_its_shortest_points_last_falls_back(monkeypatch):
+    # mod 7 the three joins from (1000, 3) share one key, since (702, 8),
+    # (2, 1) and (9, 1) agree mod 7, but they lie on two lines: the
+    # check crosses the two shortest points, the last two of the class,
+    # finds the anchor off their line, and the row takes canonical lines
+    points = [mk_point(1000, 3), mk_point(702, 8), mk_point(2, 1),
+              mk_point(9, 1)]
+    hs = [p.h for p in points]
+    monkeypatch.setattr(richlines, "_P", 7)
+    monkeypatch.setattr(richlines, "_BIG_BITS", 0)
+    hp, hb, shift = richlines._regime(hs)
+    assert shift is None and hb == [10, 10, 2, 4]
+    assert len(set(richlines._mod_keys(hp[0], hp[1:]))) == 1
+    crossed, checks = [], []
+    cross, check = richlines._cross, richlines._one_line_each
+    monkeypatch.setattr(richlines, "_cross",
+                        lambda p, q: crossed.append((p, q)) or cross(p, q))
+    monkeypatch.setattr(richlines, "_one_line_each",
+                        lambda *args: checks.append(check(*args))
+                        or checks[-1])
+    keys, row = richlines._keys(hs[0], hs[1:], (hp[0], hp[1:], hs, hb),
+                                shift, 0)
+    assert checks == [False] and crossed[0] == (hs[2], hs[3])
+    assert row is None and keys == richlines._lines(hs[0], hs[1:])
+    assert _read(richlines._rich_lines(hs)) == _exact(hs)
+    _assert_rows_match_exact(points)
 
 
 @settings(max_examples=150, deadline=None)

@@ -102,6 +102,13 @@ def test_cantilever_zero_extension_is_input():
     assert cant.c_seq == cfg.c_seq
 
 
+@pytest.mark.parametrize("m", [2.5, 2.0, F(5, 2), True])
+def test_extension_length_that_is_not_an_int_raises_a_named_error(m):
+    # 2.5 raised a bare TypeError from range
+    with pytest.raises(ValueError, match="m must be an int"):
+        extend_cantilever(build_tenpoint_cuspidal(-1, 0, 1, F(1, 7)), m)
+
+
 def test_nine_point_check_cuspidal():
     cfg = build_tenpoint_cuspidal(-1, 0, 1, F(1, 10))
     assert nine_point_check(cfg)
