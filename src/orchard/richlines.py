@@ -87,7 +87,7 @@ _P = 2 ** 30 - 35
 # keys: the smallest size at which they were no slower than slope codes
 # for the line stream and the tripartite count, on random and on rich
 # inputs (scripts/kernel_crossover.py; the table is in CHANGES.md).
-_BIG_BITS = 192
+_BIG_BITS = 160
 
 
 def _line(hs: Triples, i: int, j: int) -> Triple:
