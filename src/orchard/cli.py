@@ -6,6 +6,11 @@ violation (the message names the violated invariant) or internal
 error.  Counts print as exact integers, tables as CSV on stdout;
 rationals serialize as reduced "p/q" strings since JSON numbers cannot
 carry big integers.
+
+This module holds the parser, run, the points-file reader, the curve
+and point parsers and the count, directions, bound, tenpoint and
+cantilever commands; the other commands live in orchard.commands, which
+only a call of one of them loads.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import argparse
 import importlib
 import re
 import sys
-from fractions import Fraction
 
 from . import _EXPORTS
 from .projective import ProjPoint, mk_point
@@ -22,14 +26,17 @@ from .richlines import (InvariantViolation, PointSet, direction_count,
                         green_tao_bound, k_rich_count, spanned_lines,
                         tripartite_count)
 
-# Every name of the package's export table, and three names that it does
-# not export, is imported from its module on first use by __getattr__,
-# so that a call loads only the modules its subcommand runs.  Code here
-# calls these names, and the ones a tracer replaces, as _cli.<name>: a
-# bare lazy name would not reach __getattr__, and a name replaced on
-# this module (by a test or a tracer) is then the one called.
+# Every name of the package's export table, and each name below that it
+# does not export, is imported from its module on first use by
+# __getattr__, so that a call loads only the modules its subcommand runs.  Code here calls these
+# names, and the ones a tracer replaces, as _cli.<name>: a bare lazy
+# name would not reach __getattr__, and a name replaced on this module
+# (by a test or a tracer) is then the one called.
 _LAZY = {**_EXPORTS, "describe_lattice_witness": "tenpoint",
-         "group_check_cases": "descriptions", "render_pointset": "svg"}
+         "group_check_cases": "descriptions", "render_pointset": "svg",
+         **dict.fromkeys(("pointset_to_doc", "cmd_generate", "cmd_fit_cubic",
+                          "cmd_group_check", "cmd_conic", "cmd_experiment",
+                          "cmd_plot"), "commands")}
 _cli = sys.modules[__name__]
 
 
@@ -43,20 +50,6 @@ def __getattr__(name):
 
 
 # --- points file -------------------------------------------------------------
-
-def pointset_to_doc(ps: PointSet) -> dict:
-    pts = []
-    for p in ps.points:
-        if p.at_infinity:
-            pts.append({"h": [str(v) for v in p.h]})
-        else:
-            x, y = p.affine()
-            pts.append({"x": str(x), "y": str(y)})
-    doc = {"points": pts}
-    if ps.labels is not None:
-        doc["labels"] = list(ps.labels)
-    return doc
-
 
 # an ASCII integer or "p/q": parsed by int(), without Fraction's own
 # string parser, which spends several times as long on a token
@@ -79,6 +72,7 @@ def _ratio(token: str, m: re.Match) -> tuple[int, int]:
 
 def _rational(token: str) -> Fraction:
     """Fraction(token), with a zero denominator refused as ValueError."""
+    from fractions import Fraction  # a count call builds no Fraction
     m = _match(token)
     if m:
         return Fraction(*_ratio(token, m))
@@ -138,37 +132,7 @@ def _load_pointset(path: str) -> PointSet:
     return pointset_from_doc(doc)
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # --- subcommands ---------------------------------------------------------------
-
-def cmd_generate(args) -> int:
-    import json
-    if args.example == "ngon":
-        cfg = _cli.gen_ngon_directions(args.n)
-        doc = {"kind": "ngon", "n": cfg.n,
-               "direction_classes": cfg.direction_class_count,
-               "chords": cfg.chord_count}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        return 0
-    builders = {
-        "parallel-aps": lambda n: _cli.gen_parallel_aps(n,
-                                                        args.dense_middle),
-        "triangle-ratios": _cli.gen_triangle_ratios,
-        "cubic-power": _cli.gen_cubic_power,
-        "parabola-ap": _cli.gen_parabola_ap,
-        "grid": _cli.gen_grid,
-    }
-    ps = builders[args.example](args.n)
-    _emit(json.dumps(pointset_to_doc(ps), indent=2) + "\n", args.out)
-    return 0
-
 
 def cmd_count(args) -> int:
     if args.tripartite is not None and (args.k is not None or args.exactly):
@@ -195,41 +159,6 @@ def cmd_directions(args) -> int:
 
 def cmd_bound(args) -> int:
     print(green_tao_bound(args.n))
-    return 0
-
-
-def cmd_fit_cubic(args) -> int:
-    ps = _cli._load_pointset(args.infile)
-    pts = list(ps.points)
-    if args.indices:
-        idx = [int(i) for i in args.indices.split(",")]
-        if not all(0 <= i < len(pts) for i in idx):
-            raise ValueError(f"--indices must lie in 0..{len(pts) - 1}")
-        pts = [pts[i] for i in idx]
-    basis = _cli.fit_cubics(pts)
-    rows = [",".join(map(str, f.coefficients)) for f in basis] or ["none"]
-    sys.stdout.write("coefficients(X^3,X^2Y,X^2Z,XY^2,XYZ,XZ^2,Y^3,Y^2Z,YZ^2,"
-                     "Z^3)\n" + "".join(row + "\n" for row in rows))
-    return 0
-
-
-def cmd_group_check(args) -> int:
-    name = args.config
-    exhaustive = name in ("example1", "example4")
-    if not exhaustive and args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, not {args.trials}")
-    desc, cases = _cli.group_check_cases(name, args.n, args.trials, args.seed)
-    witnesses = [w for w in (_cli.description_witness(ps, desc)
-                             for ps in cases) if w is not None]
-    if exhaustive:
-        label, fail = f"{name} n={args.n} exhaustive", "FAIL"
-    else:
-        label = f"{name} {args.trials} trials"
-        fail = f"FAIL ({len(witnesses)} failures)"
-    print(f"{label}: {fail if witnesses else 'PASS'}")
-    if witnesses:
-        raise InvariantViolation(f"group description {name} failed: "
-                                 f"{witnesses[0]}")
     return 0
 
 
@@ -286,70 +215,6 @@ def _tenpoint_common(args) -> int:
     return 0
 
 
-_CONIC_NEEDS = {"collinear": ("external", "x", "y"),
-               "involution": ("external", "x"),
-               "image-count": ("external", "xs"),
-               "reps": ("externals",)}
-
-
-def cmd_conic(args) -> int:
-    missing = [f"--{name}" for name in _CONIC_NEEDS[args.mode]
-               if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"conic --mode {args.mode} needs "
-                         f"{', '.join(missing)}")
-    if args.mode == "collinear":
-        e = _parse_external(args.external)
-        print(str(_cli.parabola_collinear(_rational(args.x),
-                                          _rational(args.y), e)).lower())
-    elif args.mode == "involution":
-        e = _parse_external(args.external)
-        print(_cli.involution_value(e, _rational(args.x)))
-    elif args.mode == "image-count":
-        e = _parse_external(args.external)
-        xs = [_rational(v) for v in args.xs.split(",")]
-        print(_cli.image_count(e, xs))
-    else:
-        es = map(_parse_external, _split(args.externals, ";", 3,
-                                         "--externals"))
-        print(str(_cli.reps_collinear(*es)).lower())
-    return 0
-
-
-def _parse_external(token: str) -> ExternalPoint:
-    return _cli.ExternalPoint(*map(_rational,
-                                   _split(token, ",", 2, "external point")))
-
-
-def cmd_experiment(args) -> int:
-    d, n = args.degree, args.n
-    if args.kind == "dichotomy":
-        rows = _cli.dichotomy_experiment([d], [n])
-        print("degree,n,count,count_per_n2")
-        for r in rows:
-            print(f"{r.degree},{r.n},{r.count},{r.ratio_n2}")
-        print("# evidence at desk scale, not a verification", file=sys.stderr)
-    elif args.kind == "quadruple":
-        count = _cli.quadruple_experiment(_cli.graph_power(d),
-                                          range(-n, n + 1))
-        print("degree,n,count")
-        print(f"{d},{n},{count}")
-    else:
-        count = _cli.few_directions_experiment(_cli.graph_power(d),
-                                               range(1, n + 1))
-        print("degree,n,count")
-        print(f"{d},{n},{count}")
-    return 0
-
-
-def cmd_plot(args) -> int:
-    ps = _cli._load_pointset(args.infile)
-    svg = _cli.render_pointset(ps, mark_triple_lines=args.mark_triple_lines)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return 0
-
-
 # --- parser --------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,6 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orchard",
         description="Exact triple-line geometry: generators, counts, "
                     "cubic fitting, group checks, experiments, plots.")
+    # each command is named by a string that run looks up on the running
+    # CLI module, so that one of orchard.commands loads only when it is
+    # run; it finds that module as args.cli
+    top.set_defaults(cli=_cli)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a configuration as JSON")
@@ -367,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense-middle", action="store_true",
                    help="double density on the middle row (parallel-aps)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func="cmd_generate")
 
     p = sub.add_parser("count", help="k-rich or tripartite line counts")
     p.add_argument("--in", dest="infile", required=True)
@@ -375,20 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exactly", action="store_true")
     p.add_argument("--tripartite", help="label pattern, e.g. 1,2,3 or 112")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_count)
+    p.set_defaults(func="cmd_count")
 
     p = sub.add_parser("directions", help="distinct directions of all joins")
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=cmd_directions)
+    p.set_defaults(func="cmd_directions")
 
     p = sub.add_parser("bound", help="exact 3-rich maximum for n points")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(func="cmd_bound")
 
     p = sub.add_parser("fit-cubic", help="exact cubics through the points")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--indices", help="comma list of point indices to use")
-    p.set_defaults(func=cmd_fit_cubic)
+    p.set_defaults(func="cmd_fit_cubic")
 
     p = sub.add_parser("group-check",
                        help="verify a collinearity group description")
@@ -398,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=cmd_group_check)
+    p.set_defaults(func="cmd_group_check")
 
     for name in ("tenpoint", "cantilever"):
         p = sub.add_parser(name, help="build and verify a ten point "
@@ -411,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", required=True,
                        help="cuspidal: rational step; weierstrass: x:y point")
         p.add_argument("--extend", type=int, required=name == "cantilever")
-        p.set_defaults(func=_tenpoint_common)
+        p.set_defaults(func="_tenpoint_common")
 
     p = sub.add_parser("conic", help="parabola secant/involution utilities")
     p.add_argument("--mode", required=True,
@@ -421,20 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x")
     p.add_argument("--y")
     p.add_argument("--xs", help="comma list of rationals")
-    p.set_defaults(func=cmd_conic)
+    p.set_defaults(func="cmd_conic")
 
     p = sub.add_parser("experiment", help="dichotomy/quadruple/directions CSV")
     p.add_argument("--kind", required=True,
                    choices=["dichotomy", "quadruple", "directions"])
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func="cmd_experiment")
 
     p = sub.add_parser("plot", help="render a points file as SVG")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mark-triple-lines", action="store_true")
-    p.set_defaults(func=cmd_plot)
+    p.set_defaults(func="cmd_plot")
 
     return top
 
@@ -447,7 +316,7 @@ def run(argv: list[str]) -> int:
     sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return getattr(_cli, args.func)(args)
     except SystemExit as exc:       # from the parser: --help, a usage error
         return 0 if exc.code in (0, None) else 2
     except (ValueError, OSError) as exc:

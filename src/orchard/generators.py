@@ -24,7 +24,7 @@ def gen_parallel_aps(n: int, dense_middle: bool = False) -> PointSet:
     dense_middle doubles the middle row's density (a slightly better
     configuration; no exact count is asserted for it anywhere).
     """
-    if n < 1:
+    if _int_arg(n, "gen_parallel_aps: n") < 1:
         raise ValueError("gen_parallel_aps needs n >= 1")
     points, labels = [], []
     for i in range(n):

@@ -9,11 +9,15 @@ there is no epsilon anywhere in this module.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-Rat = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# fractions (which loads decimal and numbers) is imported only in the
+# functions that build or test a Fraction: a count call builds none
+Rat = Union[int, "Fraction"]
 
 
 class DegenerateError(ValueError):
@@ -38,6 +42,7 @@ def _fraction(x) -> Fraction:
     """Fraction(x) for a value that is not an int or a Fraction.  A float
     is refused: it is a binary fraction, not the decimal it prints as
     (0.1 is 3602879701896397 / 2**55)."""
+    from fractions import Fraction
     if isinstance(x, float):
         raise ValueError(f"{x!r} is a float, not an exact rational")
     return Fraction(x)
@@ -53,6 +58,7 @@ def _int_arg(value, name: str) -> int:
 
 def integral(rs: Sequence[Rat]) -> list[int]:
     """The rationals rs times the lcm of their denominators."""
+    from fractions import Fraction
     fs = [r if isinstance(r, (int, Fraction)) else _fraction(r) for r in rs]
     m = lcm(*(f.denominator for f in fs))
     return [f.numerator * (m // f.denominator) for f in fs]
@@ -129,6 +135,7 @@ class ProjPoint(_Frozen):
         return self.h[2] == 0
 
     def affine(self) -> tuple[Fraction, Fraction]:
+        from fractions import Fraction
         x, y, z = self.h
         if z == 0:
             raise ValueError(f"{self} is at infinity, no affine coordinates")
@@ -153,6 +160,7 @@ class ProjLine(_Frozen):
 
 def mk_point(x: Rat, y: Rat) -> ProjPoint:
     """Affine point (x, y) as a canonical projective point."""
+    from fractions import Fraction
     fx = x if isinstance(x, (int, Fraction)) else _fraction(x)
     fy = y if isinstance(y, (int, Fraction)) else _fraction(y)
     return ProjPoint((fx.numerator * fy.denominator,
@@ -229,6 +237,7 @@ def signed_ratio(x: ProjPoint, a: ProjPoint, b: ProjPoint) -> Fraction:
     if not incident(x, join(a, b)):
         raise ValueError("signed_ratio: X not on line AB")
     if x.at_infinity:
+        from fractions import Fraction
         return Fraction(-1)
     # along an affine coordinate in which A and B differ
     pa, pb, px = a.affine(), b.affine(), x.affine()

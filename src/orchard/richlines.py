@@ -383,7 +383,7 @@ def spanned_lines(ps: PointSet, workers: int = 1) -> RichLineTable:
 
 def k_rich_count(table: RichLineTable, k: int, exactly: bool = False) -> int:
     """Number of lines with multiplicity = k (exactly) or >= k."""
-    if k < 2:
+    if _int_arg(k, "k_rich_count: k") < 2:
         raise ValueError("k_rich_count needs k >= 2")
     rich = sum(1 for m in table.entries.values()
                if (m == k if exactly else m >= k))
@@ -440,7 +440,8 @@ def tripartite_count(ps: PointSet, pattern: Iterable[int],
     if ps.labels is None:
         raise ValueError("tripartite_count needs a labelled PointSet")
     pat = sorted(pattern)
-    if len(pat) != 3 or any(g not in (1, 2, 3) for g in pat):
+    if len(pat) != 3 or any(type(g) is not int or g not in (1, 2, 3)
+                            for g in pat):
         raise ValueError("pattern must be a size-3 multiset over {1,2,3}")
     sizes = {g: ps.labels.count(g) for g in pat}
     missing = [g for g in sizes if not sizes[g]]

@@ -38,6 +38,9 @@ def test_sizes_that_are_not_an_int_raise_a_named_error(n):
         parallel_aps_closed_form(n)
     with pytest.raises(ValueError, match="k must be an int"):
         gen_grid(n)
+    # gen_parallel_aps(True) gave the one-column configuration
+    with pytest.raises(ValueError, match="n must be an int"):
+        gen_parallel_aps(n)
 
 
 @pytest.mark.parametrize("n", [0, -1, -2])

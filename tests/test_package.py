@@ -23,17 +23,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 # Runs `python -m orchard.cli <argv>` and then prints, as the last line
-# of stderr, the orchard modules, multiprocessing, dataclasses, inspect
-# and json that the call loaded (orchard.cli itself runs as __main__).
-CHILD = """
+# of stderr, the orchard modules and the standard modules of STDLIB that
+# the call loaded (orchard.cli itself runs as __main__).
+STDLIB = ("multiprocessing", "dataclasses", "inspect", "json", "fractions",
+          "decimal")
+CHILD = f"""
 import runpy, sys
 try:
     runpy.run_module("orchard.cli", run_name="__main__", alter_sys=True)
 finally:
     print(*sorted(m for m in sys.modules
-                  if m in ("multiprocessing", "dataclasses", "inspect",
-                           "json")
-                  or m.startswith("orchard")),
+                  if m in {STDLIB!r} or m.startswith("orchard")),
           file=sys.stderr)
 """
 
@@ -42,10 +42,14 @@ finally:
 # are a tiny labelled points file and an output path.  json is loaded
 # only where a points file is read or written, the cubic fitting only by
 # fit-cubic and the group descriptions only by group-check: a tenpoint
-# or cantilever call compiles none of them.
+# or cantilever call compiles none of them.  The commands other than
+# count, directions, bound, tenpoint and cantilever live in
+# orchard.commands, and fractions (which loads decimal) only where a
+# Fraction is built: no count, directions or bound call loads either.
+FRACTIONS = {"fractions", "decimal"}
 SUBCOMMANDS = {
     "generate": (["generate", "--example", "grid", "--n", "3"],
-                 {"generators", "json"}),
+                 {"commands", "generators", "json", *FRACTIONS}),
     "count": (["count", "--in", "{in}", "--k", "3"], {"json"}),
     "count-tripartite": (["count", "--in", "{in}", "--tripartite", "1,2,3"],
                          {"json"}),
@@ -54,24 +58,30 @@ SUBCOMMANDS = {
     "directions": (["directions", "--in", "{in}"], {"json"}),
     "bound": (["bound", "--n", "10"], set()),
     "fit-cubic": (["fit-cubic", "--in", "{in}"],
-                  {"cubics", "fitting", "json"}),
+                  {"commands", "cubics", "fitting", "json", *FRACTIONS}),
     "group-check": (["group-check", "--config", "example1", "--n", "3"],
-                    {"cubics", "descriptions", "generators", "grouplaw"}),
+                    {"commands", "cubics", "descriptions", "generators",
+                     "grouplaw", *FRACTIONS}),
     "tenpoint": (["tenpoint", "--curve", "cuspidal", "--base=-1,0,1",
-                  "--delta", "1/10"], {"cubics", "grouplaw", "tenpoint"}),
+                  "--delta", "1/10"],
+                 {"cubics", "grouplaw", "tenpoint", *FRACTIONS}),
     "cantilever": (["cantilever", "--curve", "weierstrass:0,17",
                     "--base=-2:3,-1:4,4:9", "--delta", "8:23",
-                    "--extend", "3"], {"cubics", "grouplaw", "tenpoint"}),
+                    "--extend", "3"],
+                   {"cubics", "grouplaw", "tenpoint", *FRACTIONS}),
     "conic": (["conic", "--mode", "involution", "--external", "1,2",
-               "--x", "3"], {"conic"}),
+               "--x", "3"], {"commands", "conic", *FRACTIONS}),
     "experiment": (["experiment", "--kind", "quadruple", "--degree", "3",
-                    "--n", "3"], {"curves"}),
+                    "--n", "3"], {"commands", "curves", *FRACTIONS}),
     "experiment-dichotomy": (["experiment", "--kind", "dichotomy",
-                              "--degree", "3", "--n", "3"], {"curves"}),
+                              "--degree", "3", "--n", "3"],
+                             {"commands", "curves", *FRACTIONS}),
     "experiment-directions": (["experiment", "--kind", "directions",
-                               "--degree", "3", "--n", "3"], {"curves"}),
+                               "--degree", "3", "--n", "3"],
+                              {"commands", "curves", *FRACTIONS}),
     "plot": (["plot", "--in", "{in}", "--out", "{out}",
-              "--mark-triple-lines"], {"json", "svg"}),
+              "--mark-triple-lines"],
+             {"commands", "json", "svg", *FRACTIONS}),
 }
 
 @pytest.fixture(scope="module")
@@ -103,8 +113,8 @@ def test_subcommand_in_fresh_interpreter(case, points_file, tmp_path,
     # orchard's value classes are plain, and both cost set-up time
     loaded = set(child.stderr.splitlines()[-1].split())
     assert loaded == ({"orchard", "orchard.projective", "orchard.richlines"}
-                      | {m if m in ("json", "multiprocessing")
-                         else f"orchard.{m}" for m in extra})
+                      | {m if m in STDLIB else f"orchard.{m}"
+                         for m in extra})
 
     assert cli.run(argv(tmp_path / "run.svg")) == 0
     assert child.stdout == capsys.readouterr().out
@@ -182,9 +192,11 @@ def _bound(fn) -> set[str]:
 def _reads(path: Path) -> dict:
     """The names that the file reads, by the top-level definition that
     reads them (None for module-level code), outside the definition of
-    the name itself: a bare name that no enclosing function binds, or an
+    the name itself: a bare name that no enclosing function binds, an
     attribute of a name bound to the package, the CLI or a submodule
-    (orchard.x, _cli.x, richlines.x, ...)."""
+    (orchard.x, _cli.x, richlines.x, ...), or a command that the parser
+    names as a string (set_defaults(func="x")) for run to look up on the
+    CLI."""
     owners = {"orchard", "cli", "_cli", *set(orchard._EXPORTS.values())}
     reads: dict = {}
 
@@ -200,6 +212,10 @@ def _reads(path: Path) -> dict:
               and isinstance(node.value, ast.Name)
               and node.value.id in owners):
             name = node.attr
+        elif (isinstance(node, ast.keyword) and node.arg == "func"
+              and isinstance(node.value, ast.Constant)
+              and isinstance(node.value.value, str)):
+            name = node.value.value
         else:
             name = None
         if name is not None and name not in inside:
@@ -246,11 +262,13 @@ def test_reads_skip_the_names_a_function_binds(tmp_path):
         "    return tripartite_count, orchard.gen_cubic_power\n"
         "shadow = lambda line_members: line_members\n"
         "def later():\n"
-        "    return tripartite_count, line_members\n")
+        "    return tripartite_count, line_members\n"
+        "def build_parser(p):\n"
+        "    p.set_defaults(func='cmd_conic', help='image_count')\n")
     reads = set().union(*_reads(snippet).values())
-    assert {"gen_grid", "k"}.isdisjoint(reads)
+    assert {"gen_grid", "k", "image_count"}.isdisjoint(reads)
     assert {"spanned_lines", "gen_cubic_power", "tripartite_count",
-            "line_members"} <= reads
+            "line_members", "cmd_conic"} <= reads
 
 
 def test_reached_skips_what_only_an_unread_definition_reads(tmp_path):

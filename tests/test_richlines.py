@@ -453,6 +453,24 @@ def test_green_tao_bound_refuses_a_non_int(n):
         green_tao_bound(n)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, F(5, 2), True])
+@pytest.mark.parametrize("exactly", [False, True])
+def test_k_rich_count_refuses_a_non_int(k, exactly):
+    # 2.5 counted the lines of k = 3 (14 on the 4 x 4 grid), and 0 with
+    # exactly=True
+    with pytest.raises(ValueError, match="k must be an int"):
+        k_rich_count(spanned_lines(gen_grid(4)), k, exactly=exactly)
+
+
+@pytest.mark.parametrize("pattern", [(True, 2, 3), (1, 2, 3.0), (1, 1.0, 2),
+                                     (F(1), 2, 3)])
+def test_tripartite_pattern_entries_must_be_ints(pattern):
+    # the rule PointSet applies to labels; (True, 2, 3) and (1, 2, 3.0)
+    # each counted the 8 lines of (1, 2, 3)
+    with pytest.raises(ValueError, match="pattern must be"):
+        tripartite_count(gen_parallel_aps(4), pattern)
+
+
 @pytest.mark.parametrize("workers", [1.5, 2.0, True])
 def test_workers_that_are_not_an_int_raise_a_named_error(workers):
     # 1.5 reached the pool as its size, a bare TypeError
