@@ -2,6 +2,8 @@
 """Time the slope-code and the mod-p row kernels of richlines on b-bit inputs.
 
     PYTHONPATH=src python3 scripts/kernel_crossover.py --seed 1 --bits 128,256
+    PYTHONPATH=src python3 scripts/kernel_crossover.py --bits 128 \
+        --against ../parent
 
 Two inputs per bit size: 400 random points, and a rich one, three
 parallel rows of 133 points (a third of all pairs lie on rich lines)
@@ -13,14 +15,24 @@ and their ratio are printed, and the two results are checked to be the
 same (the same member lists in the same order, with the same 2-point
 count; the same tripartite count).  richlines._BIG_BITS is set from
 where the ratio crosses 1.
+
+--against DIR also loads the orchard of the checkout DIR, as the
+package orchard_against in the same process, and times its two kernels
+on the same inputs, interleaved with this tree's rep by rep, so that
+core-speed drift hits both trees alike.  Each row then adds that tree's
+medians and, per kernel, the reps in which this tree was the faster; all
+four results are checked to be the same.
 """
 
 import argparse
+import importlib.util
 import random
 import statistics
+import sys
 import time
+from pathlib import Path
 
-from orchard import PointSet, ProjPoint, richlines, tripartite_count
+from orchard import richlines
 from orchard.projective import canonical
 
 SLOPE, MOD_P = 10 ** 9, -1      # _BIG_BITS values that force each kernel
@@ -47,24 +59,39 @@ def rich_points(rng: random.Random, bits: int, m: int = 133) -> list:
             for y in (0, 1, 2) for x in range(m)]
 
 
-def lines(hs: list) -> tuple:
-    """The lines of the stream, and its 2-point count."""
+def load_tree(checkout: str):
+    """The richlines module of the orchard in checkout/src, loaded as the
+    package orchard_against beside the orchard that this script imports."""
+    init = Path(checkout) / "src" / "orchard" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"--against {checkout}: no {init}")
+    spec = importlib.util.spec_from_file_location(
+        "orchard_against", init, submodule_search_locations=[str(init.parent)])
+    sys.modules[spec.name] = package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{spec.name}.richlines")
+
+
+def lines(rl, hs: list) -> tuple:
+    """The lines of the stream of the richlines module rl, and its 2-point
+    count."""
     out: list = []
-    return out, richlines._drain(richlines._rich_lines(hs), out.append)
+    return out, rl._drain(rl._rich_lines(hs), out.append)
 
 
-def tripartite(hs: list) -> int:
+def tripartite(rl, hs: list) -> int:
     """tripartite_count(1, 2, 3) of rich_points, labelled by row."""
     m = len(hs) // 3
-    ps = PointSet([ProjPoint(h) for h in hs], [1] * m + [2] * m + [3] * m)
-    return tripartite_count(ps, (1, 2, 3))
+    ps = rl.PointSet([rl.ProjPoint(h) for h in hs],
+                     [1] * m + [2] * m + [3] * m)
+    return rl.tripartite_count(ps, (1, 2, 3))
 
 
-def timed(count, hs: list, big_bits: int) -> tuple[float, object]:
-    """The time of count(hs) under one kernel, and its result."""
-    richlines._BIG_BITS = big_bits
+def timed(count, rl, hs: list, big_bits: int) -> tuple[float, object]:
+    """The time of count(rl, hs) under one kernel, and its result."""
+    rl._BIG_BITS = big_bits
     t0 = time.perf_counter()
-    out = count(hs)
+    out = count(rl, hs)
     return time.perf_counter() - t0, out
 
 
@@ -73,28 +100,41 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--bits", default="32,64,128,192,256,320,384,512")
     ap.add_argument("--reps", type=int, default=5)
+    ap.add_argument("--against", metavar="DIR",
+                    help="a second checkout, timed interleaved with this one")
     args = ap.parse_args()
+    trees = [richlines] + ([load_tree(args.against)] if args.against else [])
     rng = random.Random(args.seed)
-    print("bits,input,count,slope_s,mod_p_s,slope_over_mod_p")
+    print("bits,input,count,slope_s,mod_p_s,slope_over_mod_p"
+          + (",against_slope_s,against_mod_p_s,slope_wins,mod_p_wins"
+             if args.against else ""))
     cases = (("random", random_points, (lines,)),
              ("rich", rich_points, (lines, tripartite)))
+    runs = [(rl, kernel) for kernel in (SLOPE, MOD_P) for rl in trees]
     for bits in map(int, args.bits.split(",")):
         for name, make, counts in cases:
             hs = make(rng, bits)
             for count in counts:
-                times: dict[int, list[float]] = {SLOPE: [], MOD_P: []}
+                times: dict = {run: [] for run in runs}
                 for rep in range(args.reps):
                     outs = {}
-                    for kernel in ((SLOPE, MOD_P) if rep % 2
-                                   else (MOD_P, SLOPE)):
-                        t, outs[kernel] = timed(count, hs, kernel)
-                        times[kernel].append(t)
-                    if outs[SLOPE] != outs[MOD_P]:
-                        raise SystemExit(f"kernels disagree at {bits} bits, "
+                    for rl, kernel in (runs if rep % 2 else runs[::-1]):
+                        t, outs[rl, kernel] = timed(count, rl, hs, kernel)
+                        times[rl, kernel].append(t)
+                    if any(out != outs[runs[0]] for out in outs.values()):
+                        raise SystemExit(f"results disagree at {bits} bits, "
                                          f"{name}, {count.__name__}")
-                sl, md = (statistics.median(times[k]) for k in (SLOPE, MOD_P))
-                print(f"{bits},{name},{count.__name__},{sl:.3f},{md:.3f},"
-                      f"{sl / md:.2f}", flush=True)
+                med = {run: statistics.median(ts) for run, ts in times.items()}
+                sl, md = med[richlines, SLOPE], med[richlines, MOD_P]
+                row = (f"{bits},{name},{count.__name__},{sl:.3f},{md:.3f},"
+                       f"{sl / md:.2f}")
+                for rl in trees[1:]:
+                    wins = [sum(a < b for a, b in zip(times[richlines, k],
+                                                      times[rl, k]))
+                            for k in (SLOPE, MOD_P)]
+                    row += (f",{med[rl, SLOPE]:.3f},{med[rl, MOD_P]:.3f},"
+                            f"{wins[0]},{wins[1]}")
+                print(row, flush=True)
 
 
 if __name__ == "__main__":

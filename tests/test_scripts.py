@@ -63,6 +63,22 @@ def test_kernel_crossover_smoke():
         ["32", "rich", "tripartite"]]
 
 
+def test_kernel_crossover_against_a_second_checkout():
+    """This checkout timed against itself, loaded a second time under
+    another package name: each row adds the second tree's medians and
+    the reps per kernel that this tree won."""
+    out = _run_script(ROOT / "scripts" / "kernel_crossover.py", "--bits",
+                      "32", "--reps", "2", "--against", str(ROOT))
+    rows = [row.split(",") for row in out.splitlines()]
+    assert rows[0] == ["bits", "input", "count", "slope_s", "mod_p_s",
+                       "slope_over_mod_p", "against_slope_s",
+                       "against_mod_p_s", "slope_wins", "mod_p_wins"]
+    assert [row[:3] for row in rows[1:]] == [
+        ["32", "random", "lines"], ["32", "rich", "lines"],
+        ["32", "rich", "tripartite"]]
+    assert all(0 <= int(w) <= 2 for row in rows[1:] for w in row[8:])
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(
         name, ROOT / "scripts" / f"{name}.py")
