@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import re
 import sys
 
@@ -333,7 +334,22 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the call, flush its output and end the process at once:
+    interpreter teardown (10-14 ms a call) would only free memory that
+    the exit frees anyway.  A flush that fails (a full disk) exits 2,
+    like any OSError of the call."""
+    code = run(sys.argv[1:])
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError as exc:
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+        code = 2
+    os._exit(code)
 
 
 if __name__ == "__main__":
