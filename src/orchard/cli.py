@@ -335,7 +335,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     """Run the call, flush its output and end the process at once:
-    interpreter teardown (10-14 ms a call) would only free memory that
+    interpreter teardown (about 10 ms a call) would only free memory that
     the exit frees anyway.  A flush that fails (a full disk) exits 2,
     like any OSError of the call."""
     code = run(sys.argv[1:])

@@ -22,19 +22,23 @@ from orchard import gen_parallel_aps
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-# Runs `python -m orchard.cli <argv>` and then prints, as the last line
-# of stderr, the orchard modules and the standard modules of STDLIB that
-# the call loaded (orchard.cli itself runs as __main__).
+# Runs `python -m orchard.cli <argv>` and prints, as the last line of
+# stderr, the orchard modules and the standard modules of STDLIB that
+# the call loaded (orchard.cli itself runs as __main__): cli.main ends
+# the process with os._exit, which the child wraps to print them first.
 STDLIB = ("multiprocessing", "dataclasses", "inspect", "json", "fractions",
           "decimal")
 CHILD = f"""
-import runpy, sys
-try:
-    runpy.run_module("orchard.cli", run_name="__main__", alter_sys=True)
-finally:
+import os, runpy, sys
+
+def _exit(code, exit=os._exit):
     print(*sorted(m for m in sys.modules
                   if m in {STDLIB!r} or m.startswith("orchard")),
-          file=sys.stderr)
+          file=sys.stderr, flush=True)
+    exit(code)
+
+os._exit = _exit
+runpy.run_module("orchard.cli", run_name="__main__", alter_sys=True)
 """
 
 # (argv, modules loaded besides orchard, orchard.projective and
