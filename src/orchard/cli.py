@@ -52,44 +52,13 @@ def __getattr__(name):
 
 # --- points file -------------------------------------------------------------
 
-# an ASCII integer or "p/q": parsed by int(), without Fraction's own
-# string parser, which spends several times as long on a token
-_INT_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def _match(token):
-    """token's _INT_RATIO match; None if it does not match or is no str."""
-    return _INT_RATIO.fullmatch(token) if type(token) is str else None
-
-
-def _ratio(token: str, m: re.Match) -> tuple[int, int]:
-    """The numerator and denominator of a token that m, its _INT_RATIO
-    match, read; a zero denominator is refused as ValueError."""
-    p, q = int(m[1]), int(m[2] or 1)
-    if not q:
-        raise ValueError(f"{token!r} has a zero denominator")
-    return p, q
-
-
-def _rational(token: str) -> Fraction:
-    """Fraction(token), with a zero denominator refused as ValueError."""
-    from fractions import Fraction  # a count call builds no Fraction
-    m = _match(token)
-    if m:
-        return Fraction(*_ratio(token, m))
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"{token!r} has a zero denominator") from None
-
-
-def _exact(v, parse):
-    """parse(v) for a JSON integer or string coordinate.  JSON floats are
-    refused: they are inexact (0.1 is not 1/10)."""
+def _exact(v):
+    """v, a JSON integer or string coordinate.  JSON floats are refused:
+    they are inexact (0.1 is not 1/10)."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ValueError(f"coordinate {v!r} must be an integer or a string "
                          f"such as \"-3/4\"")
-    return parse(v)
+    return v
 
 
 def pointset_from_doc(doc) -> PointSet:
@@ -106,15 +75,15 @@ def pointset_from_doc(doc) -> PointSet:
             h = entry["h"]
             if not isinstance(h, list) or len(h) != 3:
                 raise ValueError("homogeneous entry needs three integers")
-            pts.append(ProjPoint(tuple(_exact(v, int) for v in h)))
+            pts.append(ProjPoint(tuple(int(_exact(v)) for v in h)))
         elif "x" in entry and "y" in entry:
             x, y = entry["x"], entry["y"]
-            mx, my = _match(x), _match(y)
-            if mx and my:       # (p1/q1, p2/q2) is (p1 q2 : p2 q1 : q1 q2)
-                (p1, q1), (p2, q2) = _ratio(x, mx), _ratio(y, my)
-                pts.append(ProjPoint((p1 * q2, p2 * q1, q1 * q2)))
-            else:
-                pts.append(mk_point(_exact(x, _rational), _exact(y, _rational)))
+            if type(x) is not str or type(y) is not str:
+                # the JSON type rule, in file order: x is checked and read
+                # before y is checked
+                mk_point(_exact(x), 0)
+                _exact(y)
+            pts.append(mk_point(x, y))
         else:
             raise ValueError(f"point entry {entry!r} needs 'x' and 'y', or 'h'")
     labels = doc.get("labels")
@@ -167,9 +136,8 @@ def _parse_curve(spec: str):
     if spec == "cuspidal":
         return ("cuspidal", _cli.CuspidalCubic())
     if spec.startswith("weierstrass:"):
-        a, b = map(_rational, _split(spec.split(":", 1)[1], ",", 2,
-                                     "curve coefficients"))
-        return ("weierstrass", _cli.WeierstrassCurve(a, b))
+        return ("weierstrass", _cli.WeierstrassCurve(*_split(
+            spec.split(":", 1)[1], ",", 2, "curve coefficients")))
     raise ValueError(f"unknown curve {spec!r}")
 
 
@@ -182,15 +150,14 @@ def _split(token: str, sep: str, count: int, what: str) -> list[str]:
 
 
 def _parse_point(token: str) -> ProjPoint:
-    return mk_point(*map(_rational, _split(token, ":", 2, "point")))
+    return mk_point(*_split(token, ":", 2, "point"))
 
 
 def _tenpoint_common(args) -> int:
     kind, curve = _parse_curve(args.curve)
     base = _split(args.base, ",", 3, "--base")
     if kind == "cuspidal":
-        cfg = _cli.build_tenpoint_cuspidal(*map(_rational, base),
-                                           _rational(args.delta))
+        cfg = _cli.build_tenpoint_cuspidal(*base, args.delta)
     else:
         cfg = _cli.build_tenpoint_weierstrass(curve,
                                               *map(_parse_point, base),
@@ -309,6 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _fail(code: int, message: str) -> int:
+    """Print message to stderr and return code.  A stderr that cannot be
+    written (a full disk) loses the message but not the exit code."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+    return code
+
+
 def run(argv: list[str]) -> int:
     """Run one call; return its exit code.  The call's int <-> str
     conversions take integers of any size: CPython's digit limit is
@@ -321,14 +298,11 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:       # from the parser: --help, a usage error
         return 0 if exc.code in (0, None) else 2
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {exc}")
     except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"invariant violation: {exc}")
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"internal error: {type(exc).__name__}: {exc}")
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -344,11 +318,7 @@ def main() -> None:
             if stream is not None:
                 stream.flush()
     except OSError as exc:
-        try:
-            print(f"error: {exc}", file=sys.stderr, flush=True)
-        except OSError:
-            pass
-        code = 2
+        code = _fail(2, f"error: {exc}")
     os._exit(code)
 
 

@@ -115,15 +115,13 @@ def cmd_conic(args) -> int:
                          f"{', '.join(missing)}")
     if args.mode == "collinear":
         e = _parse_external(_cli, args.external)
-        print(str(_cli.parabola_collinear(_cli._rational(args.x),
-                                          _cli._rational(args.y), e)).lower())
+        print(str(_cli.parabola_collinear(args.x, args.y, e)).lower())
     elif args.mode == "involution":
         e = _parse_external(_cli, args.external)
-        print(_cli.involution_value(e, _cli._rational(args.x)))
+        print(_cli.involution_value(e, args.x))
     elif args.mode == "image-count":
         e = _parse_external(_cli, args.external)
-        xs = [_cli._rational(v) for v in args.xs.split(",")]
-        print(_cli.image_count(e, xs))
+        print(_cli.image_count(e, args.xs.split(",")))
     else:
         es = [_parse_external(_cli, token) for token in
               _cli._split(args.externals, ";", 3, "--externals")]
@@ -132,8 +130,7 @@ def cmd_conic(args) -> int:
 
 
 def _parse_external(_cli, token: str):
-    return _cli.ExternalPoint(*map(_cli._rational, _cli._split(
-        token, ",", 2, "external point")))
+    return _cli.ExternalPoint(*_cli._split(token, ",", 2, "external point"))
 
 
 def cmd_experiment(args) -> int:

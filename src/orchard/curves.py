@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .projective import ProjPoint, Rat, _Frozen, _fraction, mk_point
+from .projective import ProjPoint, Rat, _Frozen, _fraction, _int_arg, mk_point
 from .richlines import (InvariantViolation, PointSet, _line, _rich_lines,
                         direction_count)
 
@@ -31,7 +31,7 @@ class CurveSpec(_Frozen):
 
 def graph_power(d: int) -> CurveSpec:
     """y = x^d (the parabola for d = 2, the cuspidal cubic for d = 3)."""
-    if d < 1:
+    if _int_arg(d, "graph_power: d") < 1:
         raise ValueError("graph_power needs degree >= 1")
     return CurveSpec(d, lambda x: [mk_point(x, x ** d)], f"y=x^{d}")
 
@@ -101,7 +101,7 @@ def dichotomy_experiment(degrees: Iterable[int],
     rows = []
     for d in degrees:
         for n in sizes:
-            if n < 1:
+            if _int_arg(n, "dichotomy_experiment: n") < 1:
                 raise ValueError(f"dichotomy_experiment needs n >= 1, not {n}")
             count = _rich_line_count("dichotomy_experiment", graph_power(d),
                                      range(-n, n + 1), 3)

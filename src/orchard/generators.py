@@ -11,8 +11,7 @@ from fractions import Fraction
 from math import comb
 
 from .projective import (DegenerateError, ProjPoint, Rat, _Frozen, _int_arg,
-                         collinear, mk_point, point_from_rationals,
-                         triangle_sides)
+                         _ratio, collinear, mk_point, triangle_sides)
 from .richlines import PointSet
 
 DEFAULT_TRIANGLE = (mk_point(0, 0), mk_point(1, 0), mk_point(0, 1))
@@ -58,14 +57,14 @@ def ratio_point(a: ProjPoint, b: ProjPoint, t: Rat) -> ProjPoint:
         raise DegenerateError("ratio_point: base points coincide")
     if a.h[2] == 0 or b.h[2] == 0:
         raise ValueError("ratio_point: base points must be affine")
-    ft = Fraction(t)
-    coords = [a.h[k] * b.h[2] + ft * b.h[k] * a.h[2] for k in range(3)]
-    return point_from_rationals(*coords)
+    p, q = _ratio(t)        # X = q A/a_z + p B/b_z, scaled by a_z b_z
+    return ProjPoint([q * a.h[k] * b.h[2] + p * b.h[k] * a.h[2]
+                      for k in range(3)])
 
 
 def triangle_ratio_set(n: int) -> list[Fraction]:
     """{+-1, +-2^{+-1}, ..., +-2^{+-(n-1)}}, 4n-2 values."""
-    if n < 1:
+    if _int_arg(n, "triangle_ratio_set: n") < 1:
         raise ValueError("triangle_ratio_set needs n >= 1")
     vals = []
     for k in range(-(n - 1), n):
@@ -102,7 +101,7 @@ class NgonConfig(_Frozen):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
-        if n < 3:
+        if _int_arg(n, "NgonConfig: n") < 3:
             raise ValueError("NgonConfig needs n >= 3")
         super().__init__(n)
 
@@ -126,14 +125,14 @@ def gen_ngon_directions(n: int) -> NgonConfig:
 
 def gen_cubic_power(n: int) -> PointSet:
     """(i, i^3) for i = -n..n: 2n+1 points on y = x^3."""
-    if n < 1:
+    if _int_arg(n, "gen_cubic_power: n") < 1:
         raise ValueError("gen_cubic_power needs n >= 1")
     return PointSet(tuple(mk_point(i, i ** 3) for i in range(-n, n + 1)))
 
 
 def gen_parabola_ap(n: int) -> PointSet:
     """(i, i^2) for i = 1..n on the parabola."""
-    if n < 2:
+    if _int_arg(n, "gen_parabola_ap: n") < 2:
         raise ValueError("gen_parabola_ap needs n >= 2")
     return PointSet(tuple(mk_point(i, i * i) for i in range(1, n + 1)))
 

@@ -38,7 +38,7 @@ class GroupElement(_Frozen):
     __slots__ = ("value", "operation")
 
     def __init__(self, value: Rat, operation: str):
-        value = value if isinstance(value, Fraction) else _fraction(value)
+        value = _fraction(value)
         if operation not in _LAWS:
             raise ValueError(f"unknown group operation {operation!r}")
         if operation == MULTIPLICATIVE and value == 0:

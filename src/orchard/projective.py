@@ -9,6 +9,7 @@ there is no epsilon anywhere in this module.
 
 from __future__ import annotations
 
+import re
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -38,14 +39,40 @@ def canonical(cs: Sequence[int]) -> tuple[int, ...]:
     return tuple([c // g for c in cs])
 
 
-def _fraction(x) -> Fraction:
-    """Fraction(x) for a value that is not an int or a Fraction.  A float
-    is refused: it is a binary fraction, not the decimal it prints as
-    (0.1 is 3602879701896397 / 2**55)."""
-    from fractions import Fraction
-    if isinstance(x, float):
+# an ASCII integer or "p/q": read by int(), without Fraction's own
+# string parser, which spends several times as long on a token
+_INT_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(x) -> tuple[int, int]:
+    """An exact rational x as integers (p, q), q > 0, with x = p/q: x is
+    an int (a bool too), a Fraction or another rational, or a string
+    that Fraction reads.  A float is refused: it is a binary fraction,
+    not the decimal it prints as (0.1 is 3602879701896397 / 2**55); so is
+    a string with a zero denominator.  Both raise ValueError."""
+    if type(x) is str:
+        m = _INT_RATIO.fullmatch(x)
+        if m:
+            p, q = int(m[1]), int(m[2] or 1)
+            if q:
+                return p, q
+            raise ValueError(f"{x!r} has a zero denominator")
+    elif isinstance(x, float):
         raise ValueError(f"{x!r} is a float, not an exact rational")
-    return Fraction(x)
+    elif hasattr(x, "denominator"):
+        return x.numerator, x.denominator
+    from fractions import Fraction  # any other string, or a Decimal
+    try:
+        f = Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
+    return f.numerator, f.denominator
+
+
+def _fraction(x) -> Fraction:
+    """The exact rational x (as _ratio reads it) as a Fraction."""
+    from fractions import Fraction
+    return Fraction(*_ratio(x))
 
 
 def _int_arg(value, name: str) -> int:
@@ -58,10 +85,9 @@ def _int_arg(value, name: str) -> int:
 
 def integral(rs: Sequence[Rat]) -> list[int]:
     """The rationals rs times the lcm of their denominators."""
-    from fractions import Fraction
-    fs = [r if isinstance(r, (int, Fraction)) else _fraction(r) for r in rs]
-    m = lcm(*(f.denominator for f in fs))
-    return [f.numerator * (m // f.denominator) for f in fs]
+    pqs = [_ratio(r) for r in rs]
+    m = lcm(*(q for _, q in pqs))
+    return [p * (m // q) for p, q in pqs]
 
 
 def _triple(v: Sequence[int]) -> tuple[int, int, int]:
@@ -160,12 +186,8 @@ class ProjLine(_Frozen):
 
 def mk_point(x: Rat, y: Rat) -> ProjPoint:
     """Affine point (x, y) as a canonical projective point."""
-    from fractions import Fraction
-    fx = x if isinstance(x, (int, Fraction)) else _fraction(x)
-    fy = y if isinstance(y, (int, Fraction)) else _fraction(y)
-    return ProjPoint((fx.numerator * fy.denominator,
-                      fy.numerator * fx.denominator,
-                      fx.denominator * fy.denominator))
+    (p1, q1), (p2, q2) = _ratio(x), _ratio(y)
+    return ProjPoint((p1 * q2, p2 * q1, q1 * q2))
 
 
 def point_from_rationals(hx: Rat, hy: Rat, hz: Rat) -> ProjPoint:
@@ -177,8 +199,8 @@ def direction_point(slope: Rat | None) -> ProjPoint:
     """Point at infinity of all lines with the given slope (None = vertical)."""
     if slope is None:
         return ProjPoint((0, 1, 0))
-    s = _fraction(slope)
-    return ProjPoint((s.denominator, s.numerator, 0))
+    p, q = _ratio(slope)
+    return ProjPoint((q, p, 0))
 
 
 def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:

@@ -19,6 +19,7 @@ from orchard import (Cantilever, GroupDescription, PointSet, ProjPoint,
                      gen_triangle_ratios, mk_point, richlines, spanned_lines,
                      triple_line_count, tripartite_count)
 from orchard.cli import pointset_from_doc, pointset_to_doc, run
+from orchard.projective import _fraction
 from oracles import InlineContext, brute_multiplicities, replaced
 
 
@@ -467,6 +468,25 @@ def test_any_other_error_is_internal(monkeypatch, capsys, error):
     assert out == "" and err == f"internal error: {error.__name__}: lost\n"
 
 
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, 2), (KeyError, 3),
+                                         (cli.InvariantViolation, 3)])
+def test_a_message_that_cannot_be_written_keeps_the_code(monkeypatch, capsys,
+                                                         error, code):
+    # the handlers printed unguarded: the OSError of a full stderr left run
+    def broken(n):
+        raise error("lost")
+
+    monkeypatch.setattr(cli, "green_tao_bound", broken)
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    assert run(["bound", "--n", "12"]) == code
+    assert capsys.readouterr().out == ""
+
+
 def test_lazy_names_resolve_to_the_exports():
     import orchard
     for name in orchard.__all__:
@@ -781,7 +801,7 @@ def _fraction_or_error(token):
 
 def _rational_or_error(token):
     try:
-        return cli._rational(token)
+        return _fraction(token)
     except ValueError:
         return ValueError
 
@@ -801,7 +821,7 @@ def test_rational_agrees_with_fraction(token):
     expected = _fraction_or_error(token)
     assert _rational_or_error(token) == expected
     if expected is not ValueError:
-        assert type(cli._rational(token)) is F
+        assert type(_fraction(token)) is F
 
 
 def _point_or_error(x, y):

@@ -10,6 +10,7 @@ from orchard import (DegenerateError, collinear, direction_count,
                      mk_point, parallel_aps_closed_form, ratio_point,
                      signed_ratio, spanned_lines, triangle_ratio_set,
                      triple_line_count, tripartite_count)
+from orchard.curves import dichotomy_experiment, graph_power
 from oracles import brute_triple_lines, brute_tripartite
 
 
@@ -41,6 +42,15 @@ def test_sizes_that_are_not_an_int_raise_a_named_error(n):
     # gen_parallel_aps(True) gave the one-column configuration
     with pytest.raises(ValueError, match="n must be an int"):
         gen_parallel_aps(n)
+    # each raised a bare TypeError from range, or answered for True
+    for make in (gen_cubic_power, gen_parabola_ap, triangle_ratio_set,
+                 gen_triangle_ratios, gen_ngon_directions,
+                 lambda n: dichotomy_experiment([3], [n])):
+        with pytest.raises(ValueError, match="n must be an int"):
+            make(n)
+    for make in (graph_power, lambda d: dichotomy_experiment([d], [2])):
+        with pytest.raises(ValueError, match="d must be an int"):
+            make(n)
 
 
 @pytest.mark.parametrize("n", [0, -1, -2])

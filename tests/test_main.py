@@ -35,11 +35,12 @@ def command(argv, unbuffered=False):
     return [sys.executable, "-m", "orchard.cli", *argv], env
 
 
-def spawn(argv, unbuffered=False, stdout=subprocess.PIPE, **kwargs):
+def spawn(argv, unbuffered=False, stdout=subprocess.PIPE,
+          stderr=subprocess.PIPE, **kwargs):
     """The finished call of argv, its output as bytes."""
     cmd, env = command(argv, unbuffered)
-    return subprocess.run(cmd, env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, timeout=60, **kwargs)
+    return subprocess.run(cmd, env=env, stdout=stdout, stderr=stderr,
+                          timeout=60, **kwargs)
 
 
 # (argv, exit code); {missing} is a path that does not exist
@@ -77,6 +78,29 @@ def test_a_failed_final_write_exits_2(argv, unbuffered):
     assert child.returncode == 2
     assert child.stderr.startswith(b"error: [Errno 28] ")
     assert child.stderr.count(b"\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("argv, stdout_full, unbuffered", [
+    (["count", "--in", "{missing}"], False, False),
+    (["count", "--in", "{missing}"], False, True),
+    (["bound", "--n", "2"], False, False),
+    (["bound", "--n", "2"], False, True),
+    (["bound", "--n", "10"], True, True)],
+    ids=["missing-in-file", "missing-in-file-unbuffered", "bad-n",
+         "bad-n-unbuffered", "full-stdout-unbuffered"])
+def test_a_message_that_cannot_be_written_keeps_the_exit_code(
+        argv, stdout_full, unbuffered, tmp_path):
+    # stderr is /dev/full, so the error message itself fails to print; the
+    # call still exits 2 (it exited 120 buffered and 1 unbuffered)
+    argv = [a.format(missing=tmp_path / "nope.json") for a in argv]
+    with open("/dev/full", "wb") as full:
+        child = spawn(argv, unbuffered,
+                      stdout=full if stdout_full else subprocess.PIPE,
+                      stderr=full)
+    assert child.returncode == 2
+    assert not child.stdout
 
 
 @UNBUFFERED

@@ -216,11 +216,37 @@ def test_mk_point_takes_ints_fractions_and_other_rationals():
     lambda: involution_value(ExternalPoint(1, 2), 0.1),
     lambda: parabola_collinear(0.5, 2, ExternalPoint(0, -1)),
     lambda: image_count(ExternalPoint(0, -1), [2, 0.5]),
-    lambda: graph_power(2).lift(0.1)])
+    lambda: graph_power(2).lift(0.1),
+    lambda: ratio_point(mk_point(0, 0), mk_point(1, 0), 0.1)])
 def test_exact_constructors_refuse_floats(make):
-    # mk_point(0.1, 0) was the point (3602879701896397, 0) / 2**55, and
-    # direction_point(0.1) the point (2**55, 3602879701896397, 0)
+    # mk_point(0.1, 0) was the point (3602879701896397, 0) / 2**55,
+    # direction_point(0.1) the point (2**55, 3602879701896397, 0), and
+    # ratio_point(..., 0.1) the point (3602879701896397, 0, 39631676720860365)
     with pytest.raises(ValueError, match="0.[15] is a float"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mk_point("1/0", 0), lambda: mk_point(0, "-3/0"),
+    lambda: point_from_rationals(1, "1/0", 1),
+    lambda: direction_point("2/0"),
+    lambda: ratio_point(mk_point(0, 0), mk_point(1, 0), "1/0"),
+    lambda: GroupElement("1/0", "additive"),
+    lambda: CubicForm(("1/0", 0, 0, 0, 0, 0, 0, 0, -1, 0)),
+    lambda: WeierstrassCurve("1/0", 17),
+    lambda: WeierstrassCurve(0, 17).lift("1/0"),
+    lambda: CuspidalCubic().lift("1/0"),
+    lambda: cuspidal_third("1/0", 1),
+    lambda: build_tenpoint_cuspidal(-1, 0, 1, "1/0"),
+    lambda: ExternalPoint("1/0", 1),
+    lambda: parabola_collinear("1/0", 2, ExternalPoint(0, -1)),
+    lambda: involution_value(ExternalPoint(1, 2), "1/0"),
+    lambda: image_count(ExternalPoint(0, -1), [2, "1/0"]),
+    lambda: graph_power(2).lift("1/0"),
+    lambda: mk_point(" 1/0", 0)])       # a token that Fraction itself reads
+def test_exact_constructors_refuse_a_zero_denominator(make):
+    # each raised a bare ZeroDivisionError from Fraction
+    with pytest.raises(ValueError, match="has a zero denominator"):
         make()
 
 
