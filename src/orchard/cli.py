@@ -53,8 +53,8 @@ def __getattr__(name):
 # --- points file -------------------------------------------------------------
 
 def _exact(v):
-    """v, a JSON integer or string coordinate.  JSON floats are refused:
-    they are inexact (0.1 is not 1/10)."""
+    """v, if it is a JSON integer or string coordinate.  JSON floats are
+    refused: they are inexact (0.1 is not 1/10)."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ValueError(f"coordinate {v!r} must be an integer or a string "
                          f"such as \"-3/4\"")

@@ -56,12 +56,11 @@ def _ratio(x) -> tuple[int, int]:
             p, q = int(m[1]), int(m[2] or 1)
             if q:
                 return p, q
-            raise ValueError(f"{x!r} has a zero denominator")
     elif isinstance(x, float):
         raise ValueError(f"{x!r} is a float, not an exact rational")
     elif hasattr(x, "denominator"):
         return x.numerator, x.denominator
-    from fractions import Fraction  # any other string, or a Decimal
+    from fractions import Fraction  # any other string (or p/0), a Decimal
     try:
         f = Fraction(x)
     except ZeroDivisionError:
