@@ -7,19 +7,20 @@ error.  Counts print as exact integers, tables as CSV on stdout;
 rationals serialize as reduced "p/q" strings since JSON numbers cannot
 carry big integers.
 
-This module holds the parser, run, the points-file reader, the curve
-and point parsers and the count, directions, bound, tenpoint and
-cantilever commands; the other commands live in orchard.commands, which
-only a call of one of them loads.
+This module holds the command table with the parser that reads argv
+against it, run, the points-file reader, the curve and point parsers
+and the count, directions, bound, tenpoint and cantilever commands; the
+other commands, and the help and usage text, live in orchard.commands,
+which only a call of one of them, --help or a usage error loads.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from . import _EXPORTS
 from .projective import ProjPoint, mk_point
@@ -37,7 +38,7 @@ _LAZY = {**_EXPORTS, "describe_lattice_witness": "tenpoint",
          "group_check_cases": "descriptions", "render_pointset": "svg",
          **dict.fromkeys(("pointset_to_doc", "cmd_generate", "cmd_fit_cubic",
                           "cmd_group_check", "cmd_conic", "cmd_experiment",
-                          "cmd_plot"), "commands")}
+                          "cmd_plot", "usage", "print_help"), "commands")}
 _cli = sys.modules[__name__]
 
 
@@ -183,97 +184,224 @@ def _tenpoint_common(args) -> int:
     return 0
 
 
-# --- parser --------------------------------------------------------------------
+# --- command table and parser --------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="orchard",
-        description="Exact triple-line geometry: generators, counts, "
-                    "cubic fitting, group checks, experiments, plots.")
-    # each command is named by a string that run looks up on the running
-    # CLI module, so that one of orchard.commands loads only when it is
-    # run; it finds that module as args.cli
-    top.set_defaults(cli=_cli)
-    sub = top.add_subparsers(dest="command", required=True)
+# Each command: its help, the name of the function that runs it (run looks
+# it up on the running CLI module, so that one of orchard.commands loads
+# only when it runs) and its options, each (flag, type, default,
+# required, help).  A type is int, str, a tuple of the allowed values, or
+# bool for a switch, which takes no value.
+_TENPOINT = [
+    ("--curve", str, None, True, "cuspidal or weierstrass:a,b"),
+    ("--base", str, None, True,
+     "cuspidal: p,q,r parameters; weierstrass: x1:y1,x2:y2,x3:y3"),
+    ("--delta", str, None, True,
+     "cuspidal: rational step; weierstrass: x:y point")]
+_COMMANDS = {
+    "generate": dict(
+        help="emit a configuration as JSON", func="cmd_generate", options=[
+            ("--example", ("parallel-aps", "triangle-ratios", "ngon",
+                           "cubic-power", "parabola-ap", "grid"),
+             None, True, ""),
+            ("--n", int, None, True, ""),
+            ("--dense-middle", bool, False, False,
+             "double density on the middle row (parallel-aps)"),
+            ("--out", str, None, False, "")]),
+    "count": dict(
+        help="k-rich or tripartite line counts", func="cmd_count", options=[
+            ("--in", str, None, True, ""),
+            ("--k", int, None, False, "line richness (default 3)"),
+            ("--exactly", bool, False, False, ""),
+            ("--tripartite", str, None, False,
+             "label pattern, e.g. 1,2,3 or 112"),
+            ("--workers", int, 1, False, "")]),
+    "directions": dict(
+        help="distinct directions of all joins", func="cmd_directions",
+        options=[("--in", str, None, True, "")]),
+    "bound": dict(
+        help="exact 3-rich maximum for n points", func="cmd_bound",
+        options=[("--n", int, None, True, "")]),
+    "fit-cubic": dict(
+        help="exact cubics through the points", func="cmd_fit_cubic",
+        options=[("--in", str, None, True, ""),
+                 ("--indices", str, None, False,
+                  "comma list of point indices to use")]),
+    "group-check": dict(
+        help="verify a collinearity group description",
+        func="cmd_group_check", options=[
+            ("--config", ("example1", "example4", "triangle",
+                          "parabola-inf", "hyperbola-inf"), None, True, ""),
+            ("--n", int, 6, False, ""),
+            ("--trials", int, 2000, False, ""),
+            ("--seed", int, 1, False, "")]),
+    "tenpoint": dict(
+        help="build and verify a ten point configuration (optionally "
+             "extended)", func="_tenpoint_common",
+        options=[*_TENPOINT, ("--extend", int, None, False, "")]),
+    "cantilever": dict(
+        help="build and verify a ten point configuration (optionally "
+             "extended)", func="_tenpoint_common",
+        options=[*_TENPOINT, ("--extend", int, None, True, "")]),
+    "conic": dict(
+        help="parabola secant/involution utilities", func="cmd_conic",
+        options=[
+            ("--mode", ("collinear", "involution", "image-count", "reps"),
+             None, True, ""),
+            ("--external", str, None, False, "a,b"),
+            ("--externals", str, None, False, "a1,b1;a2,b2;a3,b3"),
+            ("--x", str, None, False, ""),
+            ("--y", str, None, False, ""),
+            ("--xs", str, None, False, "comma list of rationals")]),
+    "experiment": dict(
+        help="dichotomy/quadruple/directions CSV", func="cmd_experiment",
+        options=[
+            ("--kind", ("dichotomy", "quadruple", "directions"), None, True,
+             ""),
+            ("--degree", int, None, True, ""),
+            ("--n", int, None, True, "")]),
+    "plot": dict(
+        help="render a points file as SVG", func="cmd_plot", options=[
+            ("--in", str, None, True, ""),
+            ("--out", str, None, True, ""),
+            ("--mark-triple-lines", bool, False, False, "")]),
+}
+_HELP = ("-h", "--help")
 
-    p = sub.add_parser("generate", help="emit a configuration as JSON")
-    p.add_argument("--example", required=True,
-                   choices=["parallel-aps", "triangle-ratios", "ngon",
-                            "cubic-power", "parabola-ap", "grid"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dense-middle", action="store_true",
-                   help="double density on the middle row (parallel-aps)")
-    p.add_argument("--out")
-    p.set_defaults(func="cmd_generate")
 
-    p = sub.add_parser("count", help="k-rich or tripartite line counts")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, help="line richness (default 3)")
-    p.add_argument("--exactly", action="store_true")
-    p.add_argument("--tripartite", help="label pattern, e.g. 1,2,3 or 112")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func="cmd_count")
+def _dest(flag: str) -> str:
+    name = flag[2:].replace("-", "_")
+    return "infile" if name == "in" else name
 
-    p = sub.add_parser("directions", help="distinct directions of all joins")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func="cmd_directions")
 
-    p = sub.add_parser("bound", help="exact 3-rich maximum for n points")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func="cmd_bound")
+def _usage_error(command, message: str):
+    _fail(2, f"{_cli.usage(_COMMANDS, command)}\norchard: error: {message}")
+    raise SystemExit(2)
 
-    p = sub.add_parser("fit-cubic", help="exact cubics through the points")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--indices", help="comma list of point indices to use")
-    p.set_defaults(func="cmd_fit_cubic")
 
-    p = sub.add_parser("group-check",
-                       help="verify a collinearity group description")
-    p.add_argument("--config", required=True,
-                   choices=["example1", "example4", "triangle",
-                            "parabola-inf", "hyperbola-inf"])
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func="cmd_group_check")
+def _classify(token: str, flags, command):
+    """None if token is a value, else (flag, its inline value or None),
+    the flag None for an unknown option.  As in argparse: an exact flag,
+    flag=value, then a unique prefix of a flag (an ambiguous one is a
+    usage error), with -hX read as -h and the inline value X."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":
+        found = [flag for flag in flags if flag.startswith(name)]
+        value = value if eq else None
+    else:
+        found, value = (["-h"] if token.startswith("-h") else []), token[2:]
+    if len(found) > 1:
+        _usage_error(command, f"ambiguous option: {token} could match "
+                              f"{', '.join(found)}")
+    if found:
+        return found[0], value
+    # a negative number, or a token that holds a space, is a value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
 
-    for name in ("tenpoint", "cantilever"):
-        p = sub.add_parser(name, help="build and verify a ten point "
-                                      "configuration (optionally extended)")
-        p.add_argument("--curve", required=True,
-                       help="cuspidal or weierstrass:a,b")
-        p.add_argument("--base", required=True,
-                       help="cuspidal: p,q,r parameters; weierstrass: "
-                            "x1:y1,x2:y2,x3:y3")
-        p.add_argument("--delta", required=True,
-                       help="cuspidal: rational step; weierstrass: x:y point")
-        p.add_argument("--extend", type=int, required=name == "cantilever")
-        p.set_defaults(func="_tenpoint_common")
 
-    p = sub.add_parser("conic", help="parabola secant/involution utilities")
-    p.add_argument("--mode", required=True,
-                   choices=["collinear", "involution", "image-count", "reps"])
-    p.add_argument("--external", help="a,b")
-    p.add_argument("--externals", help="a1,b1;a2,b2;a3,b3")
-    p.add_argument("--x")
-    p.add_argument("--y")
-    p.add_argument("--xs", help="comma list of rationals")
-    p.set_defaults(func="cmd_conic")
+def _help(command, flag: str, value) -> None:
+    """Print help and exit 0; -hh... is -h repeated, and any other inline
+    value is a usage error."""
+    if value is None or (flag == "-h" and value and not value.strip("h")):
+        _cli.print_help(_COMMANDS, command)
+        raise SystemExit(0)
+    _usage_error(command, f"argument -h/--help: ignored explicit argument "
+                          f"{value!r}")
 
-    p = sub.add_parser("experiment", help="dichotomy/quadruple/directions CSV")
-    p.add_argument("--kind", required=True,
-                   choices=["dichotomy", "quadruple", "directions"])
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func="cmd_experiment")
 
-    p = sub.add_parser("plot", help="render a points file as SVG")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--mark-triple-lines", action="store_true")
-    p.set_defaults(func="cmd_plot")
+def _parse_command(command: str, argv: list[str]) -> dict:
+    """The option values of one command's argv."""
+    options = {option[0]: option for option in _COMMANDS[command]["options"]}
+    # "--" and what follows it are neither options nor values
+    cut = argv.index("--") if "--" in argv else len(argv)
+    tokens, extras = argv[:cut], argv[cut:]
+    kinds = [_classify(token, [*_HELP, *options], command)
+             for token in tokens]
+    values = {_dest(flag): option[2] for flag, option in options.items()}
+    seen = set()
+    i = 0
+    while i < len(tokens):
+        kind, i = kinds[i], i + 1
+        if kind is None or kind[0] is None:
+            extras.append(tokens[i - 1])
+            continue
+        flag, value = kind
+        if flag in _HELP:
+            _help(command, flag, value)
+        typ = options[flag][1]
+        if typ is bool:
+            if value is not None:
+                _usage_error(command, f"argument {flag}: ignored explicit "
+                                      f"argument {value!r}")
+            value = True
+        elif value is None:
+            if i == len(tokens) or kinds[i] is not None:
+                _usage_error(command, f"argument {flag}: expected one "
+                                      "argument")
+            value, i = tokens[i], i + 1
+        if typ is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(command, f"argument {flag}: invalid int value: "
+                                      f"{value!r}")
+        elif type(typ) is tuple and value not in typ:
+            _usage_error(command, f"argument {flag}: invalid choice: "
+                                  f"{value!r} (choose from {', '.join(typ)})")
+        values[_dest(flag)] = value
+        seen.add(flag)
+    missing = [flag for flag, option in options.items()
+               if option[3] and flag not in seen]
+    if missing:
+        _usage_error(command, "the following arguments are required: "
+                              + ", ".join(missing))
+    if extras:
+        _usage_error(command, f"unrecognized arguments: {' '.join(extras)}")
+    return values
 
-    return top
+
+class _Parser:
+    def parse_args(self, argv: list[str]) -> SimpleNamespace:
+        """The command, its function's name, the running CLI module and
+        each option's value (or default) as attributes; --help exits 0
+        and a usage error 2 (SystemExit)."""
+        unknown = []
+        for i, token in enumerate(argv):
+            kind = None if token == "--" else _classify(token, _HELP, None)
+            if kind is None:
+                break
+            if kind[0] is None:
+                unknown.append(token)
+            else:
+                _help(None, *kind)
+        else:
+            _usage_error(None, "the following arguments are required: "
+                               "command")
+        command = argv[i]
+        if command not in _COMMANDS:
+            _usage_error(None, f"argument command: invalid choice: "
+                               f"{command!r}")
+        values = _parse_command(command, argv[i + 1:])
+        if unknown:
+            _usage_error(None, f"unrecognized arguments: {' '.join(unknown)}")
+        return SimpleNamespace(command=command, cli=_cli,
+                               func=_COMMANDS[command]["func"], **values)
+
+
+def build_parser() -> _Parser:
+    """The parser of an orchard call: argv is read against _COMMANDS by
+    argparse's rules for these options (--flag value or --flag=value, a
+    switch, the last of a repeated option, a unique prefix of a flag,
+    and a value that starts with "-" only if it is "-", a negative
+    number or holds a space)."""
+    return _Parser()
 
 
 def _fail(code: int, message: str) -> int:

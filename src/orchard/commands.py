@@ -1,8 +1,9 @@
 """The CLI subcommands that a count call never runs: generate, fit-cubic,
-group-check, conic, experiment and plot, with the points-file writer.
+group-check, conic, experiment and plot, with the points-file writer and
+the help and usage text that orchard.cli builds from its command table.
 
-orchard.cli names these commands in its parser and loads this module on
-the first use of one of them, so that a count, directions, bound,
+orchard.cli names these commands in its command table and loads this
+module on the first use of one of them, so that a count, directions, bound,
 tenpoint or cantilever call does not compile them.  Each command finds
 the running CLI module as args.cli (orchard.cli, or __main__ under
 `python -m orchard.cli`) and calls the library and the CLI's parsers
@@ -13,6 +14,7 @@ the one called.  This module never imports orchard.cli: under
 
 from __future__ import annotations
 
+import re
 import sys
 
 from .richlines import InvariantViolation, PointSet
@@ -67,10 +69,17 @@ def cmd_fit_cubic(args) -> int:
     _cli = args.cli
     ps = _cli._load_pointset(args.infile)
     pts = list(ps.points)
-    if args.indices:
-        idx = [int(i) for i in args.indices.split(",")]
+    if args.indices is not None:
+        tokens = args.indices.split(",")
+        if not all(re.fullmatch(r"-?[0-9]+", t) for t in tokens):
+            raise ValueError(f"--indices {args.indices!r}: a comma list of "
+                             "ASCII decimal integers, e.g. 0,1,2")
+        idx = [int(t) for t in tokens]
         if not all(0 <= i < len(pts) for i in idx):
             raise ValueError(f"--indices must lie in 0..{len(pts) - 1}")
+        if len(set(idx)) != len(idx):
+            raise ValueError(f"--indices {args.indices!r} names a point "
+                             "twice")
         pts = [pts[i] for i in idx]
     basis = _cli.fit_cubics(pts)
     rows = [",".join(map(str, f.coefficients)) for f in basis] or ["none"]
@@ -162,3 +171,44 @@ def cmd_plot(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0
+
+
+# --- help and usage text ---------------------------------------------------------
+
+def _metavar(flag: str, typ) -> str:
+    return "{%s}" % ",".join(typ) if type(typ) is tuple else flag[2:].upper()
+
+
+def usage(table: dict, command) -> str:
+    """The usage line of command, or of orchard itself if it is None, from
+    the CLI's command table."""
+    if command is None:
+        return "usage: orchard [-h] {%s} ..." % ",".join(table)
+    words = [f"usage: orchard {command} [-h]"]
+    for flag, typ, _, required, _ in table[command]["options"]:
+        word = flag if typ is bool else f"{flag} {_metavar(flag, typ)}"
+        words.append(word if required else f"[{word}]")
+    return " ".join(words)
+
+
+def print_help(table: dict, command) -> None:
+    """Print the help of command, or of orchard itself if it is None."""
+    if command is None:
+        about = ("Exact triple-line geometry: generators, counts, cubic "
+                 "fitting, group checks, experiments, plots.")
+        rows = [(name, spec["help"]) for name, spec in table.items()]
+        title, tail = "commands", ["", "orchard <command> --help lists the "
+                                       "options of one command."]
+    else:
+        about, title, tail = table[command]["help"], "options", []
+        rows = [("-h, --help", "show this help message and exit")]
+        for flag, typ, default, required, text in table[command]["options"]:
+            if required:
+                text += " (required)"
+            elif default not in (None, False):
+                text += f" (default: {default})"
+            rows.append((flag if typ is bool
+                         else f"{flag} {_metavar(flag, typ)}", text.strip()))
+    print("\n".join([usage(table, command), "", about, "", f"{title}:"]
+                    + [f"  {left:<24} {right}".rstrip()
+                       for left, right in rows] + tail))

@@ -16,12 +16,17 @@ shortcuts, so that agreement is meaningful:
   invariance under such maps;
 - InlineContext stands in for a multiprocessing context, so that a
   multi-worker call starts no process;
-- replaced copies a frozen value with some fields changed.
+- replaced copies a frozen value with some fields changed;
+- build_parser is the CLI's argparse parser as it was before the CLI
+  read its own command table, kept verbatim as the reference that the
+  table's parser is held to.
 """
 
+import argparse
 from fractions import Fraction
 from itertools import combinations
 
+import orchard.cli as _cli
 from orchard import ProjLine, collinear, join, meet, point_from_rationals
 
 
@@ -196,3 +201,94 @@ def replaced(obj, **changes):
         raise TypeError(f"{type(obj).__name__} has no fields {sorted(unknown)}")
     return type(obj)(*[changes.get(name, value)
                        for name, value in zip(names, obj._fields())])
+
+
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="orchard",
+        description="Exact triple-line geometry: generators, counts, "
+                    "cubic fitting, group checks, experiments, plots.")
+    # each command is named by a string that run looks up on the running
+    # CLI module, so that one of orchard.commands loads only when it is
+    # run; it finds that module as args.cli
+    top.set_defaults(cli=_cli)
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("generate", help="emit a configuration as JSON")
+    p.add_argument("--example", required=True,
+                   choices=["parallel-aps", "triangle-ratios", "ngon",
+                            "cubic-power", "parabola-ap", "grid"])
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--dense-middle", action="store_true",
+                   help="double density on the middle row (parallel-aps)")
+    p.add_argument("--out")
+    p.set_defaults(func="cmd_generate")
+
+    p = sub.add_parser("count", help="k-rich or tripartite line counts")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--k", type=int, help="line richness (default 3)")
+    p.add_argument("--exactly", action="store_true")
+    p.add_argument("--tripartite", help="label pattern, e.g. 1,2,3 or 112")
+    p.add_argument("--workers", type=int, default=1)
+    p.set_defaults(func="cmd_count")
+
+    p = sub.add_parser("directions", help="distinct directions of all joins")
+    p.add_argument("--in", dest="infile", required=True)
+    p.set_defaults(func="cmd_directions")
+
+    p = sub.add_parser("bound", help="exact 3-rich maximum for n points")
+    p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func="cmd_bound")
+
+    p = sub.add_parser("fit-cubic", help="exact cubics through the points")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--indices", help="comma list of point indices to use")
+    p.set_defaults(func="cmd_fit_cubic")
+
+    p = sub.add_parser("group-check",
+                       help="verify a collinearity group description")
+    p.add_argument("--config", required=True,
+                   choices=["example1", "example4", "triangle",
+                            "parabola-inf", "hyperbola-inf"])
+    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=1)
+    p.set_defaults(func="cmd_group_check")
+
+    for name in ("tenpoint", "cantilever"):
+        p = sub.add_parser(name, help="build and verify a ten point "
+                                      "configuration (optionally extended)")
+        p.add_argument("--curve", required=True,
+                       help="cuspidal or weierstrass:a,b")
+        p.add_argument("--base", required=True,
+                       help="cuspidal: p,q,r parameters; weierstrass: "
+                            "x1:y1,x2:y2,x3:y3")
+        p.add_argument("--delta", required=True,
+                       help="cuspidal: rational step; weierstrass: x:y point")
+        p.add_argument("--extend", type=int, required=name == "cantilever")
+        p.set_defaults(func="_tenpoint_common")
+
+    p = sub.add_parser("conic", help="parabola secant/involution utilities")
+    p.add_argument("--mode", required=True,
+                   choices=["collinear", "involution", "image-count", "reps"])
+    p.add_argument("--external", help="a,b")
+    p.add_argument("--externals", help="a1,b1;a2,b2;a3,b3")
+    p.add_argument("--x")
+    p.add_argument("--y")
+    p.add_argument("--xs", help="comma list of rationals")
+    p.set_defaults(func="cmd_conic")
+
+    p = sub.add_parser("experiment", help="dichotomy/quadruple/directions CSV")
+    p.add_argument("--kind", required=True,
+                   choices=["dichotomy", "quadruple", "directions"])
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func="cmd_experiment")
+
+    p = sub.add_parser("plot", help="render a points file as SVG")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--mark-triple-lines", action="store_true")
+    p.set_defaults(func="cmd_plot")
+
+    return top

@@ -21,6 +21,7 @@ from orchard import (Cantilever, GroupDescription, PointSet, ProjPoint,
 from orchard.cli import pointset_from_doc, pointset_to_doc, run
 from orchard.projective import _fraction
 from oracles import InlineContext, brute_multiplicities, replaced
+from oracles import build_parser as argparse_parser
 
 
 def run_capture(capsys, argv):
@@ -437,7 +438,10 @@ def test_count_k_defaults_to_3(tmp_path, capsys):
     assert run_capture(capsys, argv + ["--exactly"]) == (0, "8\n")
 
 
-@pytest.mark.parametrize("indices", ["-1,-2,-3", "0,1,5", "3"])
+# "", "0,0,1,2" and "١,2" were read as all points, a repeated point and
+# points 1 and 2
+@pytest.mark.parametrize("indices", ["-1,-2,-3", "0,1,5", "3", "",
+                                     "0,0,1,2", "١,2"])
 def test_fit_cubic_indices_out_of_range(tmp_path, capsys, indices):
     f = tmp_path / "pts.json"
     f.write_text(json.dumps({"points": TWO_POINTS + [{"x": "5", "y": "7"}]}))
@@ -868,11 +872,12 @@ def test_affine_entry_agrees_with_fraction(xy):
     assert _read_point_or_error(*xy) == _point_or_error(*xy)
 
 
-# --- every subcommand, argv built from the parser's own actions ----------------
+# --- every subcommand, argv built from the argparse parser's actions -----------
 
 def _options():
-    """subcommand -> its options other than -h, read from build_parser()."""
-    sub = next(a for a in cli.build_parser()._actions
+    """subcommand -> its options other than -h, read from the argparse
+    parser that the command table replaced (oracles.build_parser)."""
+    sub = next(a for a in argparse_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     return {name: [a for a in p._actions
                    if a.option_strings and a.dest != "help"]
@@ -968,3 +973,109 @@ def test_every_subcommand_keeps_the_exit_code_contract(fuzz_files, data):
     if code != 0 and out.getvalue():
         assert argv[0] == "group-check" and code == 3, argv
         assert GROUP_CHECK_FAIL.fullmatch(out.getvalue()), argv
+
+
+# --- the command table's parser against argparse -------------------------------
+
+def _parsed(parser, argv):
+    """The attributes that parser reads from argv, but cli, or the code
+    of the SystemExit that it raises (--help, a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+    assert args.pop("cli") is cli
+    return args
+
+
+# tokens that argparse reads by its own rules: the "--" separator, help
+# and its short form repeated or with an inline value, values that start
+# with "-", unknown options and a stray word
+ODD_TOKENS = st.sampled_from([
+    "--", "-", "", "-h", "--help", "--he", "-hh", "-hx", "-h=h", "-h=",
+    "--help=", "--h=1", "--=x", "-1", "-1.5", "-.5", "-١", "-2:3", "- x",
+    "-x y", "-x", "--bogus", "--bogus=1", "stray"])
+
+
+@st.composite
+def prefixed_argv(draw, files):
+    """An argv of cli_argv with some flags cut to a prefix, unique or
+    ambiguous, as --name or --name=value, and odd tokens put in."""
+    argv = draw(cli_argv(files))
+    for i, token in enumerate(argv):
+        if i and token.startswith("--") and draw(st.booleans()):
+            name, eq, value = token.partition("=")
+            argv[i] = name[:draw(st.integers(3, len(name)))] + eq + value
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(ODD_TOKENS))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_the_table_parser_agrees_with_argparse(fuzz_files, data):
+    argv = data.draw(prefixed_argv(fuzz_files))
+    assert _parsed(cli.build_parser(), argv) == _parsed(argparse_parser(),
+                                                        argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["--he"], ["-hh"], ["-hx"], ["-h="], ["--help="],
+    ["--"], ["--", "bound", "--n", "3"], ["bogus"], ["--bogus", "bound"],
+    ["--bogus", "bound", "--help"], ["bound", "--n", "3", "--", "x"],
+    ["bound", "--n=3"], ["bound", "--n", "3", "--n", "4"], ["bound", "--n"],
+    ["bound", "--n", "x"], ["bound", "--n", "-3"], ["bound", "--n=-3"],
+    ["bound", "--n", "٣"], ["bound", "--n", " 3 "], ["bound", "stray"],
+    ["bound", "--he", "--n", "x"], ["bound", "--n", "x", "--help"],
+    ["bound", "--n", "3", "--bogus"], ["bound", "--n", "3", "-h=h"],
+    ["fit-cubic", "--i", "x"], ["fit-cubic", "--in", "x", "--ind", "1"],
+    ["fit-cubic", "--in=", "--indices="], ["count", "--in", "x", "--e"],
+    ["count", "--in", "x", "--exactly=1"], ["count", "--in", "x", "--w", "2"],
+    ["conic", "--mode", "reps", "--ex", "1"],
+    ["conic", "--mode", "reps", "--x", "-1", "--y", "-.5", "--xs", "- 1"],
+    ["conic", "--mode", "reps", "--x", "-1/2"],
+    ["conic", "--mod", "bogus"], ["conic", "--mode", "rep"],
+    ["cantilever", "--curve", "weierstrass:0,17", "--base=-2:3,-1:4,4:9",
+     "--delta", "8:23", "--extend", "30"],
+    ["cantilever", "--curve", "weierstrass:0,17", "--base", "-2:3,-1:4,4:9",
+     "--delta", "8:23", "--extend", "30"],
+    ["tenpoint", "--curve", "cuspidal", "--base", "-1,0,1", "--delta", "1"],
+    ["group-check", "--config", "triangle"],
+    ["generate", "--example", "grid", "--n", "3", "--dense", "--out", "-"],
+])
+def test_the_table_parser_agrees_on_argparse_corner_cases(argv):
+    assert _parsed(cli.build_parser(), argv) == _parsed(argparse_parser(),
+                                                        argv)
+
+
+def test_help_lists_the_table(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: orchard ")
+    for name, spec in cli._COMMANDS.items():
+        assert re.search(rf"^  {name} +{re.escape(spec['help'])}$", out,
+                         re.M), name
+        assert run([name, "-h"]) == 0
+        out_command = capsys.readouterr().out
+        assert out_command.startswith(f"usage: orchard {name} [-h] ")
+        for flag, *_ in spec["options"]:
+            assert re.search(rf"^  {flag}\b", out_command, re.M), flag
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["bound"], "the following arguments are required: --n"),
+    (["bound", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["fit-cubic", "--i", "x"],
+     "ambiguous option: --i could match --in, --indices"),
+    (["bound", "--n", "3", "--x"], "unrecognized arguments: --x"),
+])
+def test_a_usage_error_prints_usage_and_one_error_line(capsys, argv, message):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    usage, error = err.splitlines()
+    assert out == "" and usage.startswith("usage: orchard ")
+    assert error == f"orchard: error: {message}"

@@ -27,7 +27,7 @@ SRC = ROOT / "src"
 # the call loaded (orchard.cli itself runs as __main__): cli.main ends
 # the process with os._exit, which the child wraps to print them first.
 STDLIB = ("multiprocessing", "dataclasses", "inspect", "json", "fractions",
-          "decimal")
+          "decimal", "argparse", "gettext", "locale")
 CHILD = f"""
 import os, runpy, sys
 
@@ -50,6 +50,7 @@ runpy.run_module("orchard.cli", run_name="__main__", alter_sys=True)
 # count, directions, bound, tenpoint and cantilever live in
 # orchard.commands, and fractions (which loads decimal) only where a
 # Fraction is built: no count, directions or bound call loads either.
+# No call loads argparse, gettext or locale for its arguments.
 FRACTIONS = {"fractions", "decimal"}
 SUBCOMMANDS = {
     "generate": (["generate", "--example", "grid", "--n", "3"],
@@ -57,8 +58,9 @@ SUBCOMMANDS = {
     "count": (["count", "--in", "{in}", "--k", "3"], {"json"}),
     "count-tripartite": (["count", "--in", "{in}", "--tripartite", "1,2,3"],
                          {"json"}),
+    # multiprocessing's pool loads locale, through subprocess
     "count-workers": (["count", "--in", "{in}", "--workers", "2"],
-                      {"json", "multiprocessing"}),
+                      {"json", "multiprocessing", "locale"}),
     "directions": (["directions", "--in", "{in}"], {"json"}),
     "bound": (["bound", "--n", "10"], set()),
     "fit-cubic": (["fit-cubic", "--in", "{in}"],
