@@ -7,11 +7,14 @@ error.  Counts print as exact integers, tables as CSV on stdout;
 rationals serialize as reduced "p/q" strings since JSON numbers cannot
 carry big integers.
 
-This module holds the command table with the parser that reads argv
-against it, run, the points-file reader, the curve and point parsers
-and the count, directions, bound, tenpoint and cantilever commands; the
-other commands, and the help and usage text, live in orchard.commands,
-which only a call of one of them, --help or a usage error loads.
+This module holds the command table, the reader of argv in its
+documented form (the command, then each option as --flag value or
+--flag=value and each switch as its bare flag), run, the points-file
+reader, the curve and point parsers and the count, directions, bound,
+tenpoint and cantilever commands.  The other commands, the help and
+usage text and the argparse parser that reads any other argv from the
+same table live in orchard.commands, which only a call of one of them,
+--help, a usage error or another form of argv loads.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ _LAZY = {**_EXPORTS, "describe_lattice_witness": "tenpoint",
          "group_check_cases": "descriptions", "render_pointset": "svg",
          **dict.fromkeys(("pointset_to_doc", "cmd_generate", "cmd_fit_cubic",
                           "cmd_group_check", "cmd_conic", "cmd_experiment",
-                          "cmd_plot", "usage", "print_help"), "commands")}
+                          "cmd_plot", "usage_error", "parse_with_argparse"),
+                         "commands")}
 _cli = sys.modules[__name__]
 
 
@@ -170,7 +174,7 @@ def _tenpoint_common(args) -> int:
         witness = _cli.describe_lattice_witness(_cli.lattice_witness(obj))
         raise InvariantViolation(f"ten-point lattice: {witness}")
     for p in obj.points():
-        if not curve.form.contains(p):
+        if not curve.contains(p):
             raise InvariantViolation(f"curve membership: {p} left the curve")
     # the whole table is formatted before one write, so an error while
     # formatting it leaves stdout empty, as a refused call does
@@ -184,7 +188,7 @@ def _tenpoint_common(args) -> int:
     return 0
 
 
-# --- command table and parser --------------------------------------------------
+# --- command table and reader --------------------------------------------------
 
 # Each command: its help, the name of the function that runs it (run looks
 # it up on the running CLI module, so that one of orchard.commands loads
@@ -239,8 +243,8 @@ _COMMANDS = {
              "extended)", func="_tenpoint_common",
         options=[*_TENPOINT, ("--extend", int, None, False, "")]),
     "cantilever": dict(
-        help="build and verify a ten point configuration (optionally "
-             "extended)", func="_tenpoint_common",
+        help="build and verify a ten point configuration extended by "
+             "--extend", func="_tenpoint_common",
         options=[*_TENPOINT, ("--extend", int, None, True, "")]),
     "conic": dict(
         help="parabola secant/involution utilities", func="cmd_conic",
@@ -265,7 +269,6 @@ _COMMANDS = {
             ("--out", str, None, True, ""),
             ("--mark-triple-lines", bool, False, False, "")]),
 }
-_HELP = ("-h", "--help")
 
 
 def _dest(flag: str) -> str:
@@ -273,135 +276,65 @@ def _dest(flag: str) -> str:
     return "infile" if name == "in" else name
 
 
-def _usage_error(command, message: str):
-    _fail(2, f"{_cli.usage(_COMMANDS, command)}\norchard: error: {message}")
-    raise SystemExit(2)
-
-
-def _classify(token: str, flags, command):
-    """None if token is a value, else (flag, its inline value or None),
-    the flag None for an unknown option.  As in argparse: an exact flag,
-    flag=value, then a unique prefix of a flag (an ambiguous one is a
-    usage error), with -hX read as -h and the inline value X."""
-    if not token.startswith("-") or token == "-":
-        return None
-    if token in flags:
-        return token, None
-    name, eq, value = token.partition("=")
-    if eq and name in flags:
-        return name, value
-    if token[1] == "-":
-        found = [flag for flag in flags if flag.startswith(name)]
-        value = value if eq else None
-    else:
-        found, value = (["-h"] if token.startswith("-h") else []), token[2:]
-    if len(found) > 1:
-        _usage_error(command, f"ambiguous option: {token} could match "
-                              f"{', '.join(found)}")
-    if found:
-        return found[0], value
-    # a negative number, or a token that holds a space, is a value
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, None
-
-
-def _help(command, flag: str, value) -> None:
-    """Print help and exit 0; -hh... is -h repeated, and any other inline
-    value is a usage error."""
-    if value is None or (flag == "-h" and value and not value.strip("h")):
-        _cli.print_help(_COMMANDS, command)
-        raise SystemExit(0)
-    _usage_error(command, f"argument -h/--help: ignored explicit argument "
-                          f"{value!r}")
-
-
-def _parse_command(command: str, argv: list[str]) -> dict:
-    """The option values of one command's argv."""
+def _read(command: str, argv: list[str]):
+    """The option values of command's argv if it is in the documented
+    form, else None: each option its exact flag, as --flag=value or
+    followed by a value that does not start with "-", a switch its bare
+    flag, the last of a repeated option kept, every required option
+    given, each value an int where the type is int and one of the
+    choices where there are choices."""
     options = {option[0]: option for option in _COMMANDS[command]["options"]}
-    # "--" and what follows it are neither options nor values
-    cut = argv.index("--") if "--" in argv else len(argv)
-    tokens, extras = argv[:cut], argv[cut:]
-    kinds = [_classify(token, [*_HELP, *options], command)
-             for token in tokens]
     values = {_dest(flag): option[2] for flag, option in options.items()}
     seen = set()
-    i = 0
-    while i < len(tokens):
-        kind, i = kinds[i], i + 1
-        if kind is None or kind[0] is None:
-            extras.append(tokens[i - 1])
-            continue
-        flag, value = kind
-        if flag in _HELP:
-            _help(command, flag, value)
-        typ = options[flag][1]
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        typ = options[flag][1] if flag in options else None
+        if typ is None or (typ is bool and eq):
+            return None
         if typ is bool:
-            if value is not None:
-                _usage_error(command, f"argument {flag}: ignored explicit "
-                                      f"argument {value!r}")
             value = True
-        elif value is None:
-            if i == len(tokens) or kinds[i] is not None:
-                _usage_error(command, f"argument {flag}: expected one "
-                                      "argument")
-            value, i = tokens[i], i + 1
+        elif not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
         if typ is int:
             try:
                 value = int(value)
             except ValueError:
-                _usage_error(command, f"argument {flag}: invalid int value: "
-                                      f"{value!r}")
+                return None
         elif type(typ) is tuple and value not in typ:
-            _usage_error(command, f"argument {flag}: invalid choice: "
-                                  f"{value!r} (choose from {', '.join(typ)})")
+            return None
         values[_dest(flag)] = value
         seen.add(flag)
-    missing = [flag for flag, option in options.items()
-               if option[3] and flag not in seen]
-    if missing:
-        _usage_error(command, "the following arguments are required: "
-                              + ", ".join(missing))
-    if extras:
-        _usage_error(command, f"unrecognized arguments: {' '.join(extras)}")
+    if any(option[3] and flag not in seen for flag, option in options.items()):
+        return None
     return values
 
 
-class _Parser:
-    def parse_args(self, argv: list[str]) -> SimpleNamespace:
-        """The command, its function's name, the running CLI module and
-        each option's value (or default) as attributes; --help exits 0
-        and a usage error 2 (SystemExit)."""
-        unknown = []
-        for i, token in enumerate(argv):
-            kind = None if token == "--" else _classify(token, _HELP, None)
-            if kind is None:
-                break
-            if kind[0] is None:
-                unknown.append(token)
-            else:
-                _help(None, *kind)
-        else:
-            _usage_error(None, "the following arguments are required: "
-                               "command")
-        command = argv[i]
-        if command not in _COMMANDS:
-            _usage_error(None, f"argument command: invalid choice: "
-                               f"{command!r}")
-        values = _parse_command(command, argv[i + 1:])
-        if unknown:
-            _usage_error(None, f"unrecognized arguments: {' '.join(unknown)}")
-        return SimpleNamespace(command=command, cli=_cli,
-                               func=_COMMANDS[command]["func"], **values)
+def parse_args(argv: list[str]):
+    """The command, its function's name, the running CLI module and each
+    option's value (or default) as attributes.  An argv in the
+    documented form (_read) is read here; argparse reads any other, from
+    the same table (orchard.commands.parse_with_argparse), so --help
+    exits 0 and a usage error 2 (SystemExit) by argparse's rules."""
+    values = None
+    if argv and argv[0] in _COMMANDS:
+        values = _read(argv[0], argv[1:])
+    elif argv and not argv[0].startswith("-"):
+        # argparse would add the list of commands to this message
+        _cli.usage_error(_cli, None, f"argument command: invalid choice: "
+                                     f"{argv[0]!r}")
+    if values is None:
+        return _cli.parse_with_argparse(_cli, argv)
+    return SimpleNamespace(command=argv[0], cli=_cli,
+                           func=_COMMANDS[argv[0]]["func"], **values)
 
 
-def build_parser() -> _Parser:
-    """The parser of an orchard call: argv is read against _COMMANDS by
-    argparse's rules for these options (--flag value or --flag=value, a
-    switch, the last of a repeated option, a unique prefix of a flag,
-    and a value that starts with "-" only if it is "-", a negative
-    number or holds a space)."""
-    return _Parser()
+def build_parser():
+    """The parser of an orchard call: this module, whose parse_args
+    reads argv against _COMMANDS."""
+    return _cli
 
 
 def _fail(code: int, message: str) -> int:

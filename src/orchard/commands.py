@@ -1,6 +1,8 @@
 """The CLI subcommands that a count call never runs: generate, fit-cubic,
-group-check, conic, experiment and plot, with the points-file writer and
-the help and usage text that orchard.cli builds from its command table.
+group-check, conic, experiment and plot, with the points-file writer,
+the help and usage text of orchard.cli's command table, and the argparse
+parser built from that table, which reads every argv that is not in the
+documented form that orchard.cli reads itself.
 
 orchard.cli names these commands in its command table and loads this
 module on the first use of one of them, so that a count, directions, bound,
@@ -173,7 +175,7 @@ def cmd_plot(args) -> int:
     return 0
 
 
-# --- help and usage text ---------------------------------------------------------
+# --- help, usage and argparse ------------------------------------------------
 
 def _metavar(flag: str, typ) -> str:
     return "{%s}" % ",".join(typ) if type(typ) is tuple else flag[2:].upper()
@@ -212,3 +214,43 @@ def print_help(table: dict, command) -> None:
     print("\n".join([usage(table, command), "", about, "", f"{title}:"]
                     + [f"  {left:<24} {right}".rstrip()
                        for left, right in rows] + tail))
+
+
+def usage_error(cli, command, message: str):
+    """Print the usage line of command (of orchard itself if it is None)
+    and one orchard: error line to stderr through cli._fail; exit 2
+    (SystemExit)."""
+    cli._fail(2, f"{usage(cli._COMMANDS, command)}\norchard: error: "
+                 f"{message}")
+    raise SystemExit(2)
+
+
+def parse_with_argparse(cli, argv: list[str]):
+    """argv read by argparse from cli's command table, with the help of
+    print_help and the usage errors of usage_error: the reader of every
+    argv that cli.parse_args does not read itself."""
+    import argparse     # only --help, a usage error or another form loads it
+
+    class Parser(argparse.ArgumentParser):
+        command = None
+
+        def print_help(self, file=None):
+            print_help(cli._COMMANDS, self.command)
+
+        def error(self, message):
+            usage_error(cli, self.command, message)
+
+    top = Parser()
+    top.set_defaults(cli=cli)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, spec in cli._COMMANDS.items():
+        p = sub.add_parser(name)
+        p.command = name
+        p.set_defaults(func=spec["func"])
+        for flag, typ, default, required, _ in spec["options"]:
+            kind = (dict(action="store_true") if typ is bool
+                    else dict(choices=typ) if type(typ) is tuple
+                    else dict(type=typ))
+            p.add_argument(flag, dest=cli._dest(flag), default=default,
+                           required=required, **kind)
+    return top.parse_args(argv)

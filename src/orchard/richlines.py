@@ -18,6 +18,7 @@ set operations on the keys of its joins (_tripartite_row).
 
 from __future__ import annotations
 
+import os
 from functools import partial
 from math import comb
 from operator import itemgetter
@@ -327,14 +328,22 @@ def _pooled(row: Callable[[int], object], rows: int,
         yield from pool.imap(row, range(rows), -(-rows // (4 * procs)))
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _each_row(row: Callable[[int], object], rows: int,
               workers: int) -> Iterator:
     """row(0), ..., row(rows - 1) in order: built in this process as they
-    are read with one worker, else by a pool of min(workers, rows)
-    processes (_pooled), so no process is without a row."""
+    are read with one worker, else by a pool of min(workers, rows,
+    cores) processes (_pooled), so no process is without a row or a
+    core."""
     if _int_arg(workers, "workers") < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
-    procs = min(workers, rows)
+    procs = min(workers, rows, _cores())
     return map(row, range(rows)) if procs <= 1 else _pooled(row, rows, procs)
 
 
@@ -435,7 +444,8 @@ def tripartite_count(ps: PointSet, pattern: Iterable[int],
     others, each contiguous and in set order.  Each lead row counts the
     lines whose lowest lead point it is (_tripartite_row), with no
     member list and no stored line, and the count is their sum; with
-    workers > 1, min(workers, rows) processes return one integer a row.
+    workers > 1, min(workers, rows, cores) processes return one integer
+    a row.
     """
     if ps.labels is None:
         raise ValueError("tripartite_count needs a labelled PointSet")

@@ -615,6 +615,26 @@ def test_tenpoint_membership_checked_before_printing(monkeypatch, capsys):
     assert err.startswith("invariant violation: curve membership: ")
 
 
+def test_tenpoint_membership_refuses_the_cusp_at_infinity(monkeypatch,
+                                                          capsys):
+    # (0:1:0) lies on the cubic form of y = x^3 but has no parameter in
+    # its additive law, so the curve refuses it; the lattice check is
+    # set aside so that the membership pass is the one to see it
+    build = cli.build_tenpoint_cuspidal
+
+    def c0_at_the_cusp(*args):
+        cfg = build(*args)
+        return replaced(cfg, c_seq=(ProjPoint((0, 1, 0)), *cfg.c_seq[1:]))
+
+    monkeypatch.setattr(cli, "build_tenpoint_cuspidal", c0_at_the_cusp)
+    monkeypatch.setattr(cli, "verify_lattice", lambda obj: True)
+    assert run(TENPOINT) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("invariant violation: curve membership: "
+                   "ProjPoint(0, 1, 0) left the curve\n")
+
+
 def test_cantilever_past_the_int_string_digit_limit(capsys):
     # its largest coordinate has 4,351 digits and a sign, past CPython's
     # default limit of 4,300 on int <-> str conversions; the call lifts
@@ -1016,7 +1036,7 @@ def prefixed_argv(draw, files):
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_the_table_parser_agrees_with_argparse(fuzz_files, data):
-    argv = data.draw(prefixed_argv(fuzz_files))
+    argv = data.draw(cli_argv(fuzz_files) | prefixed_argv(fuzz_files))
     assert _parsed(cli.build_parser(), argv) == _parsed(argparse_parser(),
                                                         argv), argv
 

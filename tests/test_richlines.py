@@ -135,6 +135,7 @@ def test_multiworker_identical():
 def test_workers_beyond_the_rows_start_no_idle_process(monkeypatch):
     ctx = InlineContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(richlines, "_cores", lambda: 64)
     ps = gen_grid(3)
     serial = spanned_lines(ps)
     table = spanned_lines(ps, workers=5000)
@@ -148,6 +149,19 @@ def test_workers_beyond_the_rows_start_no_idle_process(monkeypatch):
     # each row returns one integer: its group-1 point x meets the group-3
     # points x' of 0..3 with x + x' even, so the line holds (x + x')/2
     assert counts == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("cores, sizes", [(3, [3, 3]), (1, [])])
+def test_the_pool_has_at_most_one_process_a_core(monkeypatch, cores, sizes):
+    # 5000 workers on 9 rows and on 4 lead rows: a pool as large as the
+    # cores, and none on one core, where the rows are read in this process
+    ctx = InlineContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(richlines, "_cores", lambda: cores)
+    ps = gen_grid(3)
+    assert spanned_lines(ps, workers=5000) == spanned_lines(ps)
+    assert tripartite_count(gen_parallel_aps(4), (1, 2, 3), workers=5000) == 8
+    assert ctx.sizes == sizes
 
 
 def test_pool_opens_at_the_first_read(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import orchard
 from orchard import (ConvergenceError, CuspidalCubic, DegenerateError,
                      ProjPoint, SampledArc, WeierstrassCurve,
                      build_tenpoint_cuspidal, build_tenpoint_weierstrass,
@@ -13,7 +14,9 @@ from orchard import (ConvergenceError, CuspidalCubic, DegenerateError,
                      projective, richlines, standard_system_ok, tenpoint,
                      three_lines_multiplicative_arcs, verify_lattice,
                      weierstrass_form)
+from orchard.cli import pointset_from_doc
 from orchard.halving import middle_offset_multiplicative
+from orchard.svg import render_pointset
 from orchard.tenpoint import describe_lattice_witness, lattice_witness
 from oracles import brute_lattice, brute_law_witness, replaced
 
@@ -343,3 +346,53 @@ def test_first_root_skips_undefined_samples():
     with pytest.raises(ConvergenceError):
         first_root(lambda x: None if 0.2 < x < 0.3 else x - 0.25,
                    -1.0, 1.0, 200)
+
+
+A, B, C = W_BASE
+AT_INFINITY = ProjPoint((1, 0, 0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_tenpoint_weierstrass(CURVE, mk_point(0, 0), B, C, W_DELTA),
+     ValueError, "ProjPoint(0, 0, 1) is not on the curve"),
+    (lambda: build_tenpoint_weierstrass(CURVE, A, A, C, W_DELTA),
+     ValueError, "base points must be distinct"),
+    (lambda: build_tenpoint_weierstrass(CURVE, A, B, mk_point(2, 5), W_DELTA),
+     ValueError, "base points must be collinear"),
+    (lambda: build_tenpoint_weierstrass(CURVE, A, B, C, ProjPoint((0, 1, 0))),
+     ValueError, "step must not be the identity"),
+    (lambda: build_tenpoint_cuspidal(0, 0, 0, 1),
+     ValueError, "base parameters must be distinct"),
+    (lambda: extend_cantilever(w_config(), -1),
+     ValueError, "extension length must be >= 0"),
+    (lambda: orchard.spanned_lines(orchard.PointSet([A])),
+     ValueError, "spanned_lines needs at least 2 points"),
+    (lambda: orchard.direction_count(orchard.PointSet([A])),
+     ValueError, "direction_count needs at least 2 points"),
+    (lambda: pointset_from_doc({"points": [{"x": "1"}]}),
+     ValueError, "point entry {'x': '1'} needs 'x' and 'y', or 'h'"),
+    (lambda: orchard.ratio_point(A, A, 1),
+     DegenerateError, "ratio_point: base points coincide"),
+    (lambda: orchard.ratio_point(A, AT_INFINITY, 1),
+     ValueError, "ratio_point: base points must be affine"),
+    (lambda: orchard.signed_ratio(B, A, A),
+     DegenerateError, "signed_ratio: base points coincide"),
+    (lambda: orchard.signed_ratio(B, A, AT_INFINITY),
+     ValueError, "signed_ratio: base points must be affine"),
+    (lambda: orchard.CubicForm(range(9)),
+     ValueError, "a cubic form has 10 coefficients"),
+    (lambda: fit_cubics([]),
+     ValueError, "fit_cubics needs at least one point"),
+    (lambda: render_pointset(orchard.PointSet([AT_INFINITY,
+                                               ProjPoint((0, 1, 0))])),
+     ValueError, "nothing to draw: all points at infinity"),
+    (lambda: orchard.graph_power(0),
+     ValueError, "graph_power needs degree >= 1"),
+    (lambda: orchard.NgonConfig(2), ValueError, "NgonConfig needs n >= 3"),
+])
+def test_each_refusal_raises_its_named_error(call, error, message):
+    # refusals that no other test reaches, each held to its exact error
+    # class (DegenerateError is a ValueError) and message
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert (refused.type, str(refused.value)) == (error, message)
