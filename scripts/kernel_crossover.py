@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 
 from orchard import richlines
-from orchard.projective import canonical
+from orchard.projective import ProjPoint, canonical
 
 SLOPE, MOD_P = 10 ** 9, -1      # _BIG_BITS values that force each kernel
 
@@ -82,7 +82,7 @@ def lines(rl, hs: list) -> tuple:
 def tripartite(rl, hs: list) -> int:
     """tripartite_count(1, 2, 3) of rich_points, labelled by row."""
     m = len(hs) // 3
-    ps = rl.PointSet([rl.ProjPoint(h) for h in hs],
+    ps = rl.PointSet([ProjPoint(h) for h in hs],
                      [1] * m + [2] * m + [3] * m)
     return rl.tripartite_count(ps, (1, 2, 3))
 

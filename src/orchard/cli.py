@@ -23,10 +23,11 @@ import importlib
 import os
 import re
 import sys
+from math import gcd
 from types import SimpleNamespace
 
 from . import _EXPORTS
-from .projective import ProjPoint, mk_point
+from .exact import _ratio
 from .richlines import (InvariantViolation, PointSet, direction_count,
                         green_tao_bound, k_rich_count, spanned_lines,
                         tripartite_count)
@@ -72,7 +73,7 @@ def pointset_from_doc(doc) -> PointSet:
     breaks it raises ValueError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise ValueError("points file needs a 'points' list")
-    pts = []
+    hs = []
     for entry in doc["points"]:
         if not isinstance(entry, dict):
             raise ValueError(f"point entry {entry!r} is not an object")
@@ -80,21 +81,29 @@ def pointset_from_doc(doc) -> PointSet:
             h = entry["h"]
             if not isinstance(h, list) or len(h) != 3:
                 raise ValueError("homogeneous entry needs three integers")
-            pts.append(ProjPoint(tuple(int(_exact(v)) for v in h)))
+            a, b, c = [int(_exact(v)) for v in h]
         elif "x" in entry and "y" in entry:
             x, y = entry["x"], entry["y"]
             if type(x) is not str or type(y) is not str:
                 # the JSON type rule, in file order: x is checked and read
                 # before y is checked
-                mk_point(_exact(x), 0)
+                _ratio(_exact(x))
                 _exact(y)
-            pts.append(mk_point(x, y))
+            (p, q), (r, s) = _ratio(x), _ratio(y)
+            a, b, c = p * s, r * q, q * s
         else:
             raise ValueError(f"point entry {entry!r} needs 'x' and 'y', or 'h'")
+        # the canonical triple (exact.canonical), inline
+        g = gcd(a, b, c)
+        if not g:
+            raise ValueError("the zero vector has no canonical form")
+        if a < 0 or not a and (b < 0 or not b and c < 0):
+            g = -g
+        hs.append((a // g, b // g, c // g))
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ValueError("'labels' must be a list of integers")
-    return PointSet(pts, labels)
+    return PointSet._from_triples(hs, labels)
 
 
 def _load_pointset(path: str) -> PointSet:
@@ -155,7 +164,7 @@ def _split(token: str, sep: str, count: int, what: str) -> list[str]:
 
 
 def _parse_point(token: str) -> ProjPoint:
-    return mk_point(*_split(token, ":", 2, "point"))
+    return _cli.mk_point(*_split(token, ":", 2, "point"))
 
 
 def _tenpoint_common(args) -> int:
@@ -210,7 +219,7 @@ _COMMANDS = {
             ("--n", int, None, True, ""),
             ("--dense-middle", bool, False, False,
              "double density on the middle row (parallel-aps)"),
-            ("--out", str, None, False, "")]),
+            ("--out", str, None, False, "file to write, - for stdout")]),
     "count": dict(
         help="k-rich or tripartite line counts", func="cmd_count", options=[
             ("--in", str, None, True, ""),
@@ -266,7 +275,7 @@ _COMMANDS = {
     "plot": dict(
         help="render a points file as SVG", func="cmd_plot", options=[
             ("--in", str, None, True, ""),
-            ("--out", str, None, True, ""),
+            ("--out", str, None, True, "file to write, - for stdout"),
             ("--mark-triple-lines", bool, False, False, "")]),
 }
 

@@ -37,7 +37,8 @@ def pointset_to_doc(ps: PointSet) -> dict:
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    """Write text to the file out, or to stdout if out is None or "-"."""
+    if out and out != "-":
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -169,9 +170,8 @@ def cmd_experiment(args) -> int:
 def cmd_plot(args) -> int:
     _cli = args.cli
     ps = _cli._load_pointset(args.infile)
-    svg = _cli.render_pointset(ps, mark_triple_lines=args.mark_triple_lines)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _emit(_cli.render_pointset(ps, mark_triple_lines=args.mark_triple_lines),
+          args.out)
     return 0
 
 

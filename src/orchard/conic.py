@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .projective import Rat, _Frozen, _fraction
+from .exact import Rat, _Frozen, _fraction
 
 
 class ExternalPoint(_Frozen):

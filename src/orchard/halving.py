@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .projective import _Frozen
+from .exact import _Frozen
 
 
 class ConvergenceError(RuntimeError):

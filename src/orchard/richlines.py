@@ -21,11 +21,13 @@ from __future__ import annotations
 import os
 from functools import partial
 from math import comb
-from operator import itemgetter
-from typing import (Callable, Generator, Iterable, Iterator, Optional,
-                    Sequence)
+from typing import (TYPE_CHECKING, Callable, Generator, Iterable, Iterator,
+                    Optional, Sequence)
 
-from .projective import ProjPoint, _cross, _Frozen, _int_arg, canonical
+from .exact import _cross, _Frozen, _int_arg, canonical
+
+if TYPE_CHECKING:
+    from .projective import ProjPoint
 
 Triple = tuple[int, int, int]           # a point or a line, homogeneous
 Triples = Sequence[Triple]
@@ -36,31 +38,58 @@ class InvariantViolation(RuntimeError):
 
 
 class PointSet(_Frozen):
-    """Ordered distinct projective points, optionally labelled 1/2/3."""
+    """Ordered distinct projective points, optionally labelled 1/2/3,
+    kept as their canonical triples: the counts read only those (raw),
+    and points, their ProjPoints, is built on its first read.  Equal,
+    hashed, repr'd and pickled by (points, labels)."""
 
-    __slots__ = ("points", "labels")
-    points: tuple[ProjPoint, ...]
+    __slots__ = ("_hs", "labels", "_points")
     labels: Optional[tuple[int, ...]]
 
     def __init__(self, points: Iterable[ProjPoint],
                  labels: Optional[Iterable[int]] = None):
         points = tuple(points)
-        if len(set(points)) != len(points):
+        self._init(tuple([p.h for p in points]), labels, points)
+
+    @classmethod
+    def _from_triples(cls, hs: Iterable[Triple],
+                      labels: Optional[Iterable[int]] = None) -> PointSet:
+        """The set of the points whose canonical triples are hs."""
+        ps = cls.__new__(cls)
+        ps._init(tuple(hs), labels, None)
+        return ps
+
+    def _init(self, hs: tuple[Triple, ...], labels, points) -> None:
+        if len(set(hs)) != len(hs):
             raise ValueError("PointSet: duplicate points rejected")
         if labels is not None:
             labels = tuple(labels)
-            if len(labels) != len(points):
+            if len(labels) != len(hs):
                 raise ValueError("PointSet: labels must cover all indices")
             if any(type(g) is not int or g not in (1, 2, 3) for g in labels):
                 raise ValueError("PointSet: labels must be in {1, 2, 3}")
-        super().__init__(points, labels)
+        _Frozen.__init__(self, hs, labels, points)
+
+    @property
+    def points(self) -> tuple[ProjPoint, ...]:
+        if self._points is None:
+            from .projective import ProjPoint
+            object.__setattr__(self, "_points", tuple(map(ProjPoint,
+                                                          self._hs)))
+        return self._points
+
+    def _fields(self):
+        return self.points, self.labels
+
+    def __repr__(self):
+        return f"PointSet(points={self.points!r}, labels={self.labels!r})"
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self._hs)
 
-    def raw(self) -> list[Triple]:
-        return [p.h for p in self.points]
+    def raw(self) -> tuple[Triple, ...]:
+        return self._hs
 
 
 class RichLineTable(_Frozen):
@@ -77,13 +106,6 @@ class RichLineTable(_Frozen):
         return self.two_point + sum(comb(m, 2) for m in self.entries.values())
 
 
-# Big-coordinate rows key their joins by line mod _P, the largest prime
-# below 2**30: every residue, product factor and divisor of _mod_keys is
-# one 30-bit digit of a CPython int.  A key is a point of the pencil
-# P^1(F_P) through the row's anchor, so a row of m joins repeats a key by
-# chance with odds near m**2 / 2**31; _one_line_each catches each such
-# split key.
-_P = 2 ** 30 - 35
 # An input with a coordinate of more bits than this takes the mod-_P
 # keys: the smallest size at which they were no slower than slope codes
 # for the line stream and the tripartite count, on random and on rich
@@ -161,71 +183,6 @@ def _group(i: int, keys: Sequence) -> RowLines:
     return count, sorted(repeated.values(), key=lambda m: m[1])
 
 
-def _mod_keys(anchor: Triple, pts: Triples) -> Optional[list[int]]:
-    """One residue per join from the anchor to pts, all reduced mod _P:
-    the join's line mod _P as a point of the pencil through the anchor,
-    or None if the anchor or a join is 0 mod _P.
-
-    A line through the anchor is fixed by two of its entries (u, v), the
-    two beside a coordinate of the anchor that is nonzero mod _P: the
-    third follows from the line's dot product with the anchor.  With
-    that coordinate turned last (a cyclic turn of all three turns the
-    cross product alike), u and v are the line's first two entries, and
-    the key is v / u mod _P, or _P when u = 0, so joins on one exact
-    line share their key.  The row's inverses share one pow
-    (Montgomery's batch inversion)."""
-    p = _P
-    x1, y1, z1 = anchor
-    if not z1:
-        if y1:
-            turn = itemgetter(2, 0, 1)
-        elif x1:
-            turn = itemgetter(1, 2, 0)
-        else:
-            return None
-        x1, y1, z1 = turn(anchor)
-        pts = map(turn, pts)
-    us, vs, prefix, acc = [], [], [], 1
-    for x2, y2, z2 in pts:
-        u = (y1 * z2 - z1 * y2) % p
-        v = (z1 * x2 - x1 * z2) % p
-        if not (u or v):
-            return None
-        us.append(u)
-        vs.append(v)
-        prefix.append(acc)
-        if u:
-            acc = acc * u % p
-    inv = pow(acc, -1, p)              # 1 / (product of the nonzero u)
-    keys = [p] * len(us)
-    for k in range(len(us) - 1, -1, -1):
-        u = us[k]
-        if u:
-            keys[k] = vs[k] * inv * prefix[k] % p
-            inv = inv * u % p
-    return keys
-
-
-def _one_line_each(points: Triples, sizes: Sequence[int],
-                   classes: Lines) -> bool:
-    """True if each class [i, j...] of one mod-_P key (_group(i, ...))
-    lies on one exact line, with points[m] the point and sizes[m] the
-    coordinate bits of member m: the raw cross product of the two
-    shortest members is dotted with each other one (no gcd); a point
-    off it is a collision.  The members are ordered by the sizes, read
-    from the list (a sort of a few keys in C costs less per class than
-    two min scans)."""
-    size = sizes.__getitem__
-    for members in classes:
-        first, second, *rest = sorted(members, key=size)
-        a, b, c = _cross(points[first], points[second])
-        for m in rest:
-            x, y, z = points[m]
-            if a * x + b * y + c * z:
-                return False
-    return True
-
-
 def _keys(anchor: Triple, pts: Triples, mod: Optional[tuple],
           shift: Optional[int],
           i: int = -1) -> tuple[list, Optional[RowLines]]:
@@ -234,18 +191,19 @@ def _keys(anchor: Triple, pts: Triples, mod: Optional[tuple],
     was built: with shift, an affine anchor's slope codes (_slopes);
     with mod, which holds the anchor and pts mod _P and the points and
     coordinate bits by the numbers of the row (the anchor is i, pts[k]
-    is i + 1 + k), their pencil keys mod _P (_mod_keys) and their row,
-    if each repeated key is one exact line (_one_line_each); otherwise,
-    or on a join 0 mod _P or a split key, the canonical lines
-    (_lines)."""
+    is i + 1 + k), their pencil keys mod _P (modp._mod_keys) and their
+    row, if each repeated key is one exact line (modp._one_line_each);
+    otherwise, or on a join 0 mod _P or a split key, the canonical
+    lines (_lines)."""
     if shift is not None and anchor[2]:
         return _slopes(anchor, pts, shift), None
     if mod:
+        from . import modp
         anchor_p, pts_p, points, sizes = mod
-        keys = _mod_keys(anchor_p, pts_p)
+        keys = modp._mod_keys(anchor_p, pts_p)
         if keys is not None:
             row = _group(i, keys)
-            if _one_line_each(points, sizes, row[1]):
+            if modp._one_line_each(points, sizes, row[1]):
                 return keys, row
     return _lines(anchor, pts), None
 
@@ -353,6 +311,7 @@ def _regime(hs: Triples) -> tuple:
     else (None, None, the shift of exact slope codes)."""
     bits = _coord_bits(hs)
     if bits > _BIG_BITS:
+        from .modp import _P    # the mod-_P kernel, loaded only here
         return ([(x % _P, y % _P, z % _P) for x, y, z in hs],
                 [max(map(abs, h)).bit_length() for h in hs], None)
     return None, None, _slope_shift(bits)
@@ -460,7 +419,7 @@ def tripartite_count(ps: PointSet, pattern: Iterable[int],
     # pat[1] is g in (g, g, g) and in (g, g, h) in either order
     lead = pat[1] if len(sizes) < 3 else min(sizes, key=sizes.get)
     order = sorted(sizes, key=lambda g: (g != lead, g))
-    hs = [p.h for g in order for p, l in zip(ps.points, ps.labels) if l == g]
+    hs = [h for g in order for h, l in zip(ps.raw(), ps.labels) if l == g]
     if len(sizes) == 1:
         return sum(1 for _ in _rich_lines(hs, workers))
     cut = sizes[lead] + sizes[order[1]] if len(sizes) == 3 else None

@@ -181,6 +181,23 @@ def test_experiment_degree_one_is_a_line(capsys, kind, least):
     assert code == 0 and out.splitlines()[1] == row
 
 
+def test_out_dash_writes_stdout(tmp_path, capsys, monkeypatch):
+    # generate and plot write "--out -" to stdout, as generate writes
+    # without --out and plot writes to a file; no file "-" is made
+    monkeypatch.chdir(tmp_path)
+    argv = ["generate", "--example", "grid", "--n", "3"]
+    code, expected = run_capture(capsys, argv)
+    assert code == 0 and expected.startswith("{")
+    assert run_capture(capsys, argv + ["--out", "-"]) == (0, expected)
+    assert run_capture(capsys, argv + ["--out=-"]) == (0, expected)
+    (tmp_path / "grid.json").write_text(expected)
+    plot = ["plot", "--in", "grid.json", "--mark-triple-lines", "--out"]
+    assert run_capture(capsys, plot + ["grid.svg"]) == (0, "")
+    assert run_capture(capsys, plot + ["-"]) == (
+        0, (tmp_path / "grid.svg").read_text())
+    assert not (tmp_path / "-").exists()
+
+
 def test_plot_svg(tmp_path, capsys):
     src = tmp_path / "tri.json"
     run_capture(capsys, ["generate", "--example", "triangle-ratios",
@@ -399,6 +416,7 @@ def test_a_pool_that_cannot_start_is_an_internal_error(tmp_path, capsys,
     aps.write_text(json.dumps(pointset_to_doc(gen_parallel_aps(3))))
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: _NoPool())
+    monkeypatch.setattr(richlines, "_cores", lambda: 2)
     argv = ["count", "--in", str(aps), "--workers", "2"] + extra
     assert run(argv) == 3
     out, err = capsys.readouterr()

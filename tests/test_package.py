@@ -17,7 +17,7 @@ import pytest
 
 import orchard
 import orchard.cli as cli
-from orchard import gen_parallel_aps
+from orchard import gen_parallel_aps, richlines
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -41,54 +41,79 @@ os._exit = _exit
 runpy.run_module("orchard.cli", run_name="__main__", alter_sys=True)
 """
 
-# (argv, modules loaded besides orchard, orchard.projective and
-# orchard.richlines, which the CLI imports at its top); {in} and {out}
-# are a tiny labelled points file and an output path.  json is loaded
-# only where a points file is read or written, the cubic fitting only by
-# fit-cubic and the group descriptions only by group-check: a tenpoint
-# or cantilever call compiles none of them.  The commands other than
-# count, directions, bound, tenpoint and cantilever live in
+# (argv, modules loaded besides orchard, orchard.exact and
+# orchard.richlines, which the CLI imports at its top, and the most
+# source lines that the orchard modules it loads may hold); {in} and
+# {out} are a tiny labelled points file and an output path.  A change
+# that adds code to a call's modules raises its ceiling in the same
+# diff.  json is loaded only where a points file is read or written,
+# the cubic fitting only by fit-cubic and the group descriptions only
+# by group-check: a tenpoint or cantilever call compiles none of them.
+# The point and line classes of orchard.projective only where a point
+# is built: no count, directions or bound call loads them, nor the
+# mod-_P kernel of orchard.modp, which only coordinates above
+# richlines._BIG_BITS bits load (a cantilever's).  The commands other
+# than count, directions, bound, tenpoint and cantilever live in
 # orchard.commands, and fractions (which loads decimal) only where a
 # Fraction is built: no count, directions or bound call loads either.
 # No call loads argparse, gettext or locale for its arguments.
 FRACTIONS = {"fractions", "decimal"}
+# the pool has at most one process a core (richlines._cores, which the
+# child shares): on one core a --workers 2 call reads its rows serially
+# and loads no multiprocessing, whose pool loads locale, through
+# subprocess
+POOL = {"multiprocessing", "locale"} if richlines._cores() > 1 else set()
 SUBCOMMANDS = {
     "generate": (["generate", "--example", "grid", "--n", "3"],
-                 {"commands", "generators", "json", *FRACTIONS}),
-    "count": (["count", "--in", "{in}", "--k", "3"], {"json"}),
+                 {"commands", "generators", "json", "projective",
+                  *FRACTIONS}, 1189),
+    "count": (["count", "--in", "{in}", "--k", "3"], {"json"}, 649),
     "count-tripartite": (["count", "--in", "{in}", "--tripartite", "1,2,3"],
-                         {"json"}),
-    # multiprocessing's pool loads locale, through subprocess
+                         {"json"}, 649),
     "count-workers": (["count", "--in", "{in}", "--workers", "2"],
-                      {"json", "multiprocessing", "locale"}),
-    "directions": (["directions", "--in", "{in}"], {"json"}),
-    "bound": (["bound", "--n", "10"], set()),
+                      {"json", *POOL}, 649),
+    "directions": (["directions", "--in", "{in}"], {"json"}, 649),
+    "bound": (["bound", "--n", "10"], set(), 649),
     "fit-cubic": (["fit-cubic", "--in", "{in}"],
-                  {"commands", "cubics", "fitting", "json", *FRACTIONS}),
+                  {"commands", "cubics", "fitting", "json", "projective",
+                   *FRACTIONS}, 1236),
     "group-check": (["group-check", "--config", "example1", "--n", "3"],
                     {"commands", "cubics", "descriptions", "generators",
-                     "grouplaw", *FRACTIONS}),
+                     "grouplaw", "projective", *FRACTIONS}, 1761),
     "tenpoint": (["tenpoint", "--curve", "cuspidal", "--base=-1,0,1",
                   "--delta", "1/10"],
-                 {"cubics", "grouplaw", "tenpoint", *FRACTIONS}),
+                 {"cubics", "grouplaw", "projective", "tenpoint",
+                  *FRACTIONS}, 1311),
     "cantilever": (["cantilever", "--curve", "weierstrass:0,17",
                     "--base=-2:3,-1:4,4:9", "--delta", "8:23",
                     "--extend", "3"],
-                   {"cubics", "grouplaw", "tenpoint", *FRACTIONS}),
+                   {"cubics", "grouplaw", "modp", "projective", "tenpoint",
+                    *FRACTIONS}, 1399),
     "conic": (["conic", "--mode", "involution", "--external", "1,2",
-               "--x", "3"], {"commands", "conic", *FRACTIONS}),
+               "--x", "3"], {"commands", "conic", *FRACTIONS}, 986),
     "experiment": (["experiment", "--kind", "quadruple", "--degree", "3",
-                    "--n", "3"], {"commands", "curves", *FRACTIONS}),
+                    "--n", "3"], {"commands", "curves", "projective",
+                                  *FRACTIONS}, 1165),
     "experiment-dichotomy": (["experiment", "--kind", "dichotomy",
                               "--degree", "3", "--n", "3"],
-                             {"commands", "curves", *FRACTIONS}),
+                             {"commands", "curves", "projective",
+                              *FRACTIONS}, 1165),
     "experiment-directions": (["experiment", "--kind", "directions",
                                "--degree", "3", "--n", "3"],
-                              {"commands", "curves", *FRACTIONS}),
+                              {"commands", "curves", "projective",
+                               *FRACTIONS}, 1165),
     "plot": (["plot", "--in", "{in}", "--out", "{out}",
               "--mark-triple-lines"],
-             {"commands", "json", "svg", *FRACTIONS}),
+             {"commands", "json", "projective", "svg", *FRACTIONS}, 1188),
 }
+
+
+def _source_lines(module: str) -> int:
+    """The lines of the source file of an orchard module."""
+    parts = module.split(".")[1:] or ["__init__"]
+    return len((SRC / "orchard" / f"{parts[0]}.py").read_text(
+        encoding="utf-8").splitlines())
+
 
 @pytest.fixture(scope="module")
 def points_file(tmp_path_factory):
@@ -101,7 +126,7 @@ def points_file(tmp_path_factory):
 @pytest.mark.parametrize("case", list(SUBCOMMANDS))
 def test_subcommand_in_fresh_interpreter(case, points_file, tmp_path,
                                          capsys):
-    template, extra = SUBCOMMANDS[case]
+    template, extra, ceiling = SUBCOMMANDS[case]
 
     def argv(out):
         return [a.format(**{"in": points_file, "out": out})
@@ -118,9 +143,11 @@ def test_subcommand_in_fresh_interpreter(case, points_file, tmp_path,
     # no call loads dataclasses, nor the inspect module that it imports:
     # orchard's value classes are plain, and both cost set-up time
     loaded = set(child.stderr.splitlines()[-1].split())
-    assert loaded == ({"orchard", "orchard.projective", "orchard.richlines"}
+    assert loaded == ({"orchard", "orchard.exact", "orchard.richlines"}
                       | {m if m in STDLIB else f"orchard.{m}"
                          for m in extra})
+    assert sum(_source_lines(m) for m in loaded
+               if m.startswith("orchard")) <= ceiling
 
     assert cli.run(argv(tmp_path / "run.svg")) == 0
     assert child.stdout == capsys.readouterr().out

@@ -77,6 +77,17 @@ def test_bad_triples_rejected(cls, triple, message):
         cls(triple)
 
 
+@pytest.mark.parametrize("cls", [ProjPoint, ProjLine])
+@pytest.mark.parametrize("triple", [(True, 0, 1), (0, False, 1),
+                                    (2, 4, True)])
+def test_bool_coordinates_rejected(cls, triple):
+    # gcd takes a bool as an int, but a coordinate is not a bool, as in
+    # the points file; mk_point reads True and False as the rationals 1, 0
+    with pytest.raises(ValueError,
+                       match=r"\(.*\) is not a homogeneous triple"):
+        cls(triple)
+
+
 @pytest.mark.parametrize("value", [mk_point(F(1, 2), -3), ProjPoint((1, 0, 0)),
                                    ProjLine((2, -4, 10**40))])
 def test_point_and_line_pickle_and_deepcopy(value):

@@ -16,7 +16,7 @@ from orchard import (InvariantViolation, PointSet, ProjPoint,
                      build_tenpoint_weierstrass, direction_count,
                      direction_point, extend_cantilever, gen_cubic_power,
                      gen_grid, gen_parallel_aps, green_tao_bound, join,
-                     k_rich_count, mk_point, richlines, spanned_lines,
+                     k_rich_count, mk_point, modp, richlines, spanned_lines,
                      triple_line_count, tripartite_count)
 from orchard.richlines import _drain, _store, line_members
 from oracles import (InlineContext, apply_transform, brute_directions,
@@ -167,6 +167,7 @@ def test_the_pool_has_at_most_one_process_a_core(monkeypatch, cores, sizes):
 def test_pool_opens_at_the_first_read(monkeypatch):
     ctx = InlineContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(richlines, "_cores", lambda: 2)
     hs = gen_grid(3).raw()
     stream = richlines._rich_lines(hs, 2)
     assert ctx.sizes == []
@@ -180,6 +181,7 @@ def test_pool_opens_at_the_first_read(monkeypatch):
 def test_closed_stream_leaves_the_pool(monkeypatch):
     ctx = InlineContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(richlines, "_cores", lambda: 2)
     stream = richlines._rich_lines(gen_grid(4).raw(), 2)
     next(stream)
     assert ctx.exits == 0
@@ -388,6 +390,7 @@ def test_tripartite_reads_only_the_rows_of_its_smallest_group(
     ps = _mixed_labels(make(), 1)
     ctx = InlineContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(richlines, "_cores", lambda: 2)
     anchors, joined, streams = [], set(), []
 
     def spy(keys):
@@ -430,8 +433,8 @@ def test_tripartite_in_the_mod_kernel_matches_brute(monkeypatch, make, seed,
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: InlineContext())
     mod_rows = []
-    mod_keys = richlines._mod_keys
-    monkeypatch.setattr(richlines, "_mod_keys", lambda anchor, pts:
+    mod_keys = modp._mod_keys
+    monkeypatch.setattr(modp, "_mod_keys", lambda anchor, pts:
                         mod_rows.append(anchor) or mod_keys(anchor, pts))
     monkeypatch.setattr(richlines, "_slopes", None)
     for pattern in PACKED_PATTERNS:
@@ -607,10 +610,10 @@ MOD_FIXTURES = {
 
 # the tiny primes make zero rows and split keys; 2**61 - 1 gives keys
 # of three CPython digits, _P of one
-@pytest.mark.parametrize("p", [2, 3, 7, 101, 2 ** 61 - 1, richlines._P])
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 2 ** 61 - 1, modp._P])
 @pytest.mark.parametrize("fixture", sorted(MOD_FIXTURES))
 def test_mod_kernel_matches_exact(monkeypatch, p, fixture):
-    monkeypatch.setattr(richlines, "_P", p)
+    monkeypatch.setattr(modp, "_P", p)
     _assert_kernels_agree(list(MOD_FIXTURES[fixture]()))
 
 
@@ -619,7 +622,7 @@ def test_small_prime_makes_zero_rows_and_collisions(monkeypatch):
     # primes really produce joins that vanish mod p and mod-p classes
     # that hold more than one exact line
     seen = {"zero rows": 0, "collisions": 0}
-    keys, split = richlines._mod_keys, richlines._one_line_each
+    keys, split = modp._mod_keys, modp._one_line_each
 
     def counted_keys(anchor, pts):
         out = keys(anchor, pts)
@@ -631,10 +634,10 @@ def test_small_prime_makes_zero_rows_and_collisions(monkeypatch):
         seen["collisions"] += not out
         return out
 
-    monkeypatch.setattr(richlines, "_mod_keys", counted_keys)
-    monkeypatch.setattr(richlines, "_one_line_each", counted_split)
+    monkeypatch.setattr(modp, "_mod_keys", counted_keys)
+    monkeypatch.setattr(modp, "_one_line_each", counted_split)
     for p in (3, 7):
-        monkeypatch.setattr(richlines, "_P", p)
+        monkeypatch.setattr(modp, "_P", p)
         _assert_kernels_agree(list(MOD_FIXTURES["cubic-power"]()))
     assert seen["zero rows"] > 0 and seen["collisions"] > 0
 
@@ -651,7 +654,7 @@ def _mapped_aps():
 
 
 # each regime of the tripartite row keys: its points and the richlines
-# constants it sets
+# (and modp) constants it sets
 TRIPARTITE_REGIMES = {
     "slope": (lambda: gen_grid(5).points, {}),
     "infinity": (_with_infinity, {}),
@@ -667,22 +670,22 @@ def test_tripartite_patterns_in_every_regime(monkeypatch, regime, workers):
     make, constants = TRIPARTITE_REGIMES[regime]
     ps = _mixed_labels(make(), 2)
     for name, value in constants.items():
-        monkeypatch.setattr(richlines, name, value)
+        monkeypatch.setattr(modp if name == "_P" else richlines, name, value)
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: InlineContext())
     # how often a tripartite row fell back from its mod-_P keys
     seen = {"zero rows": 0, "splits": 0}
-    keys, split = richlines._mod_keys, richlines._one_line_each
+    keys, split = modp._mod_keys, modp._one_line_each
     row = richlines._tripartite_row
 
     def counted_row(*args):
-        monkeypatch.setattr(richlines, "_mod_keys", counted_keys)
-        monkeypatch.setattr(richlines, "_one_line_each", counted_split)
+        monkeypatch.setattr(modp, "_mod_keys", counted_keys)
+        monkeypatch.setattr(modp, "_one_line_each", counted_split)
         try:
             return row(*args)
         finally:
-            monkeypatch.setattr(richlines, "_mod_keys", keys)
-            monkeypatch.setattr(richlines, "_one_line_each", split)
+            monkeypatch.setattr(modp, "_mod_keys", keys)
+            monkeypatch.setattr(modp, "_one_line_each", split)
 
     def counted_keys(anchor, pts):
         out = keys(anchor, pts)
@@ -782,15 +785,15 @@ def test_mod_prime_is_one_digit():
     def prime(q):
         return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
     digit = sys.int_info.bits_per_digit
-    assert richlines._P.bit_length() <= digit and prime(richlines._P)
-    assert not any(prime(q) for q in range(richlines._P + 1, 2 ** digit))
+    assert modp._P.bit_length() <= digit and prime(modp._P)
+    assert not any(prime(q) for q in range(modp._P + 1, 2 ** digit))
 
 
 def _at_both_primes(monkeypatch, count):
     """count() with the mod-_P keys taken mod 2**61 - 1 and mod _P."""
     outs = []
-    for p in (2 ** 61 - 1, richlines._P):
-        monkeypatch.setattr(richlines, "_P", p)
+    for p in (2 ** 61 - 1, modp._P):
+        monkeypatch.setattr(modp, "_P", p)
         outs.append(count())
     return outs
 
@@ -908,13 +911,13 @@ def _assert_rows_match_exact(points, a=0, lo=None):
         exact = richlines._group(-1, richlines._lines(anchor, pts))
         assert richlines._group(-1, richlines._slopes(anchor, pts,
                                                       shift)) == exact
-        for p in (richlines._P, 7):
+        for p in (modp._P, 7):
             mod = [tuple(c % p for c in h) for h in [anchor] + pts]
             # numbered from 0, so the anchor, numbered -1, is last
             numbered = [*pts, anchor]
             bits = [max(map(abs, h)).bit_length() for h in numbered]
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(richlines, "_P", p)
+                mp.setattr(modp, "_P", p)
                 keys, row = richlines._keys(
                     anchor, pts, (mod[0], mod[1:], numbered, bits), None)
             assert richlines._group(-1, keys) == exact
@@ -928,18 +931,18 @@ def test_pencil_keys_reach_each_anchor_branch(monkeypatch):
     points = [mk_point(0, 0), mk_point(1, 0), mk_point(2, 0), mk_point(1, 2),
               mk_point(3, 5), mk_point(1, F(1, 7)), mk_point(F(1, 7), 1),
               mk_point(F(2, 7), 3)]
-    seen, keys = set(), richlines._mod_keys
+    seen, keys = set(), modp._mod_keys
 
     def spy(anchor, pts):
         out = keys(anchor, pts)
-        if richlines._P == 7 and out is not None:
+        if modp._P == 7 and out is not None:
             x, y, z = anchor
             seen.add("z" if z else "y" if y else "x")
             if 7 in out:
                 seen.add("u = 0")
         return out
 
-    monkeypatch.setattr(richlines, "_mod_keys", spy)
+    monkeypatch.setattr(modp, "_mod_keys", spy)
     _assert_rows_match_exact(points)
     assert seen == {"x", "y", "z", "u = 0"}
 
@@ -952,16 +955,16 @@ def test_split_key_with_its_shortest_points_last_falls_back(monkeypatch):
     points = [mk_point(1000, 3), mk_point(702, 8), mk_point(2, 1),
               mk_point(9, 1)]
     hs = [p.h for p in points]
-    monkeypatch.setattr(richlines, "_P", 7)
+    monkeypatch.setattr(modp, "_P", 7)
     monkeypatch.setattr(richlines, "_BIG_BITS", 0)
     hp, hb, shift = richlines._regime(hs)
     assert shift is None and hb == [10, 10, 2, 4]
-    assert len(set(richlines._mod_keys(hp[0], hp[1:]))) == 1
+    assert len(set(modp._mod_keys(hp[0], hp[1:]))) == 1
     crossed, checks = [], []
-    cross, check = richlines._cross, richlines._one_line_each
-    monkeypatch.setattr(richlines, "_cross",
+    cross, check = modp._cross, modp._one_line_each
+    monkeypatch.setattr(modp, "_cross",
                         lambda p, q: crossed.append((p, q)) or cross(p, q))
-    monkeypatch.setattr(richlines, "_one_line_each",
+    monkeypatch.setattr(modp, "_one_line_each",
                         lambda *args: checks.append(check(*args))
                         or checks[-1])
     keys, row = richlines._keys(hs[0], hs[1:], (hp[0], hp[1:], hs, hb),
@@ -1098,8 +1101,9 @@ def test_regime_boundary_at_big_bits(monkeypatch, extra, path):
     hs = [p.h for p in points]
     assert richlines._coord_bits(hs) == bits
     calls, exact = [], []
-    keys, lines = getattr(richlines, path), richlines._lines
-    monkeypatch.setattr(richlines, path,
+    owner = modp if path == "_mod_keys" else richlines
+    keys, lines = getattr(owner, path), richlines._lines
+    monkeypatch.setattr(owner, path,
                         lambda *args: calls.append(1) or keys(*args))
     monkeypatch.setattr(richlines, "_lines",
                         lambda *args: exact.append(1) or lines(*args))

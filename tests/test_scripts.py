@@ -2,12 +2,14 @@
 
 A script imports library names that no other test reaches, so a
 renamed name would otherwise break it silently.  Only --help runs,
-the census at a small size and the kernel crossover at one bit size:
-no benchmark, no worker pool.
+the census at a small size, the kernel crossover at one bit size and
+the set-up split of one small call: no benchmark, no worker pool.
 """
 
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +79,33 @@ def test_kernel_crossover_against_a_second_checkout():
         ["32", "random", "lines"], ["32", "rich", "lines"],
         ["32", "rich", "tripartite"]]
     assert all(0 <= int(w) <= 2 for row in rows[1:] for w in row[8:])
+
+
+def test_setup_split_prints_every_layer(tmp_path):
+    """Two reps of `bound --n 10` on a clean copy of the tree, against
+    itself: every layer is printed and written, and no bytecode cache
+    appears under src/.  No time is checked."""
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src" / "orchard", tree / "src" / "orchard",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tree / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "setup_split.py", tree / "scripts")
+    out = _run_script(tree / "scripts" / "setup_split.py", "--reps", "2",
+                      "--against", str(tree), "--json",
+                      str(tmp_path / "split.json"), "--", "bound", "--n",
+                      "10").splitlines()
+    assert out[0].split() == ["layer", "(ms,", "median)", "this", "against",
+                              "change", "wins"]
+    layers = [line[:28].strip() for line in out[1:]]
+    modules = layers[2:layers.index("other modules")]
+    assert layers == ["bare interpreter", "imports", *modules,
+                      "other modules", "compilation", "argument parsing",
+                      "points-file read", "rest of the call", "whole call"]
+    assert modules and all(m.startswith("orchard") for m in modules)
+    written = json.loads((tmp_path / "split.json").read_text())
+    assert [name.strip() for name in written["layers_ms"]] == layers
+    assert written["argv"] == ["bound", "--n", "10"]
+    assert not list((tree / "src").glob("**/__pycache__"))
 
 
 def _load_script(name):
