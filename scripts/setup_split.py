@@ -22,10 +22,11 @@ reps) the --against checkout, pinned to one core:
   does not, by orchard module and the rest together;
 - the cached call's own argument parsing and points-file read
   (orchard.cli.parse_args and _load_pointset), timed in process.
-The rest of the call is the uncached call less all of these.  Each row
-is the median over the reps, in ms; with --against, the change is the
-median of the paired differences (this checkout less the other) and
-wins counts the reps in which this checkout was the faster.
+The rest of the call is the cached call less its bare interpreter, its
+imports, its parsing and its read.  Each row is the median over the
+reps, in ms; with --against, the change is the median of the paired
+differences (this checkout less the other) and wins counts the reps in
+which this checkout was the faster.
 
 A checkout with a __pycache__ under src/ is refused: the call without
 a cache would read it.  Nothing is asserted of the times.
@@ -107,27 +108,29 @@ def one_rep(tree: Tree, argv: list[str], bare_modules: set,
             flip: bool) -> dict[str, float]:
     """The layers of one rep of the call in tree, in s."""
     call = ["-m", "orchard.cli", *argv]
-    walls = {}
+    walls, bare = {}, {}
     for key in (("cached", "plain") if flip else ("plain", "cached")):
         env = getattr(tree, key)
-        walls[key] = spawn(call, env)[0] - spawn(BARE, env)[0]
-    bare = spawn(BARE, tree.plain)[0]
+        walls[key] = spawn(call, env)[0]
+        bare[key] = spawn(BARE, env)[0]
+    # each call less its bare interpreter: what orchard adds to a start
+    plain, cached = (walls[key] - bare[key] for key in ("plain", "cached"))
     loaded = import_times(spawn(["-X", "importtime", *call],
                                 tree.cached)[2])
     parse, read = map(float, spawn(["-c", IN_PROCESS, *argv],
                                    tree.cached)[1].split())
-    row = {"bare interpreter": bare}
+    row = {"bare interpreter": bare["plain"]}
     own = {m: t for m, t in loaded.items() if m not in bare_modules}
     row["imports"] = sum(own.values())
     for module in sorted(m for m in own if m.startswith("orchard")):
         row[f"  {module}"] = own[module]
     row["  other modules"] = sum(t for m, t in own.items()
                                  if not m.startswith("orchard"))
-    row["compilation"] = walls["plain"] - walls["cached"]
+    row["compilation"] = plain - cached
     row["argument parsing"] = parse
     row["points-file read"] = read
-    row["rest of the call"] = walls["cached"] - row["imports"] - parse - read
-    row["whole call"] = bare + walls["plain"]
+    row["rest of the call"] = cached - row["imports"] - parse - read
+    row["whole call"] = walls["plain"]
     return row
 
 
