@@ -12,9 +12,8 @@ reads the whole line stream; on the rich input the count "tripartite"
 also runs tripartite_count(1, 2, 3) with the points labelled by row.
 Each kernel runs five times, alternating which goes first; the medians
 and their ratio are printed, and the two results are checked to be the
-same (the same member lists in the same order, with the same 2-point
-count; the same tripartite count).  richlines._BIG_BITS is set from
-where the ratio crosses 1.
+same (the same member lists in the same order; the same tripartite
+count).  richlines._BIG_BITS is set from where the ratio crosses 1.
 
 --against DIR also loads the orchard of the checkout DIR, as the
 package orchard_against in the same process, and times its two kernels
@@ -72,11 +71,9 @@ def load_tree(checkout: str):
     return importlib.import_module(f"{spec.name}.richlines")
 
 
-def lines(rl, hs: list) -> tuple:
-    """The lines of the stream of the richlines module rl, and its 2-point
-    count."""
-    out: list = []
-    return out, rl._drain(rl._rich_lines(hs), out.append)
+def lines(rl, hs: list) -> list:
+    """The lines of the stream of the richlines module rl."""
+    return list(rl._rich_lines(hs))
 
 
 def tripartite(rl, hs: list) -> int:

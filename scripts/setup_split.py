@@ -13,13 +13,15 @@ reps) the --against checkout, pinned to one core:
   under PYTHONDONTWRITEBYTECODE=1, so orchard is compiled from source;
 - the call and the bare interpreter with a bytecode cache under
   PYTHONPYCACHEPREFIX, in a temporary directory (filled by a first
-  call), so that nothing is written under src/; the compilation layer
-  is what the cache saves the call beyond what it saves the bare
-  interpreter (whose site modules may have no cache of their own), each
-  pair run in alternating order;
+  call), so that nothing is written under src/, each pair run in
+  alternating order;
 - the cached call under `-X importtime`: the imports layer is the self
   time of each module that the call loads and the bare interpreter
   does not, by orchard module and the rest together;
+- the compilation layer, timed in this process: compile() on the
+  sources of the orchard modules that the cached call lists and of
+  orchard/cli.py, which runs as __main__ and is not listed, as the
+  call without a cache compiles them, the best of COMPILE_RUNS runs;
 - the cached call's own argument parsing and points-file read
   (orchard.cli.parse_args and _load_pointset), timed in process.
 The rest of the call is the cached call less its bare interpreter, its
@@ -46,6 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BARE = ["-c", "import os; os._exit(0)"]
+COMPILE_RUNS = 5
 
 # run in the cached call's interpreter: the parse and the read, in s
 IN_PROCESS = """
@@ -77,6 +80,7 @@ class Tree:
                 if k not in ("PYTHONPYCACHEPREFIX", "PYTHONDONTWRITEBYTECODE")}
         base["PYTHONPATH"] = str(src)
         self.name = str(checkout)
+        self.package = src / "orchard"
         self.plain = {**base, "PYTHONDONTWRITEBYTECODE": "1"}
         self.cached = {**base, "PYTHONPYCACHEPREFIX": str(cache)}
 
@@ -104,6 +108,21 @@ def import_times(stderr: str) -> dict[str, float]:
     return times
 
 
+def compile_time(tree: Tree, modules: set[str]) -> float:
+    """The best of COMPILE_RUNS timings, in s, of compiling the source of
+    orchard/cli.py and of each orchard module in modules."""
+    names = {m.partition(".")[2] or "__init__" for m in modules} | {"cli"}
+    paths = [tree.package / f"{name}.py" for name in sorted(names)]
+    sources = [(path.read_bytes(), str(path)) for path in paths]
+    best = float("inf")
+    for _ in range(COMPILE_RUNS):
+        t0 = time.perf_counter()
+        for source, path in sources:
+            compile(source, path, "exec", dont_inherit=True)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def one_rep(tree: Tree, argv: list[str], bare_modules: set,
             flip: bool) -> dict[str, float]:
     """The layers of one rep of the call in tree, in s."""
@@ -113,8 +132,9 @@ def one_rep(tree: Tree, argv: list[str], bare_modules: set,
         env = getattr(tree, key)
         walls[key] = spawn(call, env)[0]
         bare[key] = spawn(BARE, env)[0]
-    # each call less its bare interpreter: what orchard adds to a start
-    plain, cached = (walls[key] - bare[key] for key in ("plain", "cached"))
+    # the cached call less its bare interpreter: what orchard adds to a
+    # start
+    cached = walls["cached"] - bare["cached"]
     loaded = import_times(spawn(["-X", "importtime", *call],
                                 tree.cached)[2])
     parse, read = map(float, spawn(["-c", IN_PROCESS, *argv],
@@ -126,7 +146,8 @@ def one_rep(tree: Tree, argv: list[str], bare_modules: set,
         row[f"  {module}"] = own[module]
     row["  other modules"] = sum(t for m, t in own.items()
                                  if not m.startswith("orchard"))
-    row["compilation"] = plain - cached
+    row["compilation"] = compile_time(tree, {m for m in loaded
+                                             if m.startswith("orchard")})
     row["argument parsing"] = parse
     row["points-file read"] = read
     row["rest of the call"] = cached - row["imports"] - parse - read

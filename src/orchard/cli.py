@@ -288,10 +288,10 @@ def _dest(flag: str) -> str:
 def _read(command: str, argv: list[str]):
     """The option values of command's argv if it is in the documented
     form, else None: each option its exact flag, as --flag=value or
-    followed by a value that does not start with "-", a switch its bare
-    flag, the last of a repeated option kept, every required option
-    given, each value an int where the type is int and one of the
-    choices where there are choices."""
+    followed by a value that is "-" or does not start with "-", a
+    switch its bare flag, the last of a repeated option kept, every
+    required option given, each value an int where the type is int and
+    one of the choices where there are choices."""
     options = {option[0]: option for option in _COMMANDS[command]["options"]}
     values = {_dest(flag): option[2] for flag, option in options.items()}
     seen = set()
@@ -304,8 +304,8 @@ def _read(command: str, argv: list[str]):
         if typ is bool:
             value = True
         elif not eq:
-            value = next(tokens, "-")
-            if value.startswith("-"):
+            value = next(tokens, None)
+            if value is None or value != "-" and value.startswith("-"):
                 return None
         if typ is int:
             try:

@@ -48,6 +48,8 @@ def _emit(text: str, out: str | None):
 def cmd_generate(args) -> int:
     import json
     _cli = args.cli
+    if args.dense_middle and args.example != "parallel-aps":
+        raise ValueError("--dense-middle needs --example parallel-aps")
     if args.example == "ngon":
         cfg = _cli.gen_ngon_directions(args.n)
         doc = {"kind": "ngon", "n": cfg.n,

@@ -1,13 +1,13 @@
 """Lines spanned by a point set, with exact multiplicities.
 
 The central object is the stream of the lines through three or more set
-points (triple lines), each as its sorted member indices, that ends
-with the number of lines through exactly two.  It is built row by row
-from the O(n^2) pair space: row i groups the joins (i, j), j > i, by
-line, so a line through m >= 3 points shows up complete in the row of
-its lowest member and is streamed to its consumer there.  Only lines of
-4+ members are remembered, to know their later sightings; 2-point lines
-are counted, never stored.  No O(n^3) pass and no floating slope
+points (triple lines), each as its sorted member indices.  It is built
+row by row from the O(n^2) pair space: row i groups the joins (i, j),
+j > i, by line, so a line through m >= 3 points shows up complete in
+the row of its lowest member and is streamed to its consumer there.
+Only lines of 4+ members are remembered, to know their later
+sightings; 2-point lines are never stored (spanned_lines counts them
+from the pairs).  No O(n^3) pass and no floating slope
 buckets anywhere: a row keys its joins by exact integer slope codes,
 by lines mod a prime, or by canonical lines (see _keys).  A line's
 canonical form is built, from its first two members, only for a caller
@@ -21,8 +21,8 @@ from __future__ import annotations
 import os
 from functools import partial
 from math import comb
-from typing import (TYPE_CHECKING, Callable, Generator, Iterable, Iterator,
-                    Optional, Sequence)
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Optional,
+                    Sequence)
 
 from .exact import _cross, _Frozen, _int_arg, canonical
 
@@ -156,21 +156,17 @@ def _lines(anchor: Triple, pts: Triples) -> list[Triple]:
 
 
 Lines = list[list[int]]
-RowLines = tuple[int, Lines]
-# lines through >= 3 points in serial order; returns the 2-point count
-LineStream = Generator[list[int], None, int]
 
 
-def _group(i: int, keys: Sequence) -> RowLines:
-    """Row i from the keys of its joins (i, j), j = i + 1, ...: the
-    number of distinct keys and [i, j...] for each key of two or more
-    joins, in order of first j.  A row of distinct keys holds no rich
-    line and is counted by one set.  Otherwise the row dict maps a key
-    to its first j, and only a repeated key builds a member list.
+def _group(i: int, keys: Sequence) -> Lines:
+    """Row i from the keys of its joins (i, j), j = i + 1, ...: [i, j...]
+    for each key of two or more joins, in order of first j.  A row of
+    distinct keys holds no rich line, which one set shows.  Otherwise
+    the row dict maps a key to its first j, and only a repeated key
+    builds a member list.
     """
-    count = len(set(keys))
-    if count == len(keys):
-        return count, []
+    if len(set(keys)) == len(keys):
+        return []
     first, repeated = {}, {}
     for j, key in enumerate(keys, i + 1):
         f = first.setdefault(key, j)
@@ -180,21 +176,21 @@ def _group(i: int, keys: Sequence) -> RowLines:
                 repeated[key] = [i, f, j]
             else:
                 members.append(j)
-    return count, sorted(repeated.values(), key=lambda m: m[1])
+    return sorted(repeated.values(), key=lambda m: m[1])
 
 
 def _keys(anchor: Triple, pts: Triples, mod: Optional[tuple],
           shift: Optional[int],
-          i: int = -1) -> tuple[list, Optional[RowLines]]:
+          i: int = -1) -> tuple[list, Optional[Lines]]:
     """One key per join from the anchor to pts, equal for two joins
-    exactly when they lie on one line, and the row _group(i, keys) if it
-    was built: with shift, an affine anchor's slope codes (_slopes);
-    with mod, which holds the anchor and pts mod _P and the points and
-    coordinate bits by the numbers of the row (the anchor is i, pts[k]
-    is i + 1 + k), their pencil keys mod _P (modp._mod_keys) and their
-    row, if each repeated key is one exact line (modp._one_line_each);
-    otherwise, or on a join 0 mod _P or a split key, the canonical
-    lines (_lines)."""
+    exactly when they lie on one line, and the lines _group(i, keys) if
+    they were built: with shift, an affine anchor's slope codes
+    (_slopes); with mod, which holds the anchor and pts mod _P and the
+    points and coordinate bits by the numbers of the row (the anchor is
+    i, pts[k] is i + 1 + k), their pencil keys mod _P (modp._mod_keys)
+    and their lines, if each repeated key is one exact line
+    (modp._one_line_each); otherwise, or on a join 0 mod _P or a split
+    key, the canonical lines (_lines)."""
     if shift is not None and anchor[2]:
         return _slopes(anchor, pts, shift), None
     if mod:
@@ -202,38 +198,32 @@ def _keys(anchor: Triple, pts: Triples, mod: Optional[tuple],
         anchor_p, pts_p, points, sizes = mod
         keys = modp._mod_keys(anchor_p, pts_p)
         if keys is not None:
-            row = _group(i, keys)
-            if modp._one_line_each(points, sizes, row[1]):
-                return keys, row
+            lines = _group(i, keys)
+            if modp._one_line_each(points, sizes, lines):
+                return keys, lines
     return _lines(anchor, pts), None
 
 
 def _row(hs: Triples, hp: Optional[Triples], hb: Optional[list[int]],
-         shift: Optional[int], i: int) -> RowLines:
-    """Row i: the number of distinct lines through i and a later point,
-    and the sorted members [i, j...] of those through >= 3 points, in
-    order of their first j; freed once read.  hp is hs mod _P and hb the
-    coordinate bits of hs, or both None (_keys, whose mod-_P row is
-    grouped once)."""
-    keys, row = _keys(hs[i], hs[i + 1:], hp and (hp[i], hp[i + 1:], hs, hb),
-                      shift, i)
-    return row or _group(i, keys)
+         shift: Optional[int], i: int) -> Lines:
+    """Row i: the sorted members [i, j...] of the lines through i, a later
+    point and at least one more, in order of their first j; freed once
+    read.  hp is hs mod _P and hb the coordinate bits of hs, or both
+    None (_keys, whose mod-_P row is grouped once)."""
+    keys, lines = _keys(hs[i], hs[i + 1:],
+                        hp and (hp[i], hp[i + 1:], hs, hb), shift, i)
+    return _group(i, keys) if lines is None else lines
 
 
-def _stream(rows: Iterable[RowLines]) -> LineStream:
-    """Each line of the rows 0, 1, ... once, as soon as its row is read,
-    then the number of 2-point lines: a line of m >= 3 members is
-    complete in its lowest row and a row line in m - 1 rows (_store
-    drops the later sightings)."""
+def _stream(rows: Iterable[Lines]) -> Iterator[list[int]]:
+    """Each line of the rows 0, 1, ... once, as soon as its row is read:
+    a line of m >= 3 members is complete in its lowest row and sighted
+    again in the rows of its next m - 3 (_store drops those)."""
     marks: dict[tuple[int, int], list[int]] = {}
-    two_point = 0
-    for count, rich in rows:
-        two_point += count
+    for rich in rows:
         for members in rich:
             if _store(marks, members):
-                two_point -= len(members) - 1
                 yield members
-    return two_point
 
 
 def _store(marks: dict[tuple[int, int], list[int]],
@@ -256,16 +246,6 @@ def _store(marks: dict[tuple[int, int], list[int]],
             f"row enumeration: a line sighted with members {members}, "
             f"not a suffix of {old}")
     return False
-
-
-def _drain(lines: LineStream, each: Callable[[list[int]], object]) -> int:
-    """Call each on every line of the stream; return its 2-point count."""
-    while True:
-        try:
-            members = next(lines)
-        except StopIteration as end:
-            return end.value
-        each(members)
 
 
 def _pooled(row: Callable[[int], object], rows: int,
@@ -317,9 +297,8 @@ def _regime(hs: Triples) -> tuple:
     return None, None, _slope_shift(bits)
 
 
-def _rich_lines(hs: Triples, workers: int = 1) -> LineStream:
-    """The sorted members of each line through >= 3 points, as a stream
-    that returns the number of lines through exactly 2 (_drain).
+def _rich_lines(hs: Triples, workers: int = 1) -> Iterator[list[int]]:
+    """The sorted members of each line through >= 3 points, as a stream.
 
     The largest coordinate fixes the regime at the call (_regime; _keys
     has the paths): up to _BIG_BITS bits, slope codes with no gcd; above
@@ -342,11 +321,11 @@ def spanned_lines(ps: PointSet, workers: int = 1) -> RichLineTable:
     if ps.n < 2:
         raise ValueError("spanned_lines needs at least 2 points")
     hs = ps.raw()
-    entries: dict[tuple, int] = {}
-
-    def enter(m):
-        entries[_line(hs, m[0], m[1])] = len(m)
-    return RichLineTable(entries, _drain(_rich_lines(hs, workers), enter))
+    entries = {_line(hs, m[0], m[1]): len(m) for m in _rich_lines(hs, workers)}
+    # two points span one line, so the pairs off the rich lines are the
+    # lines through exactly two
+    rich_pairs = sum(comb(m, 2) for m in entries.values())
+    return RichLineTable(entries, comb(ps.n, 2) - rich_pairs)
 
 
 def k_rich_count(table: RichLineTable, k: int, exactly: bool = False) -> int:

@@ -383,6 +383,22 @@ def test_tripartite_honours_or_rejects_count_flags(tmp_path, capsys, extra):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("example", ["ngon", "grid", "triangle-ratios",
+                                     "cubic-power", "parabola-ap"])
+def test_dense_middle_is_refused_where_it_has_no_effect(capsys, example):
+    # only the parallel-aps rows have a middle row to double; elsewhere
+    # the switch was ignored, with exit 0
+    argv = ["generate", "--example", example, "--n", "3"]
+    assert run_capture(capsys, argv)[0] == 0
+    assert run(argv + ["--dense-middle"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --dense-middle needs --example parallel-aps\n"
+    aps = ["generate", "--example", "parallel-aps", "--n", "3"]
+    assert run_capture(capsys, aps + ["--dense-middle"]) != \
+        run_capture(capsys, aps)
+
+
 def test_tripartite_runs_on_the_given_workers(tmp_path, capsys, monkeypatch):
     aps = tmp_path / "aps.json"
     aps.write_text(json.dumps(pointset_to_doc(gen_parallel_aps(12))))
@@ -1082,6 +1098,8 @@ def test_the_table_parser_agrees_with_argparse(fuzz_files, data):
     ["tenpoint", "--curve", "cuspidal", "--base", "-1,0,1", "--delta", "1"],
     ["group-check", "--config", "triangle"],
     ["generate", "--example", "grid", "--n", "3", "--dense", "--out", "-"],
+    ["generate", "--example", "grid", "--n", "3", "--out", "-"],
+    ["bound", "--n", "-"],
 ])
 def test_the_table_parser_agrees_on_argparse_corner_cases(argv):
     assert _parsed(cli.build_parser(), argv) == _parsed(argparse_parser(),

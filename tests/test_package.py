@@ -67,45 +67,50 @@ POOL = {"multiprocessing", "locale"} if richlines._cores() > 1 else set()
 SUBCOMMANDS = {
     "generate": (["generate", "--example", "grid", "--n", "3"],
                  {"commands", "generators", "json", "projective",
-                  *FRACTIONS}, 1585),
-    "count": (["count", "--in", "{in}", "--k", "3"], {"json"}, 1045),
+                  *FRACTIONS}, 1566),
+    # "-", stdout, is read as a value, not left to argparse
+    "generate-stdout": (["generate", "--example", "grid", "--n", "3",
+                         "--out", "-"],
+                        {"commands", "generators", "json", "projective",
+                         *FRACTIONS}, 1566),
+    "count": (["count", "--in", "{in}", "--k", "3"], {"json"}, 1024),
     "count-tripartite": (["count", "--in", "{in}", "--tripartite", "1,2,3"],
-                         {"json"}, 1045),
+                         {"json"}, 1024),
     "count-workers": (["count", "--in", "{in}", "--workers", "2"],
-                      {"json", *POOL}, 1045),
-    "directions": (["directions", "--in", "{in}"], {"json"}, 1045),
+                      {"json", *POOL}, 1024),
+    "directions": (["directions", "--in", "{in}"], {"json"}, 1024),
     "bound": (["bound", "--n", "10"], set(), 1045),
     "fit-cubic": (["fit-cubic", "--in", "{in}"],
                   {"commands", "cubics", "fitting", "json", "projective",
-                   *FRACTIONS}, 1632),
+                   *FRACTIONS}, 1613),
     "group-check": (["group-check", "--config", "example1", "--n", "3"],
                     {"commands", "cubics", "descriptions", "generators",
-                     "grouplaw", "projective", *FRACTIONS}, 2157),
+                     "grouplaw", "projective", *FRACTIONS}, 2138),
     "tenpoint": (["tenpoint", "--curve", "cuspidal", "--base=-1,0,1",
                   "--delta", "1/10"],
                  {"cubics", "grouplaw", "projective", "tenpoint",
-                  *FRACTIONS}, 1707),
+                  *FRACTIONS}, 1686),
     "cantilever": (["cantilever", "--curve", "weierstrass:0,17",
                     "--base=-2:3,-1:4,4:9", "--delta", "8:23",
                     "--extend", "3"],
                    {"cubics", "grouplaw", "modp", "projective", "tenpoint",
-                    *FRACTIONS}, 1795),
+                    *FRACTIONS}, 1774),
     "conic": (["conic", "--mode", "involution", "--external", "1,2",
-               "--x", "3"], {"commands", "conic", *FRACTIONS}, 1382),
+               "--x", "3"], {"commands", "conic", *FRACTIONS}, 1363),
     "experiment": (["experiment", "--kind", "quadruple", "--degree", "3",
                     "--n", "3"], {"commands", "curves", "projective",
-                                  *FRACTIONS}, 1561),
+                                  *FRACTIONS}, 1542),
     "experiment-dichotomy": (["experiment", "--kind", "dichotomy",
                               "--degree", "3", "--n", "3"],
                              {"commands", "curves", "projective",
-                              *FRACTIONS}, 1561),
+                              *FRACTIONS}, 1542),
     "experiment-directions": (["experiment", "--kind", "directions",
                                "--degree", "3", "--n", "3"],
                               {"commands", "curves", "projective",
-                               *FRACTIONS}, 1561),
+                               *FRACTIONS}, 1542),
     "plot": (["plot", "--in", "{in}", "--out", "{out}",
               "--mark-triple-lines"],
-             {"commands", "json", "projective", "svg", *FRACTIONS}, 1584),
+             {"commands", "json", "projective", "svg", *FRACTIONS}, 1565),
 }
 
 

@@ -18,7 +18,7 @@ from orchard import (InvariantViolation, PointSet, ProjPoint,
                      gen_grid, gen_parallel_aps, green_tao_bound, join,
                      k_rich_count, mk_point, modp, richlines, spanned_lines,
                      triple_line_count, tripartite_count)
-from orchard.richlines import _drain, _store, line_members
+from orchard.richlines import _store, line_members
 from oracles import (InlineContext, apply_transform, brute_directions,
                      brute_multiplicities, brute_tripartite)
 
@@ -173,9 +173,12 @@ def test_pool_opens_at_the_first_read(monkeypatch):
     assert ctx.sizes == []
     assert next(stream) == [0, 1, 2]
     assert ctx.sizes == [2]
-    assert _read(stream) == ([[0, 3, 6], [0, 4, 8], [1, 4, 7], [2, 4, 6],
-                              [2, 5, 8], [3, 4, 5], [6, 7, 8]], 12)
+    assert list(stream) == [[0, 3, 6], [0, 4, 8], [1, 4, 7], [2, 4, 6],
+                            [2, 5, 8], [3, 4, 5], [6, 7, 8]]
     assert ctx.sizes == [2] and ctx.exits == 1
+    # the table of two workers takes its 2-point count from the pairs
+    assert spanned_lines(gen_grid(3), 2).two_point == \
+        _two_point(gen_grid(3).points) == 12
 
 
 def test_closed_stream_leaves_the_pool(monkeypatch):
@@ -234,14 +237,15 @@ def test_lines_stream_row_by_row(monkeypatch):
     assert built == []
     first = next(stream)
     assert first[0] == 0 and built == [0]
-    lines = [first]
-    assert _drain(stream, lines.append) == 216   # C(36, 2) - 72*3 - 3*66
+    lines = [first, *stream]
     assert built == list(range(ps.n))
     # the three rows of 12 points and the 72 lines x1 + x3 = 2 * x2
     assert sorted(len(m) for m in lines) == [3] * 72 + [12] * 3
     marks = marks_seen[0]
     assert all(m is marks for m in marks_seen) and len(marks) == 3 * 9
     assert all(len(m) >= 4 for m in marks.values())
+    # C(36, 2) - 72 * 3 - 3 * 66 pairs lie on no rich line
+    assert spanned_lines(ps).two_point == _two_point(ps.points) == 216
 
 
 def test_workers_below_one_raise_at_the_call():
@@ -257,8 +261,7 @@ def _non_suffix_sighting(monkeypatch):
     group = richlines._group
 
     def corrupted(i, keys):
-        count, rich = group(i, keys)
-        return count, [[1, 2, 4] if m[:2] == [1, 2] else m for m in rich]
+        return [[1, 2, 4] if m[:2] == [1, 2] else m for m in group(i, keys)]
 
     monkeypatch.setattr(richlines, "_group", corrupted)
     return gen_grid(4)
@@ -534,62 +537,61 @@ def test_triple_lines_upper_bound(coords):
 
 # --- the slope-code and mod-p keyed row kernels ----------------------------
 
-def _read(stream):
-    """The lines of a line stream, as a list, and its 2-point count."""
-    lines = []
-    two_point = _drain(stream, lines.append)
-    return lines, two_point
+def _two_point(points):
+    """The oracle's number of lines through exactly two of points."""
+    return sum(1 for m in brute_multiplicities(points).values() if m == 2)
 
 
 def _exact(hs):
     """The serial all-exact kernel: the rows of _row with neither slope
     codes nor mod-_P keys, streamed as _rich_lines streams them."""
-    return _read(richlines._stream(richlines._row(hs, None, None, None, i)
-                                   for i in range(len(hs))))
+    return list(richlines._stream(richlines._row(hs, None, None, None, i)
+                                  for i in range(len(hs))))
 
 
-def _kernels(hs, workers=1):
-    """_rich_lines forced onto the slope codes, and onto mod-_P keys."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(richlines, "_BIG_BITS", 10 ** 9)
-        slope = _read(richlines._rich_lines(hs, workers))
-        mp.setattr(richlines, "_BIG_BITS", 0)
-        modp = _read(richlines._rich_lines(hs, workers))
-    return slope, modp
-
-
-def _assert_stream_is_two_workers(hs):
+def _assert_stream_is_two_workers(points):
     """The serial stream, read as a list, is the two-worker result (its
-    rows built in this process)."""
+    rows built in this process), whose table has the oracle's 2-point
+    count."""
+    hs = [p.h for p in points]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multiprocessing, "get_context",
                    lambda method: InlineContext())
-        assert _read(richlines._rich_lines(hs)) == \
-            _read(richlines._rich_lines(hs, workers=2))
+        assert list(richlines._rich_lines(hs)) == \
+            list(richlines._rich_lines(hs, workers=2))
+        if len(points) >= 2:
+            assert spanned_lines(PointSet(points), workers=2).two_point == \
+                _two_point(points)
 
 
-def _assert_matches_exact(points, out):
+def _assert_matches_exact(points, out, workers=1):
     """out has the serial all-exact kernel's member lists, in its order
-    (by first and second member), and 2-point count, and the oracle's
-    lines, members and 2-point count."""
-    exact = _exact([p.h for p in points])
-    assert out[0] == exact[0]
-    assert out[1] == exact[1]
-    assert [m[:2] for m in out[0]] == sorted(m[:2] for m in out[0])
+    (by first and second member), and the oracle's lines and members;
+    spanned_lines on workers, in the kernel set now, has the oracle's
+    2-point count."""
+    assert out == _exact([p.h for p in points])
+    assert [m[:2] for m in out] == sorted(m[:2] for m in out)
     brute = brute_multiplicities(points)
-    keys = [join(points[m[0]], points[m[1]]).l for m in out[0]]
+    keys = [join(points[m[0]], points[m[1]]).l for m in out]
     assert sorted(keys) == sorted(k for k, m in brute.items() if m >= 3)
-    for (a, b, c), members in zip(keys, out[0]):
+    for (a, b, c), members in zip(keys, out):
         assert members == [i for i, p in enumerate(points)
                            if a * p.h[0] + b * p.h[1] + c * p.h[2] == 0]
-    assert out[1] == sum(1 for m in brute.values() if m == 2)
+    if len(points) >= 2:
+        assert spanned_lines(PointSet(points), workers).two_point == \
+            sum(1 for m in brute.values() if m == 2)
 
 
 def _assert_kernels_agree(points, workers=1):
-    """Both keyed kernels, on any number of workers, match the serial
-    all-exact one and the oracle."""
-    for out in _kernels([p.h for p in points], workers):
-        _assert_matches_exact(points, out)
+    """_rich_lines forced onto the slope codes, and onto mod-_P keys, on
+    any number of workers, matches the serial all-exact kernel and the
+    oracle (_assert_matches_exact, under each kernel)."""
+    hs = [p.h for p in points]
+    for big_bits in (10 ** 9, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(richlines, "_BIG_BITS", big_bits)
+            _assert_matches_exact(
+                points, list(richlines._rich_lines(hs, workers)), workers)
 
 
 def _with_infinity():
@@ -733,7 +735,7 @@ def big_point_sets(draw):
 def test_mod_kernel_on_big_coordinates(points):
     assert max(abs(c) for p in points for c in p.h).bit_length() >= 500
     _assert_kernels_agree(points)
-    _assert_stream_is_two_workers([p.h for p in points])
+    _assert_stream_is_two_workers(points)
 
 
 def test_mod_kernel_workers_match_serial():
@@ -800,7 +802,7 @@ def _at_both_primes(monkeypatch, count):
 
 def _big_counts(ps):
     """The line stream of ps and its tripartite count for each pattern."""
-    return (_read(richlines._rich_lines(ps.raw())),
+    return (list(richlines._rich_lines(ps.raw())),
             [tripartite_count(ps, pattern) for pattern in
              itertools.combinations_with_replacement((1, 2, 3), 3)])
 
@@ -815,7 +817,8 @@ def test_both_primes_give_the_cantilever_stream_and_counts(monkeypatch):
         "a cantilever row fell back to canonical lines"))
     old, new = _at_both_primes(monkeypatch, lambda: _big_counts(ps))
     assert new == old
-    assert len(new[0][0]) == 623 and new[0][1] == 3081
+    assert len(new[0]) == 623
+    assert spanned_lines(ps).two_point == 3081
     monkeypatch.setattr(richlines, "_lines", lines)
     assert new[0] == _exact(ps.raw())
 
@@ -839,9 +842,9 @@ def test_a_mod_p_row_is_grouped_once(monkeypatch):
                         lambda i, keys: calls.append(i) or group(i, keys))
     monkeypatch.setattr(richlines, "_lines", lambda *args: pytest.fail(
         "a cantilever row fell back to canonical lines"))
-    out = _read(richlines._rich_lines(hs))
+    out = list(richlines._rich_lines(hs))
     assert calls == list(range(len(hs)))
-    assert len(out[0]) == 623
+    assert len(out) == 623
 
 
 @pytest.mark.parametrize("make", [lambda: gen_grid(4),
@@ -849,11 +852,13 @@ def test_a_mod_p_row_is_grouped_once(monkeypatch):
                                   _cantilever_points],
                          ids=["grid", "slope", "mod-p"])
 def test_workers_keep_the_serial_key_order(make):
-    hs = make().raw()
-    serial = _read(richlines._rich_lines(hs))
-    parallel = _read(richlines._rich_lines(hs, workers=2))
-    assert len(serial[0]) >= 3
+    ps = make()
+    hs = ps.raw()
+    serial = list(richlines._rich_lines(hs))
+    parallel = list(richlines._rich_lines(hs, workers=2))
+    assert len(serial) >= 3
     assert parallel == serial
+    assert spanned_lines(ps, workers=2).two_point == _two_point(ps.points)
 
 
 @pytest.mark.parametrize("make", [lambda: gen_grid(5),
@@ -890,7 +895,7 @@ def test_anchors_at_infinity_take_the_exact_row(monkeypatch):
 
     monkeypatch.setattr(richlines, "_slopes", spy("slope", richlines._slopes))
     monkeypatch.setattr(richlines, "_lines", spy("exact", richlines._lines))
-    out = _read(richlines._rich_lines([p.h for p in points]))
+    out = list(richlines._rich_lines([p.h for p in points]))
     assert rows["exact"] == [i for i, p in enumerate(points) if p.at_infinity]
     assert sorted(rows["slope"] + rows["exact"]) == list(range(len(points)))
     _assert_matches_exact(points, out)
@@ -900,7 +905,7 @@ def _assert_rows_match_exact(points, a=0, lo=None):
     """Every row of the affine points (the joins from i to hs[i + 1:]),
     and with lo the tripartite row of a (the joins from a to hs[:a] +
     hs[lo:]), grouped by slope code and by key mod _P (at _P and at 7),
-    has the all-exact row's count and member lists."""
+    has the all-exact row's member lists."""
     hs = [p.h for p in points]
     shift = richlines._slope_shift(richlines._coord_bits(hs))
     rows = [(hs[i], hs[i + 1:]) for i in range(len(hs))]
@@ -971,7 +976,7 @@ def test_split_key_with_its_shortest_points_last_falls_back(monkeypatch):
                                 shift, 0)
     assert checks == [False] and crossed[0] == (hs[2], hs[3])
     assert row is None and keys == richlines._lines(hs[0], hs[1:])
-    assert _read(richlines._rich_lines(hs)) == _exact(hs)
+    assert list(richlines._rich_lines(hs)) == _exact(hs)
     _assert_rows_match_exact(points)
 
 
@@ -995,13 +1000,12 @@ def test_slope_row_with_one_vertical_join():
     hs = [p.h for p in points]
     shift = richlines._slope_shift(richlines._coord_bits(hs))
     assert richlines._slopes(hs[0], hs[1:], shift).count(None) == 1
-    assert richlines._group(0, richlines._slopes(hs[0], hs[1:], shift)) == \
-        (4, [])
+    assert richlines._group(0, richlines._slopes(hs[0], hs[1:], shift)) == []
     points.append(mk_point(2, 2))           # on the line y = x of row 0
     hs = [p.h for p in points]
     assert richlines._slopes(hs[0], hs[1:], shift).count(None) == 1
     assert richlines._group(0, richlines._slopes(hs[0], hs[1:], shift)) == \
-        (4, [[0, 2, 5]])
+        [[0, 2, 5]]
     _assert_rows_match_exact(points)
 
 
@@ -1069,8 +1073,8 @@ def test_slope_kernel_on_farey_directions(data):
     hs = [p.h for p in points]
     assert richlines._coord_bits(hs) <= richlines._BIG_BITS
     if len(hs) >= 2:
-        _assert_matches_exact(points, _read(richlines._rich_lines(hs)))
-        _assert_stream_is_two_workers(hs)
+        _assert_matches_exact(points, list(richlines._rich_lines(hs)))
+        _assert_stream_is_two_workers(points)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1107,8 +1111,8 @@ def test_regime_boundary_at_big_bits(monkeypatch, extra, path):
                         lambda *args: calls.append(1) or keys(*args))
     monkeypatch.setattr(richlines, "_lines",
                         lambda *args: exact.append(1) or lines(*args))
-    out = _read(richlines._rich_lines(hs))
+    out = list(richlines._rich_lines(hs))
     # every row keyed on the path, none made canonical; the planted line
-    assert len(calls) == len(hs) and not exact and out[0]
+    assert len(calls) == len(hs) and not exact and out
     _assert_matches_exact(points, out)
 
