@@ -818,6 +818,7 @@ def test_both_primes_give_the_cantilever_stream_and_counts(monkeypatch):
     old, new = _at_both_primes(monkeypatch, lambda: _big_counts(ps))
     assert new == old
     assert len(new[0]) == 623
+    # the 2-point lines that brute_multiplicities counts (in about 5 s)
     assert spanned_lines(ps).two_point == 3081
     monkeypatch.setattr(richlines, "_lines", lines)
     assert new[0] == _exact(ps.raw())
