@@ -11,22 +11,19 @@ reps) the --against checkout, pinned to one core:
   a call, by os._exit, without the interpreter's teardown;
 - the call, `python -m orchard.cli ARGV`, as the benchmark runs it:
   under PYTHONDONTWRITEBYTECODE=1, so orchard is compiled from source;
-- the call and the bare interpreter with a bytecode cache under
+- the call under `-X importtime`, with a bytecode cache under
   PYTHONPYCACHEPREFIX, in a temporary directory (filled by a first
-  call), so that nothing is written under src/, each pair run in
-  alternating order;
-- the cached call under `-X importtime`: the imports layer is the self
-  time of each module that the call loads and the bare interpreter
-  does not, by orchard module and the rest together;
+  call), so that nothing is written under src/: the imports layer is
+  the self time of each module that the call loads and the bare
+  interpreter does not, by orchard module and the rest together;
 - the compilation layer, timed in this process: compile() on the
   sources of the orchard modules that the cached call lists and of
   orchard/cli.py, which runs as __main__ and is not listed, as the
   call without a cache compiles them, the best of COMPILE_RUNS runs;
 - the cached call's own argument parsing and points-file read
   (orchard.cli.parse_args and _load_pointset), timed in process.
-The rest of the call is the cached call less its bare interpreter, its
-imports, its parsing and its read.  Each row is the median over the
-reps, in ms; with --against, the change is the median of the paired
+No row is the difference of two spawned calls, which would carry the
+spread of both.  Each row is the median over the reps, in ms; with --against, the change is the median of the paired
 differences (this checkout less the other) and wins counts the reps in
 which this checkout was the faster.
 
@@ -123,23 +120,16 @@ def compile_time(tree: Tree, modules: set[str]) -> float:
     return best
 
 
-def one_rep(tree: Tree, argv: list[str], bare_modules: set,
-            flip: bool) -> dict[str, float]:
+def one_rep(tree: Tree, argv: list[str],
+            bare_modules: set) -> dict[str, float]:
     """The layers of one rep of the call in tree, in s."""
     call = ["-m", "orchard.cli", *argv]
-    walls, bare = {}, {}
-    for key in (("cached", "plain") if flip else ("plain", "cached")):
-        env = getattr(tree, key)
-        walls[key] = spawn(call, env)[0]
-        bare[key] = spawn(BARE, env)[0]
-    # the cached call less its bare interpreter: what orchard adds to a
-    # start
-    cached = walls["cached"] - bare["cached"]
+    whole = spawn(call, tree.plain)[0]
+    row = {"bare interpreter": spawn(BARE, tree.plain)[0]}
     loaded = import_times(spawn(["-X", "importtime", *call],
                                 tree.cached)[2])
     parse, read = map(float, spawn(["-c", IN_PROCESS, *argv],
                                    tree.cached)[1].split())
-    row = {"bare interpreter": bare["plain"]}
     own = {m: t for m, t in loaded.items() if m not in bare_modules}
     row["imports"] = sum(own.values())
     for module in sorted(m for m in own if m.startswith("orchard")):
@@ -150,8 +140,7 @@ def one_rep(tree: Tree, argv: list[str], bare_modules: set,
                                              if m.startswith("orchard")})
     row["argument parsing"] = parse
     row["points-file read"] = read
-    row["rest of the call"] = cached - row["imports"] - parse - read
-    row["whole call"] = walls["plain"]
+    row["whole call"] = whole
     return row
 
 
@@ -182,12 +171,12 @@ def main() -> int:
         for rep in range(args.reps):
             order = list(enumerate(trees))
             for k, tree in (order[::-1] if rep % 2 else order):
-                reps[k].append(one_rep(tree, argv, bare_modules, rep % 2))
+                reps[k].append(one_rep(tree, argv, bare_modules))
     modules = sorted({name for side in reps for row in side
                       for name in row if name.startswith("  orchard")})
     layers = ["bare interpreter", "imports", *modules, "  other modules",
               "compilation", "argument parsing", "points-file read",
-              "rest of the call", "whole call"]
+              "whole call"]
     table: dict = {}
     for name in layers:
         cols = [[row.get(name, 0.0) * 1e3 for row in side] for side in reps]

@@ -11,10 +11,10 @@ This module holds the command table, the reader of argv in its
 documented form (the command, then each option as --flag value or
 --flag=value and each switch as its bare flag), run, the points-file
 reader, the curve and point parsers and the count, directions, bound,
-tenpoint and cantilever commands.  The other commands, the help and
-usage text and the argparse parser that reads any other argv from the
-same table live in orchard.commands, which only a call of one of them,
---help, a usage error or another form of argv loads.
+tenpoint and cantilever commands.  The other commands and the argparse
+parser that reads any other argv from the same table, with argparse's
+own help and usage errors, live in orchard.commands, which only a call
+of one of them, --help, a usage error or another form of argv loads.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ _LAZY = {**_EXPORTS, "describe_lattice_witness": "tenpoint",
          "group_check_cases": "descriptions", "render_pointset": "svg",
          **dict.fromkeys(("pointset_to_doc", "cmd_generate", "cmd_fit_cubic",
                           "cmd_group_check", "cmd_conic", "cmd_experiment",
-                          "cmd_plot", "usage_error", "parse_with_argparse"),
+                          "cmd_plot", "parse_with_argparse"),
                          "commands")}
 _cli = sys.modules[__name__]
 
@@ -203,7 +203,8 @@ def _tenpoint_common(args) -> int:
 # it up on the running CLI module, so that one of orchard.commands loads
 # only when it runs) and its options, each (flag, type, default,
 # required, help).  A type is int, str, a tuple of the allowed values, or
-# bool for a switch, which takes no value.
+# bool for a switch, which takes no value.  argparse prints each help,
+# with %(default)s in it as the option's default.
 _TENPOINT = [
     ("--curve", str, None, True, "cuspidal or weierstrass:a,b"),
     ("--base", str, None, True,
@@ -227,7 +228,7 @@ _COMMANDS = {
             ("--exactly", bool, False, False, ""),
             ("--tripartite", str, None, False,
              "label pattern, e.g. 1,2,3 or 112"),
-            ("--workers", int, 1, False, "")]),
+            ("--workers", int, 1, False, "default: %(default)s")]),
     "directions": dict(
         help="distinct directions of all joins", func="cmd_directions",
         options=[("--in", str, None, True, "")]),
@@ -244,9 +245,9 @@ _COMMANDS = {
         func="cmd_group_check", options=[
             ("--config", ("example1", "example4", "triangle",
                           "parabola-inf", "hyperbola-inf"), None, True, ""),
-            ("--n", int, 6, False, ""),
-            ("--trials", int, 2000, False, ""),
-            ("--seed", int, 1, False, "")]),
+            ("--n", int, 6, False, "default: %(default)s"),
+            ("--trials", int, 2000, False, "default: %(default)s"),
+            ("--seed", int, 1, False, "default: %(default)s")]),
     "tenpoint": dict(
         help="build and verify a ten point configuration (optionally "
              "extended)", func="_tenpoint_common",
@@ -327,17 +328,12 @@ def parse_args(argv: list[str]):
     documented form (_read) is read here; argparse reads any other, from
     the same table (orchard.commands.parse_with_argparse), so --help
     exits 0 and a usage error 2 (SystemExit) by argparse's rules."""
-    values = None
-    if argv and argv[0] in _COMMANDS:
-        values = _read(argv[0], argv[1:])
-    elif argv and not argv[0].startswith("-"):
-        # argparse would add the list of commands to this message
-        _cli.usage_error(_cli, None, f"argument command: invalid choice: "
-                                     f"{argv[0]!r}")
+    command = argv[0] if argv else None
+    values = _read(command, argv[1:]) if command in _COMMANDS else None
     if values is None:
         return _cli.parse_with_argparse(_cli, argv)
-    return SimpleNamespace(command=argv[0], cli=_cli,
-                           func=_COMMANDS[argv[0]]["func"], **values)
+    return SimpleNamespace(command=command, cli=_cli,
+                           func=_COMMANDS[command]["func"], **values)
 
 
 def build_parser():

@@ -1,8 +1,8 @@
 """The CLI subcommands that a count call never runs: generate, fit-cubic,
-group-check, conic, experiment and plot, with the points-file writer,
-the help and usage text of orchard.cli's command table, and the argparse
-parser built from that table, which reads every argv that is not in the
-documented form that orchard.cli reads itself.
+group-check, conic, experiment and plot, with the points-file writer and
+the argparse parser built from orchard.cli's command table, which reads
+every argv that is not in the documented form that orchard.cli reads
+itself and prints argparse's own help and usage errors.
 
 orchard.cli names these commands in its command table and loads this
 module on the first use of one of them, so that a count, directions, bound,
@@ -177,82 +177,27 @@ def cmd_plot(args) -> int:
     return 0
 
 
-# --- help, usage and argparse ------------------------------------------------
-
-def _metavar(flag: str, typ) -> str:
-    return "{%s}" % ",".join(typ) if type(typ) is tuple else flag[2:].upper()
-
-
-def usage(table: dict, command) -> str:
-    """The usage line of command, or of orchard itself if it is None, from
-    the CLI's command table."""
-    if command is None:
-        return "usage: orchard [-h] {%s} ..." % ",".join(table)
-    words = [f"usage: orchard {command} [-h]"]
-    for flag, typ, _, required, _ in table[command]["options"]:
-        word = flag if typ is bool else f"{flag} {_metavar(flag, typ)}"
-        words.append(word if required else f"[{word}]")
-    return " ".join(words)
-
-
-def print_help(table: dict, command) -> None:
-    """Print the help of command, or of orchard itself if it is None."""
-    if command is None:
-        about = ("Exact triple-line geometry: generators, counts, cubic "
-                 "fitting, group checks, experiments, plots.")
-        rows = [(name, spec["help"]) for name, spec in table.items()]
-        title, tail = "commands", ["", "orchard <command> --help lists the "
-                                       "options of one command."]
-    else:
-        about, title, tail = table[command]["help"], "options", []
-        rows = [("-h, --help", "show this help message and exit")]
-        for flag, typ, default, required, text in table[command]["options"]:
-            if required:
-                text += " (required)"
-            elif default not in (None, False):
-                text += f" (default: {default})"
-            rows.append((flag if typ is bool
-                         else f"{flag} {_metavar(flag, typ)}", text.strip()))
-    print("\n".join([usage(table, command), "", about, "", f"{title}:"]
-                    + [f"  {left:<24} {right}".rstrip()
-                       for left, right in rows] + tail))
-
-
-def usage_error(cli, command, message: str):
-    """Print the usage line of command (of orchard itself if it is None)
-    and one orchard: error line to stderr through cli._fail; exit 2
-    (SystemExit)."""
-    cli._fail(2, f"{usage(cli._COMMANDS, command)}\norchard: error: "
-                 f"{message}")
-    raise SystemExit(2)
-
+# --- argparse -----------------------------------------------------------------
 
 def parse_with_argparse(cli, argv: list[str]):
-    """argv read by argparse from cli's command table, with the help of
-    print_help and the usage errors of usage_error: the reader of every
-    argv that cli.parse_args does not read itself."""
+    """argv read by argparse from cli's command table: the reader of
+    every argv that cli.parse_args does not read itself, whose --help
+    and usage errors are argparse's own."""
     import argparse     # only --help, a usage error or another form loads it
 
-    class Parser(argparse.ArgumentParser):
-        command = None
-
-        def print_help(self, file=None):
-            print_help(cli._COMMANDS, self.command)
-
-        def error(self, message):
-            usage_error(cli, self.command, message)
-
-    top = Parser()
+    top = argparse.ArgumentParser(
+        prog="orchard",
+        description="Exact triple-line geometry: generators, counts, cubic "
+                    "fitting, group checks, experiments, plots.")
     top.set_defaults(cli=cli)
     sub = top.add_subparsers(dest="command", required=True)
     for name, spec in cli._COMMANDS.items():
-        p = sub.add_parser(name)
-        p.command = name
+        p = sub.add_parser(name, help=spec["help"], description=spec["help"])
         p.set_defaults(func=spec["func"])
-        for flag, typ, default, required, _ in spec["options"]:
+        for flag, typ, default, required, text in spec["options"]:
             kind = (dict(action="store_true") if typ is bool
                     else dict(choices=typ) if type(typ) is tuple
                     else dict(type=typ))
             p.add_argument(flag, dest=cli._dest(flag), default=default,
-                           required=required, **kind)
+                           required=required, help=text or None, **kind)
     return top.parse_args(argv)

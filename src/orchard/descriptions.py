@@ -203,8 +203,8 @@ def verify_group_description(ps: PointSet, desc: GroupDescription) -> bool:
 
 # --- the cases of `orchard group-check` ---------------------------------------
 
-def _random_fraction(rng: random.Random, span: int = 12) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, 6))
+def _random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
 
 
 def _nonzero(rng: random.Random) -> Fraction:

@@ -32,15 +32,15 @@ class SampledArc(_Frozen):
 
 
 def standard_system_ok(alpha: SampledArc, beta: SampledArc,
-                       gamma: SampledArc, samples: int = 201) -> bool:
-    """Sampled check of the ordering alpha < beta < gamma on the common
-    interval (the constructive part of the arc assumptions)."""
+                       gamma: SampledArc) -> bool:
+    """Check of the ordering alpha < beta < gamma at 201 even samples of
+    the common interval (the constructive part of the arc assumptions)."""
     lo = max(alpha.lo, beta.lo, gamma.lo)
     hi = min(alpha.hi, beta.hi, gamma.hi)
     if not lo < 0.0 < hi:
         return False
-    for t in range(samples):
-        x = lo + (hi - lo) * t / (samples - 1)
+    for t in range(201):
+        x = lo + (hi - lo) * t / 200
         if not alpha.fn(x) < beta.fn(x) < gamma.fn(x):
             return False
     return True
@@ -142,12 +142,12 @@ def halve_parameter_demo(alpha: SampledArc, beta: SampledArc,
     return root, beta.fn(root)
 
 
-def parallel_lines_arcs(span: float = 4.0) -> tuple[SampledArc, SampledArc,
-                                                    SampledArc]:
-    """Arcs on y = -1, 0, 1: the additive halving demo instance."""
-    return (SampledArc(lambda x: -1.0, -span, span),
-            SampledArc(lambda x: 0.0, -span, span),
-            SampledArc(lambda x: 1.0, -span, span))
+def parallel_lines_arcs() -> tuple[SampledArc, SampledArc, SampledArc]:
+    """Arcs on y = -1, 0, 1 over [-4, 4]: the additive halving demo
+    instance."""
+    return (SampledArc(lambda x: -1.0, -4.0, 4.0),
+            SampledArc(lambda x: 0.0, -4.0, 4.0),
+            SampledArc(lambda x: 1.0, -4.0, 4.0))
 
 
 def three_lines_multiplicative_arcs() -> tuple[SampledArc, SampledArc,

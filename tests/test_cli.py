@@ -1075,7 +1075,7 @@ def test_the_table_parser_agrees_with_argparse(fuzz_files, data):
                                                         argv), argv
 
 
-@pytest.mark.parametrize("argv", [
+CORNER_CASES = [
     [], ["--help"], ["-h"], ["--he"], ["-hh"], ["-hx"], ["-h="], ["--help="],
     ["--"], ["--", "bound", "--n", "3"], ["bogus"], ["--bogus", "bound"],
     ["--bogus", "bound", "--help"], ["bound", "--n", "3", "--", "x"],
@@ -1100,24 +1100,48 @@ def test_the_table_parser_agrees_with_argparse(fuzz_files, data):
     ["generate", "--example", "grid", "--n", "3", "--dense", "--out", "-"],
     ["generate", "--example", "grid", "--n", "3", "--out", "-"],
     ["bound", "--n", "-"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", CORNER_CASES)
 def test_the_table_parser_agrees_on_argparse_corner_cases(argv):
     assert _parsed(cli.build_parser(), argv) == _parsed(argparse_parser(),
                                                         argv)
 
 
-def test_help_lists_the_table(capsys):
+def test_help_lists_the_table(capsys, monkeypatch):
+    # argparse's layout, matched on whitespace-normalised output, so that
+    # where it wraps a line does not matter
+    monkeypatch.setenv("COLUMNS", "80")
     assert run(["--help"]) == 0
-    out = capsys.readouterr().out
+    out = " ".join(capsys.readouterr().out.split())
     assert out.startswith("usage: orchard ")
     for name, spec in cli._COMMANDS.items():
-        assert re.search(rf"^  {name} +{re.escape(spec['help'])}$", out,
-                         re.M), name
+        assert f" {name} {spec['help']} " in out, name
         assert run([name, "-h"]) == 0
-        out_command = capsys.readouterr().out
+        raw = capsys.readouterr().out
+        out_command = " ".join(raw.split())
         assert out_command.startswith(f"usage: orchard {name} [-h] ")
-        for flag, *_ in spec["options"]:
-            assert re.search(rf"^  {flag}\b", out_command, re.M), flag
+        assert f" {spec['help']} " in out_command, name
+        for flag, _, default, _, text in spec["options"]:
+            assert re.search(rf"^  {flag}\b", raw, re.M), flag
+            assert text % {"default": default} in out_command, flag
+
+
+def _assert_refused_as_argparse_refuses(argv) -> str:
+    """run(argv) exits 2 with empty stdout and the stderr, byte for byte,
+    of the argparse parser that the command table replaced
+    (oracles.build_parser); that stderr is returned."""
+    out, err, expected = io.StringIO(), io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(expected), \
+            pytest.raises(SystemExit) as exc:
+        argparse_parser().parse_args(argv)
+    assert (code, out.getvalue()) == (exc.value.code, "") == (2, ""), argv
+    assert err.getvalue() == expected.getvalue(), argv
+    return err.getvalue()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1129,9 +1153,14 @@ def test_help_lists_the_table(capsys):
      "ambiguous option: --i could match --in, --indices"),
     (["bound", "--n", "3", "--x"], "unrecognized arguments: --x"),
 ])
-def test_a_usage_error_prints_usage_and_one_error_line(capsys, argv, message):
-    assert run(argv) == 2
-    out, err = capsys.readouterr()
-    usage, error = err.splitlines()
-    assert out == "" and usage.startswith("usage: orchard ")
-    assert error == f"orchard: error: {message}"
+def test_a_usage_error_prints_usage_and_one_error_line(argv, message):
+    err = _assert_refused_as_argparse_refuses(argv)
+    assert err.startswith("usage: orchard ")
+    assert re.match(rf"orchard( [\w-]+)?: error: {re.escape(message)}",
+                    err.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [argv for argv in CORNER_CASES
+                                  if _parsed(argparse_parser(), argv) == 2])
+def test_a_refused_corner_case_prints_what_argparse_prints(argv):
+    _assert_refused_as_argparse_refuses(argv)

@@ -54,7 +54,10 @@ CASES = {"help": (["--help"], 0),
 @UNBUFFERED
 @pytest.mark.parametrize("case", list(CASES))
 def test_spawned_call_keeps_the_exit_code_and_stdout(case, unbuffered,
-                                                     tmp_path, capsys):
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    # argparse wraps help to the terminal width: the same for both calls
+    monkeypatch.setenv("COLUMNS", "80")
     template, code = CASES[case]
     argv = [a.format(missing=tmp_path / "nope.json") for a in template]
     assert run(argv) == code

@@ -67,50 +67,50 @@ POOL = {"multiprocessing", "locale"} if richlines._cores() > 1 else set()
 SUBCOMMANDS = {
     "generate": (["generate", "--example", "grid", "--n", "3"],
                  {"commands", "generators", "json", "projective",
-                  *FRACTIONS}, 1566),
+                  *FRACTIONS}, 1507),
     # "-", stdout, is read as a value, not left to argparse
     "generate-stdout": (["generate", "--example", "grid", "--n", "3",
                          "--out", "-"],
                         {"commands", "generators", "json", "projective",
-                         *FRACTIONS}, 1566),
-    "count": (["count", "--in", "{in}", "--k", "3"], {"json"}, 1024),
+                         *FRACTIONS}, 1507),
+    "count": (["count", "--in", "{in}", "--k", "3"], {"json"}, 1020),
     "count-tripartite": (["count", "--in", "{in}", "--tripartite", "1,2,3"],
-                         {"json"}, 1024),
+                         {"json"}, 1020),
     "count-workers": (["count", "--in", "{in}", "--workers", "2"],
-                      {"json", *POOL}, 1024),
-    "directions": (["directions", "--in", "{in}"], {"json"}, 1024),
-    "bound": (["bound", "--n", "10"], set(), 1045),
+                      {"json", *POOL}, 1020),
+    "directions": (["directions", "--in", "{in}"], {"json"}, 1020),
+    "bound": (["bound", "--n", "10"], set(), 1020),
     "fit-cubic": (["fit-cubic", "--in", "{in}"],
                   {"commands", "cubics", "fitting", "json", "projective",
-                   *FRACTIONS}, 1613),
+                   *FRACTIONS}, 1554),
     "group-check": (["group-check", "--config", "example1", "--n", "3"],
                     {"commands", "cubics", "descriptions", "generators",
-                     "grouplaw", "projective", *FRACTIONS}, 2138),
+                     "grouplaw", "projective", *FRACTIONS}, 2079),
     "tenpoint": (["tenpoint", "--curve", "cuspidal", "--base=-1,0,1",
                   "--delta", "1/10"],
                  {"cubics", "grouplaw", "projective", "tenpoint",
-                  *FRACTIONS}, 1686),
+                  *FRACTIONS}, 1682),
     "cantilever": (["cantilever", "--curve", "weierstrass:0,17",
                     "--base=-2:3,-1:4,4:9", "--delta", "8:23",
                     "--extend", "3"],
                    {"cubics", "grouplaw", "modp", "projective", "tenpoint",
-                    *FRACTIONS}, 1774),
+                    *FRACTIONS}, 1770),
     "conic": (["conic", "--mode", "involution", "--external", "1,2",
-               "--x", "3"], {"commands", "conic", *FRACTIONS}, 1363),
+               "--x", "3"], {"commands", "conic", *FRACTIONS}, 1304),
     "experiment": (["experiment", "--kind", "quadruple", "--degree", "3",
                     "--n", "3"], {"commands", "curves", "projective",
-                                  *FRACTIONS}, 1542),
+                                  *FRACTIONS}, 1483),
     "experiment-dichotomy": (["experiment", "--kind", "dichotomy",
                               "--degree", "3", "--n", "3"],
                              {"commands", "curves", "projective",
-                              *FRACTIONS}, 1542),
+                              *FRACTIONS}, 1483),
     "experiment-directions": (["experiment", "--kind", "directions",
                                "--degree", "3", "--n", "3"],
                               {"commands", "curves", "projective",
-                               *FRACTIONS}, 1542),
+                               *FRACTIONS}, 1483),
     "plot": (["plot", "--in", "{in}", "--out", "{out}",
               "--mark-triple-lines"],
-             {"commands", "json", "projective", "svg", *FRACTIONS}, 1565),
+             {"commands", "json", "projective", "svg", *FRACTIONS}, 1506),
 }
 
 

@@ -100,7 +100,7 @@ def test_setup_split_prints_every_layer(tmp_path):
     modules = layers[2:layers.index("other modules")]
     assert layers == ["bare interpreter", "imports", *modules,
                       "other modules", "compilation", "argument parsing",
-                      "points-file read", "rest of the call", "whole call"]
+                      "points-file read", "whole call"]
     assert modules and all(m.startswith("orchard") for m in modules)
     written = json.loads((tmp_path / "split.json").read_text())
     assert [name.strip() for name in written["layers_ms"]] == layers
