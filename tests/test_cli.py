@@ -1139,7 +1139,7 @@ def _assert_refused_as_argparse_refuses(argv) -> str:
             contextlib.redirect_stderr(expected), \
             pytest.raises(SystemExit) as exc:
         argparse_parser().parse_args(argv)
-    assert (code, out.getvalue()) == (exc.value.code, "") == (2, ""), argv
+    assert code == exc.value.code == 2 and out.getvalue() == "", argv
     assert err.getvalue() == expected.getvalue(), argv
     return err.getvalue()
 
